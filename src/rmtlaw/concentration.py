@@ -14,6 +14,7 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 import os
+import threading
 from typing import Callable, Optional, Sequence, TypeVar
 
 import numpy as np
@@ -73,17 +74,36 @@ def _thread_count() -> int:
     return os.cpu_count() or 1
 
 
+_pool_lock = threading.Lock()
+_pool: Optional[ThreadPoolExecutor] = None
+_pool_workers = 0
+
+
+def _shared_pool(workers: int) -> ThreadPoolExecutor:
+    """The one worker pool, rebuilt only when the thread count changes.
+
+    A replaced pool is dropped, not shut down, so a map still running on it
+    finishes; its threads exit once it is collected.
+    """
+    global _pool, _pool_workers
+    with _pool_lock:
+        if _pool is None or _pool_workers != workers:
+            _pool = ThreadPoolExecutor(max_workers=workers)
+            _pool_workers = workers
+        return _pool
+
+
 def parallel_map(fn: Callable[[_T], _U], items: Sequence[_T]) -> list[_U]:
     """Map preserving order, threaded when RMT_THREADS allows.
 
     Results are independent of the thread count because every item draws
-    from its own RNG stream.
+    from its own RNG stream. The pool is shared, so fn must not call
+    parallel_map itself: it could wait on its own saturated pool.
     """
     workers = _thread_count()
     if workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:
-        return list(pool.map(fn, items))
+    return list(_shared_pool(workers).map(fn, items))
 
 
 @dataclass(frozen=True)
@@ -239,7 +259,7 @@ def quadratic_form_deviation(
 
     def one(replicate: int) -> float:
         Y = sample_model(model, seed, replicate) - mean_row
-        quad = np.einsum("ij,jk,ik->i", Y, M, Y) / dim
+        quad = np.einsum("ij,ij->i", Y @ M, Y) / dim
         return float(np.max(np.abs(quad - target)))
 
     stats = np.array(parallel_map(one, range(reps)))

@@ -2,9 +2,13 @@
 
 All randomness flows through counter-based Philox streams split from
 (seed, replicate, kind, index), so results are reproducible bit-for-bit
-under any parallel schedule. Uniforms are mapped through inverse CDFs
-(normal via ndtri, gamma magnitudes via gammaincinv) rather than rejection
-methods, keeping every draw a pure function of its stream.
+under any parallel schedule. A block of rows draws its streams at once:
+numpy's SeedSequence hash runs on arrays over the row index to give every
+row's Philox key in one pass, and one reused Philox draws each row, so a
+row holds the same bytes as rng_stream(seed, replicate, kind, i) gives.
+Uniforms are mapped through inverse CDFs (normal via ndtri, gamma
+magnitudes via gammaincinv) rather than rejection methods, keeping every
+draw a pure function of its stream.
 """
 
 from __future__ import annotations
@@ -52,30 +56,132 @@ def rng_stream(seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def uniform_open(rng: np.random.Generator, size) -> NDArray[np.float64]:
-    """Uniforms strictly inside (0, 1): (k + 1/2)/2^53 over 53-bit integers."""
+def uniform_open(rng: np.random.Generator | _RowStreams, size) -> NDArray[np.float64]:
+    """Uniforms strictly inside (0, 1): (k + 1/2)/2^53 over 53-bit integers.
+
+    rng is a Generator, or a _RowStreams block of one stream per row.
+    """
     k = rng.integers(0, 1 << 53, size=size, dtype=np.uint64)
     return (k.astype(np.float64) + 0.5) * 2.0**-53
 
 
-def standard_normal(rng: np.random.Generator, size) -> NDArray[np.float64]:
+def standard_normal(rng: np.random.Generator | _RowStreams, size) -> NDArray[np.float64]:
     """Standard normals by inverse CDF of open-interval uniforms."""
     return ndtri(uniform_open(rng, size))
 
 
+# Constants of numpy's SeedSequence hash (numpy/random/bit_generator.pyx).
+_POOL_SIZE = 4
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _uint32_words(value: int) -> list[int]:
+    """Little-endian 32-bit words of a nonnegative integer, as SeedSequence splits it."""
+    value = int(value)
+    if value < 0:
+        raise ValueError("expected non-negative integer")
+    words = [value & _MASK32]
+    value >>= 32
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
+    return words
+
+
+def _hasher(init: int, mult: int):
+    """SeedSequence's hashmix with its running constant, over uint32 arrays."""
+    const = init
+
+    def hashmix(value: NDArray[np.uint32]) -> NDArray[np.uint32]:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = (const * mult) & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+
+    return hashmix
+
+
+def _mix(x: NDArray[np.uint32], y: NDArray[np.uint32]) -> NDArray[np.uint32]:
+    result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return result ^ (result >> np.uint32(16))
+
+
+def _stream_keys(seed: int, path: tuple[int, ...], n: int) -> NDArray[np.uint64]:
+    """Philox keys of SeedSequence(seed, spawn_key=(*path, i)) for i < n, shape (n, 2).
+
+    numpy's mix_entropy and generate_state(2, uint64), run on arrays over
+    the row index i so all n keys come out in one pass.
+    """
+    run = _uint32_words(seed)
+    # With a spawn key present, SeedSequence zero-pads the run entropy to the pool size.
+    run += [0] * (_POOL_SIZE - len(run))
+    prefix = run + [word for key in path for word in _uint32_words(key)]
+    entropy = [np.array([word], dtype=np.uint32) for word in prefix]
+    entropy.append(np.arange(n, dtype=np.uint32))
+
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = _mix(pool[i_dst], hashmix(pool[i_src]))
+    for word in entropy[_POOL_SIZE:]:
+        for i_dst in range(_POOL_SIZE):
+            pool[i_dst] = _mix(pool[i_dst], hashmix(word))
+
+    generate = _hasher(_INIT_B, _MULT_B)
+    state = [generate(word).astype(np.uint64) for word in pool]
+    keys = np.empty((n, 2), dtype=np.uint64)
+    keys[:, 0] = state[0] | (state[1] << np.uint64(32))
+    keys[:, 1] = state[2] | (state[3] << np.uint64(32))
+    return keys
+
+
+class _RowStreams:
+    """The streams rng_stream(seed, replicate, kind, i), one per row i.
+
+    integers(0, 2**53, (n, cols), uint64) fills row i with the first cols
+    draws of stream i, byte for byte: the keys come from _stream_keys and
+    one Philox, reset to counter 0 for each row, draws them. Lemire's map
+    with a power-of-two range never rejects and reduces to a shift, so
+    random_raw(cols) >> 11 is what Generator.integers returns. uniform_open
+    and standard_normal then map the whole block in one call.
+    """
+
+    def __init__(self, seed: int, replicate: int, kind: int = _KIND_ROW) -> None:
+        self.seed = seed
+        self.path = (int(replicate), int(kind))
+
+    def integers(self, low, high, size, dtype) -> NDArray[np.uint64]:
+        if (low, high, dtype) != (0, 1 << 53, np.uint64):
+            raise ValueError("row streams draw only 53-bit integers")
+        n, cols = size
+        keys = _stream_keys(self.seed, self.path, n)
+        philox = np.random.Philox(0)
+        state = philox.state
+        bits = np.empty((n, cols), dtype=np.uint64)
+        for i in range(n):
+            state["state"]["key"] = keys[i]
+            philox.state = state
+            bits[i] = philox.random_raw(cols)
+        bits >>= np.uint64(11)
+        return bits
+
+
 def _row_normals(seed: int, replicate: int, n: int, p: int) -> NDArray[np.float64]:
     """n x p standard normals, one independent stream per row."""
-    out = np.empty((n, p))
-    for i in range(n):
-        out[i] = standard_normal(rng_stream(seed, replicate, _KIND_ROW, i), p)
-    return out
+    return standard_normal(_RowStreams(seed, replicate), (n, p))
 
 
 def _row_uniforms(seed: int, replicate: int, n: int, cols: int) -> NDArray[np.float64]:
-    out = np.empty((n, cols))
-    for i in range(n):
-        out[i] = uniform_open(rng_stream(seed, replicate, _KIND_ROW, i), cols)
-    return out
+    return uniform_open(_RowStreams(seed, replicate), (n, cols))
 
 
 @dataclass(frozen=True)
@@ -160,13 +266,23 @@ class PopulationModel:
         object.__setattr__(self, "location", mu if mu.ndim else float(mu))
 
 
+def _sigma_root(sigma) -> tuple[int, Optional[NDArray[np.float64]]]:
+    """(p, sqrt(Sigma)); the root is None when Sigma is exactly the identity.
+
+    X @ I equals X exactly, so identity models skip the p x p eigh and GEMM.
+    """
+    A = as_sym_matrix(sigma)
+    p = A.shape[0]
+    return p, None if np.array_equal(A, np.eye(p)) else matrix_sqrt_psd(A)
+
+
 def sample_gaussian(n: int, sigma, seed: int, replicate: int = 0) -> NDArray[np.float64]:
     """Rows i.i.d. N(0, Sigma): row = g @ sqrt(Sigma), g standard normal."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    root = matrix_sqrt_psd(sigma)
-    G = _row_normals(seed, replicate, n, root.shape[0])
-    return G @ root
+    p, root = _sigma_root(sigma)
+    G = _row_normals(seed, replicate, n, p)
+    return G if root is None else G @ root
 
 
 def _sphere_rows(seed: int, replicate: int, n: int, p: int) -> NDArray[np.float64]:
@@ -234,15 +350,16 @@ def sample_lb_ball(n: int, p: int, b: float, seed: int, replicate: int = 0) -> N
         raise ValueError("b must be in [1, 2]")
     if n < 1 or p < 1:
         raise ValueError("n and p must be >= 1")
-    out = np.empty((n, p))
-    for i in range(n):
-        u = uniform_open(rng_stream(seed, replicate, _KIND_ROW, i), 2 * p + 1)
-        gamma_draws = gammaincinv(1.0 / b, u[:p])
-        magnitudes = gamma_draws ** (1.0 / b)
-        signs = np.where(u[p : 2 * p] < 0.5, -1.0, 1.0)
-        w_exp = -np.log1p(-u[2 * p])
-        denom = (np.sum(gamma_draws) + w_exp) ** (1.0 / b)
-        out[i] = signs * magnitudes / denom
+    U = _row_uniforms(seed, replicate, n, 2 * p + 1)
+    gamma_draws = gammaincinv(1.0 / b, U[:, :p])
+    magnitudes = gamma_draws ** (1.0 / b)
+    signs = np.where(U[:, p : 2 * p] < 0.5, -1.0, 1.0)
+    w_exp = -np.log1p(-U[:, 2 * p])
+    # A scalar pow per row, as each row stream once computed it: numpy's
+    # vectorized pow can differ from libm's in the last bit.
+    radii = (np.sum(gamma_draws, axis=1) + w_exp).tolist()
+    denom = np.array([r ** (1.0 / b) for r in radii])
+    out = signs * magnitudes / denom[:, None]
     return p ** (1.0 / b) * out
 
 
@@ -259,8 +376,7 @@ def sample_covariance_model(
     n: int, sigma, seed: int, replicate: int = 0, entry_family: str = "gaussian"
 ) -> NDArray[np.float64]:
     """Y = X @ sqrt(Sigma) with i.i.d. unit-variance entries in X."""
-    root = matrix_sqrt_psd(sigma)
-    p = root.shape[0]
+    p, root = _sigma_root(sigma)
     if entry_family == "gaussian":
         X = _row_normals(seed, replicate, n, p)
     elif entry_family == "bounded":
@@ -268,7 +384,7 @@ def sample_covariance_model(
         X = np.sqrt(3.0) * (2.0 * _row_uniforms(seed, replicate, n, p) - 1.0)
     else:
         raise ValueError("entry_family must be 'gaussian' or 'bounded'")
-    return X @ root
+    return X if root is None else X @ root
 
 
 def sample_model(model: PopulationModel, seed: int, replicate: int = 0) -> NDArray[np.float64]:

@@ -1,9 +1,14 @@
 """Concentration statistics, diagnostics, and the verify suites."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from rmtlaw import concentration
 from rmtlaw.concentration import (
+    _EXACT_ZERO,
     ConcentrationReport,
     angle_diagnostic,
     azuma_bound,
@@ -24,7 +29,7 @@ from rmtlaw.concentration import (
 )
 from rmtlaw.linalg import operator_norm, toeplitz_corr
 from rmtlaw.measures import DiscreteMeasure, delta
-from rmtlaw.samplers import PopulationModel
+from rmtlaw.samplers import PopulationModel, sample_model
 
 
 class TestEmpiricalStieltjes:
@@ -91,6 +96,36 @@ class TestParallelMap:
 
     def test_empty(self):
         assert parallel_map(lambda i: i, []) == []
+
+    def test_pool_reused_until_thread_count_changes(self, monkeypatch):
+        monkeypatch.setenv("RMT_THREADS", "3")
+        assert parallel_map(lambda i: -i, [1, 2, 3]) == [-1, -2, -3]
+        first = concentration._pool
+        parallel_map(lambda i: i, [1, 2])
+        assert concentration._pool is first
+        monkeypatch.setenv("RMT_THREADS", "2")
+        assert parallel_map(lambda i: 2 * i, [1, 2, 3]) == [2, 4, 6]
+        assert concentration._pool is not first
+
+    def test_concurrent_callers_share_the_pool(self, monkeypatch):
+        monkeypatch.setenv("RMT_THREADS", "4")
+        results = {}
+
+        def caller(k):
+            results[k] = parallel_map(lambda i: (k, i * i), list(range(50)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller, args=(k,)) for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == {k: [(k, i * i) for i in range(50)] for k in range(8)}
 
     def test_thread_count_invariance(self, monkeypatch):
         model = PopulationModel(family="gaussian", n=15, p=10)
@@ -200,6 +235,22 @@ class TestQuadraticForm:
         model = PopulationModel(family="gaussian", n=10, p=5)
         with pytest.raises(ValueError, match="M must be"):
             quadratic_form_deviation(model, np.eye(4), reps=1, seed=0)
+
+    def test_matches_three_operand_einsum(self):
+        # Y @ M runs through BLAS, so it agrees with the 3-operand einsum
+        # to rounding, not bit for bit.
+        p = 20
+        model = PopulationModel(family="gaussian", n=30, p=p, shape=toeplitz_corr(p, 0.4))
+        A = np.random.default_rng(5).standard_normal((p, p))
+        M = (A + A.T) / 2.0
+        report = quadratic_form_deviation(model, M, reps=3, seed=2)
+        target = np.trace(M @ model.shape) / p
+        expected = []
+        for replicate in range(3):
+            Y = sample_model(model, 2, replicate)
+            quad = np.einsum("ij,jk,ik->i", Y, M, Y) / p
+            expected.append(np.max(np.abs(quad - target)))
+        np.testing.assert_allclose(report.details["per_replicate"], expected, rtol=1e-12)
 
     def test_location_centering(self):
         # A known mean shift must not change the centered statistic.
@@ -332,6 +383,16 @@ class TestVerifySuites:
         report, ok = verify_quadform(reps=5, seed=0, dims=(50, 100))
         assert ok
         assert report.details["sphere_exactly_zero"]
+        assert max(report.details["mean_max_deviation"]["sphere"]) <= _EXACT_ZERO
+
+    def test_quadform_small_ladder_pinned(self):
+        # Values of r'r computed as einsum("ij,ij->i", Y @ M, Y) with M = I.
+        report, _ = verify_quadform(reps=5, seed=0, dims=(50, 100))
+        assert report.details["mean_max_deviation"] == {
+            "gaussian": [0.4707648982067978, 0.3661303942179481],
+            "sphere": [4.662936703425658e-16, 6.661338147750939e-16],
+            "copula": [0.025135510360580083, 0.02039748382574798],
+        }
 
     def test_copula_reduced(self):
         report, ok = verify_copula(seed=0, trials=20, p=20, mc_samples=20000)

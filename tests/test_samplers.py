@@ -2,14 +2,19 @@
 
 import json
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
+from scipy.special import gammaincinv
 
-from rmtlaw.linalg import sample_covariance, toeplitz_corr
+from rmtlaw.linalg import matrix_sqrt_psd, sample_covariance, toeplitz_corr
 from rmtlaw.measures import DiscreteMeasure, delta
 from rmtlaw.samplers import (
     FAMILIES,
     PopulationModel,
+    _RowStreams,
+    _row_normals,
+    _row_uniforms,
     load_model_json,
     model_from_json_dict,
     model_to_json_dict,
@@ -61,6 +66,90 @@ class TestStreams:
         assert abs(g.var() - 1.0) < 5 * np.sqrt(2.0 / n)
         # fourth moment 3 for a Gaussian; se of the estimate is sqrt(96/n)
         assert abs(np.mean(g**4) - 3.0) < 5 * np.sqrt(96.0 / n)
+
+
+def _lb_ball_reference(n, p, b, seed, replicate):
+    """sample_lb_ball one row stream at a time, as it was first written."""
+    out = np.empty((n, p))
+    for i in range(n):
+        u = uniform_open(rng_stream(seed, replicate, 0, i), 2 * p + 1)
+        gamma_draws = gammaincinv(1.0 / b, u[:p])
+        magnitudes = gamma_draws ** (1.0 / b)
+        signs = np.where(u[p : 2 * p] < 0.5, -1.0, 1.0)
+        w_exp = -np.log1p(-u[2 * p])
+        denom = (np.sum(gamma_draws) + w_exp) ** (1.0 / b)
+        out[i] = signs * magnitudes / denom
+    return p ** (1.0 / b) * out
+
+
+class TestRowStreams:
+    """Row blocks are byte-identical to numpy's own per-row streams."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 + 3, 2**70 + 11])
+    @pytest.mark.parametrize("replicate", [0, 3, 2**33])
+    @pytest.mark.parametrize("kind", [0, 1])
+    def test_rows_equal_per_row_streams(self, seed, replicate, kind):
+        for cols in (1, 3, 4, 5, 401):
+            U = uniform_open(_RowStreams(seed, replicate, kind), (4, cols))
+            G = standard_normal(_RowStreams(seed, replicate, kind), (4, cols))
+            for i in range(4):
+                rng = rng_stream(seed, replicate, kind, i)
+                assert U[i].tobytes() == uniform_open(rng, cols).tobytes()
+                rng = rng_stream(seed, replicate, kind, i)
+                assert G[i].tobytes() == standard_normal(rng, cols).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**80),
+        replicate=st.integers(0, 2**40),
+        n=st.integers(1, 6),
+        cols=st.integers(1, 9),
+    )
+    def test_row_helpers_property(self, seed, replicate, n, cols):
+        U = _row_uniforms(seed, replicate, n, cols)
+        G = _row_normals(seed, replicate, n, cols)
+        assert U.shape == G.shape == (n, cols)
+        for i in range(n):
+            ref = uniform_open(rng_stream(seed, replicate, 0, i), cols)
+            assert U[i].tobytes() == ref.tobytes()
+            ref = standard_normal(rng_stream(seed, replicate, 0, i), cols)
+            assert G[i].tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("path", [(-1, 0, 0), (0, -1, 0)])
+    def test_negative_entropy_raises_like_seed_sequence(self, path):
+        seed, replicate, _ = path
+        with pytest.raises(ValueError, match="non-negative") as expected:
+            np.random.SeedSequence(seed, spawn_key=(replicate, 0, 0))
+        with pytest.raises(ValueError, match=str(expected.value)):
+            _row_uniforms(seed, replicate, 2, 3)
+
+    def test_only_53_bit_integers(self):
+        with pytest.raises(ValueError, match="53-bit"):
+            _RowStreams(0, 0).integers(0, 10, (2, 2), np.uint64)
+
+    @pytest.mark.parametrize("b", [1.0, 1.3, 2.0])
+    @pytest.mark.parametrize("seed", [0, 2**70 + 11])
+    def test_lb_ball_equals_per_row_reference(self, b, seed):
+        for p in (1, 7, 120):
+            got = sample_lb_ball(40, p, b, seed, replicate=3)
+            assert got.tobytes() == _lb_ball_reference(40, p, b, seed, 3).tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 2**32 + 3])
+    def test_bounded_iid_equals_per_row_reference(self, seed):
+        got = sample_bounded_iid(30, 9, 1.5, seed, replicate=2)
+        for i in range(30):
+            u = uniform_open(rng_stream(seed, 2, 0, i), 9)
+            assert got[i].tobytes() == (1.5 * (2.0 * u - 1.0)).tobytes()
+
+    @pytest.mark.parametrize("p", [4, 37, 200])
+    def test_identity_sigma_skips_root_exactly(self, p):
+        # The identity shortcut returns what the root and GEMM returned.
+        eye = np.eye(p)
+        assert np.array_equal(matrix_sqrt_psd(eye), eye)
+        G = _row_normals(5, 1, 30, p)
+        expected = G @ matrix_sqrt_psd(eye)
+        assert sample_gaussian(30, eye, 5, replicate=1).tobytes() == expected.tobytes()
+        assert sample_covariance_model(30, eye, 5, replicate=1).tobytes() == expected.tobytes()
 
 
 class TestGaussian:
