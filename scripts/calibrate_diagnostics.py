@@ -17,13 +17,11 @@ import numpy as np
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from rmtlaw._serialize import json_dumps
-from rmtlaw.concentration import angle_diagnostic, norm_diagnostic
+from rmtlaw.concentration import ANGLE_THRESHOLD, NORM_THRESHOLD, angle_diagnostic, norm_diagnostic
 from rmtlaw.samplers import PopulationModel, sample_model
 
 DIM = 400
 SEEDS = list(range(50))
-NORM_THRESHOLD = 0.35
-ANGLE_THRESHOLD = 0.2
 
 
 def main() -> int:

@@ -6,6 +6,8 @@ largest-eigenvalue edges, seed-deterministic samplers, concentration
 verification harnesses, and row-geometry diagnostics.
 """
 
+from types import ModuleType as _ModuleType
+
 from .concentration import (
     ConcentrationReport,
     angle_diagnostic,
@@ -74,62 +76,9 @@ from .samplers import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConcentrationReport",
-    "ComparisonResult",
-    "ConvergenceError",
-    "DiscreteMeasure",
-    "EdgeResult",
-    "EllipticalParams",
-    "ExperimentSpec",
-    "NumericalError",
-    "PopulationModel",
-    "SolverConfig",
-    "TransformResult",
-    "angle_diagnostic",
-    "as_sym_matrix",
-    "azuma_bound",
-    "copula_cov",
-    "copula_norm_bound",
-    "corr_from_cov",
-    "default_v_eps",
-    "delta",
-    "density_grid",
-    "edge_c0_solve",
-    "edge_mu",
-    "elliptical_density_grid",
-    "elliptical_solve",
-    "empirical_stieltjes",
-    "estimate_support",
-    "from_quantiles",
-    "ks_distance",
-    "matrix_sqrt_psd",
-    "measure_from_eigenvalues",
-    "mixing_integral",
-    "mp_companion_solve",
-    "norm_diagnostic",
-    "operator_norm",
-    "population_covariance",
-    "quadratic_form_deviation",
-    "run_correlation_experiment",
-    "run_elliptical_experiment",
-    "sample_bounded_iid",
-    "sample_correlation",
-    "sample_covariance",
-    "sample_elliptical",
-    "sample_gaussian",
-    "sample_gaussian_copula",
-    "sample_lb_ball",
-    "sample_model",
-    "sample_sphere",
-    "scaled_gram",
-    "solve_edge",
-    "stieltjes_concentration_mc",
-    "sym_eigenvalues",
-    "tightness_check",
-    "toeplitz_corr",
-    "verify_copula",
-    "verify_lemma6",
-    "verify_quadform",
-    "verify_tightness",
-]
+# Every public name imported above; submodules are not exported.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

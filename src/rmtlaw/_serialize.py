@@ -8,9 +8,18 @@ deterministic but not 17 significant digits).
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
-__all__ = ["fmt", "json_dumps", "write_density_csv", "write_spectrum_csv", "write_matrix_csv"]
+__all__ = [
+    "fmt",
+    "json_dumps",
+    "load_json",
+    "write_density_csv",
+    "write_spectrum_csv",
+    "write_matrix_csv",
+]
 
 
 def fmt(x: float) -> str:
@@ -62,6 +71,15 @@ def _dump(obj) -> str:
 def json_dumps(obj) -> str:
     """Deterministic JSON text: sorted keys, 17-significant-digit floats."""
     return _dump(obj)
+
+
+def load_json(path, what: str):
+    """Parse a JSON file; malformed JSON raises ValueError naming what and path."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"invalid {what} JSON in {path}: {exc}") from exc
 
 
 def write_density_csv(path, xs, density, cdf) -> None:

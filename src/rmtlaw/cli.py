@@ -27,6 +27,8 @@ from numpy.typing import NDArray
 
 from ._serialize import json_dumps, write_density_csv, write_spectrum_csv
 from .concentration import (
+    ANGLE_THRESHOLD,
+    NORM_THRESHOLD,
     angle_diagnostic,
     norm_diagnostic,
     population_covariance,
@@ -51,24 +53,11 @@ from .linalg import (
     sym_eigenvalues,
 )
 from .measures import load_measure_json
-from .mp_solver import (
-    SolverConfig,
-    default_v_eps,
-    density_grid_detailed,
-    estimate_support,
-    solve_edge,
-)
+from .mp_solver import SolverConfig, density_grid_detailed, solve_edge
 from .samplers import load_model_json, model_to_json_dict, sample_model
 
 DEFAULT_GRID_COUNT = 400
 _PROBE_COUNT = 200
-
-# Density threshold multiplier (times v_eps) for support detection.
-_SUPPORT_MULT = 10.0
-
-# Calibrated diagnostic thresholds; regression values, not theory.
-_NORM_THRESHOLD = 0.35
-_ANGLE_THRESHOLD = 0.2
 
 
 def _emit_error(kind: str, message: str) -> None:
@@ -95,16 +84,16 @@ def _parse_grid(text: str) -> NDArray[np.float64]:
     return np.linspace(lo, hi, count)
 
 
-def _solver_config(args: argparse.Namespace) -> SolverConfig:
-    return SolverConfig(
-        tol=args.tol, max_iters=args.max_iters, damping=args.damping, v_eps=args.v_eps
+def _add_solve_flags(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--out", required=True, help="output prefix for .density.csv/.summary.json")
+    sub.add_argument("--quiet", action="store_true", help="suppress stdout summary")
+    sub.add_argument(
+        "--tol", type=float, default=SolverConfig.tol, help="fixed-point residual target"
     )
-
-
-def _add_solver_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--tol", type=float, default=1e-12, help="fixed-point residual target")
-    sub.add_argument("--max-iters", type=int, default=10000, help="iteration cap")
-    sub.add_argument("--damping", type=float, default=1.0, help="initial damping in (0,1]")
+    sub.add_argument("--max-iters", type=int, default=SolverConfig.max_iters, help="iteration cap")
+    sub.add_argument(
+        "--damping", type=float, default=SolverConfig.damping, help="initial damping in (0,1]"
+    )
     sub.add_argument(
         "--v-eps", type=float, default=None, help="imaginary offset for density recovery"
     )
@@ -113,108 +102,62 @@ def _add_solver_flags(sub: argparse.ArgumentParser) -> None:
     )
 
 
-def _print_json(args: argparse.Namespace, obj) -> None:
+def _print_json(args: argparse.Namespace, obj, path: Optional[str]) -> None:
     text = json_dumps(obj) + "\n"
-    if not getattr(args, "quiet", False):
+    if not args.quiet:
         sys.stdout.write(text)
-    out = getattr(args, "out_json", None)
-    if out:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
+    if path:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
 
 
-def _refine_grid(
-    probe_hi: float, solve_probe, v: float, count: int
-) -> NDArray[np.float64]:
-    """Default grid [max(0, a-0.5), b+0.5] around the detected support."""
-    probe_xs = np.linspace(0.0, probe_hi, _PROBE_COUNT)
-    xs, density, _, _ = solve_probe(probe_xs)
-    support = estimate_support(xs, density, _SUPPORT_MULT * v)
-    if support is None:
-        a, b = 0.0, probe_hi
-    else:
-        a, b = support
-    return np.linspace(max(0.0, a - 0.5), b + 0.5, count)
+def _probe_hi(scale: float, ratio: float) -> float:
+    # The covariance law's bulk lies in [0, max(H) * (1 + sqrt(rho))^2].
+    return scale * (1.0 + np.sqrt(ratio)) ** 2 * 1.5 + 1.0
 
 
-def cmd_solve_mp(args: argparse.Namespace) -> int:
+def _mp_law(args: argparse.Namespace):
+    """(probe_hi, solve(xs, cfg)) for solve-mp: the covariance law of H at rho."""
     H = load_measure_json(args.h_file)
     rho = args.rho
     if not (rho > 0):
         raise ValueError("--rho must be positive")
-    cfg = _solver_config(args)
-    v = cfg.v_eps if cfg.v_eps is not None else default_v_eps(H, rho)
-    if args.grid is not None:
-        xs = _parse_grid(args.grid)
-    else:
-        # The bulk is always contained in [0, max(H)*(1+sqrt(rho))^2].
-        probe_hi = H.support_max * (1.0 + np.sqrt(rho)) ** 2 * 1.5 + 1.0
-        xs = _refine_grid(
-            probe_hi,
-            lambda p: density_grid_detailed(H, rho, p, cfg),
-            v,
-            DEFAULT_GRID_COUNT,
-        )
-    xs, density, cdf, stats = density_grid_detailed(H, rho, xs, cfg)
-    support = estimate_support(xs, density, _SUPPORT_MULT * stats["v_eps"])
-    write_density_csv(f"{args.out}.density.csv", xs, density, cdf)
-    summary = {
-        "rho": rho,
-        "atom0_mass": stats["atom0_mass"],
-        "support_estimate": list(support) if support is not None else None,
-        "max_residual": stats["max_residual"],
-        "v_eps": stats["v_eps"],
-    }
-    args.out_json = f"{args.out}.summary.json"
-    _print_json(args, summary)
-    return 0
+    return _probe_hi(H.support_max, rho), lambda xs, cfg: density_grid_detailed(H, rho, xs, cfg)
 
 
-def cmd_solve_elliptical(args: argparse.Namespace) -> int:
+def _elliptical_law(args: argparse.Namespace):
+    """(probe_hi, solve(xs, cfg)) for solve-elliptical: the scaled-Gram law."""
     params = load_params_json(args.params)
-    cfg = _solver_config(args)
-    v = cfg.v_eps if cfg.v_eps is not None else default_v_eps(params.H, params.rho)
+    scale = params.theta * float(np.max(params.nu.values**2)) * params.H.support_max
+    return (
+        _probe_hi(scale, params.theta * params.rho),
+        lambda xs, cfg: elliptical_density_grid_detailed(params, xs, cfg),
+    )
+
+
+def cmd_solve(args: argparse.Namespace) -> int:
+    """Solve the subcommand's law; its stats are the summary JSON."""
+    probe_hi, solve = args.law(args)
+    cfg = SolverConfig(
+        tol=args.tol, max_iters=args.max_iters, damping=args.damping, v_eps=args.v_eps
+    )
     if args.grid is not None:
         xs = _parse_grid(args.grid)
     else:
-        lam_sq = float(np.max(params.nu.values**2))
-        probe_hi = (
-            params.theta
-            * lam_sq
-            * params.H.support_max
-            * (1.0 + np.sqrt(params.theta * params.rho)) ** 2
-            * 1.5
-            + 1.0
-        )
-        xs = _refine_grid(
-            probe_hi,
-            lambda p: elliptical_density_grid_detailed(params, p, cfg),
-            v,
-            DEFAULT_GRID_COUNT,
-        )
-    xs, density, cdf, stats = elliptical_density_grid_detailed(params, xs, cfg)
-    support = estimate_support(xs, density, _SUPPORT_MULT * stats["v_eps"])
+        # [max(0, a - 0.5), b + 0.5] around the support a probe solve detects.
+        support = solve(np.linspace(0.0, probe_hi, _PROBE_COUNT), cfg)[3]["support_estimate"]
+        a, b = support if support is not None else (0.0, probe_hi)
+        xs = np.linspace(max(0.0, a - 0.5), b + 0.5, DEFAULT_GRID_COUNT)
+    xs, density, cdf, stats = solve(xs, cfg)
     write_density_csv(f"{args.out}.density.csv", xs, density, cdf)
-    summary = {
-        "theta": params.theta,
-        "rho": params.rho,
-        "xi": params.xi,
-        "atom0_mass": stats["atom0_mass"],
-        "support_estimate": list(support) if support is not None else None,
-        "max_residual": stats["max_residual"],
-        "max_consistency_residual": stats["max_consistency_residual"],
-        "v_eps": stats["v_eps"],
-    }
-    args.out_json = f"{args.out}.summary.json"
-    _print_json(args, summary)
+    _print_json(args, stats, f"{args.out}.summary.json")
     return 0
 
 
 def cmd_edge(args: argparse.Namespace) -> int:
     H = load_measure_json(args.h_file)
     result = solve_edge(H, args.n_over_p)
-    args.out_json = args.out
-    _print_json(args, {"c0": result.c0, "mu": result.mu})
+    _print_json(args, {"c0": result.c0, "mu": result.mu}, args.out)
     return 0
 
 
@@ -235,8 +178,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "dims": {"n": model.n, "p": model.p, "d": model.d},
         "matrix": args.matrix,
     }
-    args.out_json = f"{args.out}.meta.json"
-    _print_json(args, meta)
+    _print_json(args, meta, f"{args.out}.meta.json")
     return 0
 
 
@@ -283,22 +225,24 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
         "thresholds": {"norm": args.norm_threshold, "angle": args.angle_threshold},
         "concentrated": bool(concentrated),
     }
-    args.out_json = args.out
-    _print_json(args, out)
+    _print_json(args, out, args.out)
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    # The replicate defaults live in the suites' signatures.
+    reps = {} if args.reps is None else {"reps": args.reps}
     if args.suite == "lemma6":
-        report, ok = verify_lemma6(reps=args.reps or 200, seed=args.seed)
+        report, ok = verify_lemma6(seed=args.seed, **reps)
     elif args.suite == "quadform":
-        report, ok = verify_quadform(reps=args.reps or 20, seed=args.seed)
+        report, ok = verify_quadform(seed=args.seed, **reps)
+    elif reps:
+        raise ValueError(f"--reps does not apply to suite {args.suite}")
     elif args.suite == "copula":
         report, ok = verify_copula(seed=args.seed)
     else:
         report, ok = verify_tightness(seed=args.seed)
-    args.out_json = args.out
-    _print_json(args, report_to_json_dict(report, ok))
+    _print_json(args, report_to_json_dict(report, ok), args.out)
     return 0 if ok else 4
 
 
@@ -308,8 +252,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if law.ndim != 2 or law.shape[1] != 3:
         raise ValueError("law file must be an x,density,cdf CSV")
     ks = ks_distance(eigs, law[:, 0], law[:, 2])
-    args.out_json = args.out
-    _print_json(args, {"ks_distance": ks})
+    _print_json(args, {"ks_distance": ks}, args.out)
     return 0
 
 
@@ -324,17 +267,13 @@ def build_parser() -> _Parser:
     p = sub.add_parser("solve-mp", help="solve the covariance/correlation limit law")
     p.add_argument("--h-file", required=True, help="population spectrum measure JSON")
     p.add_argument("--rho", type=float, required=True, help="aspect ratio p/n")
-    p.add_argument("--out", required=True, help="output prefix for .density.csv/.summary.json")
-    p.add_argument("--quiet", action="store_true", help="suppress stdout summary")
-    _add_solver_flags(p)
-    p.set_defaults(func=cmd_solve_mp)
+    _add_solve_flags(p)
+    p.set_defaults(func=cmd_solve, law=_mp_law)
 
     p = sub.add_parser("solve-elliptical", help="solve the scaled-Gram limit law")
     p.add_argument("--params", required=True, help="EllipticalParams JSON file")
-    p.add_argument("--out", required=True, help="output prefix for .density.csv/.summary.json")
-    p.add_argument("--quiet", action="store_true", help="suppress stdout summary")
-    _add_solver_flags(p)
-    p.set_defaults(func=cmd_solve_elliptical)
+    _add_solve_flags(p)
+    p.set_defaults(func=cmd_solve, law=_elliptical_law)
 
     p = sub.add_parser("edge", help="largest-eigenvalue limit {c0, mu}")
     p.add_argument("--h-file", required=True, help="population spectrum measure JSON")
@@ -367,8 +306,8 @@ def build_parser() -> _Parser:
         help="norm target; defaults to the model's trace(Sigma)/p, else 1",
     )
     p.add_argument("--center", action="store_true", help="center columns before norms")
-    p.add_argument("--norm-threshold", type=float, default=_NORM_THRESHOLD)
-    p.add_argument("--angle-threshold", type=float, default=_ANGLE_THRESHOLD)
+    p.add_argument("--norm-threshold", type=float, default=NORM_THRESHOLD)
+    p.add_argument("--angle-threshold", type=float, default=ANGLE_THRESHOLD)
     p.add_argument("--out", default=None, help="optional JSON output file")
     p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=cmd_diagnose)

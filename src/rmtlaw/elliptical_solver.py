@@ -12,23 +12,22 @@ densities, with the built-in identity 1 + z*m = w*b as a consistency check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-import json
 from typing import Optional
 
 import numpy as np
 from numpy.typing import NDArray
 
+from ._serialize import load_json
 from .errors import NumericalError
 from .linalg import as_sym_matrix
 from .measures import DiscreteMeasure, measure_from_json_dict, measure_to_json_dict
 from .mp_solver import (
     SolverConfig,
     TransformResult,
-    _invert_to_density,
-    _solve_grid,
-    _validate_grid,
-    default_v_eps,
+    _check_upper_half_plane,
     _damped_fixed_point,
+    _density_on_grid,
+    default_v_eps,
 )
 
 __all__ = [
@@ -128,11 +127,7 @@ def elliptical_solve(
     w, iterations, residual = _damped_fixed_point(step, start, cfg)
     b = mixing_integral(w, nu, theta, xi)
     m = H.integrate(lambda tau: 1.0 / (tau * b - z))
-    if w.imag < 0 or m.imag < 0:
-        raise NumericalError(
-            f"solution left the upper half-plane at z={z!r}: "
-            f"Im(w)={w.imag:.3e}, Im(m)={m.imag:.3e}"
-        )
+    _check_upper_half_plane(z, w, m)
     consistency = abs(1.0 + z * m - w * b)
     if consistency > 100.0 * cfg.tol:
         raise NumericalError(
@@ -147,29 +142,26 @@ def elliptical_density_grid_detailed(
     xs,
     cfg: SolverConfig | None = None,
 ) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64], dict]:
-    """elliptical_density_grid plus stats including the identity residual."""
-    xs = _validate_grid(xs)
+    """elliptical_density_grid plus its stats, which solve-elliptical prints.
+
+    stats: {theta, rho, xi, atom0_mass, max_residual,
+    max_consistency_residual, v_eps, support_estimate}; the consistency
+    residual is |1 + z*m - w*b| at each grid point.
+    """
     cfg = cfg or SolverConfig()
     v = cfg.v_eps if cfg.v_eps is not None else default_v_eps(params.H, params.rho)
 
     def solve_at(z: complex, w0: Optional[complex]) -> TransformResult:
         return elliptical_solve(z, params, cfg, w0=w0)
 
-    results = _solve_grid(solve_at, xs, v)
-    ms = np.array([r.m for r in results], dtype=np.complex128)
     atom0 = max(0.0, 1.0 - 1.0 / (params.theta * params.rho))
-    density, cdf = _invert_to_density(xs, ms, v, atom0)
+    xs, density, cdf, results, stats = _density_on_grid(solve_at, xs, v, atom0)
     assert params.xi is not None
-    consistency = [
+    stats["max_consistency_residual"] = max(
         abs(1.0 + r.z * r.m - r.w * mixing_integral(r.w, params.nu, params.theta, params.xi))
         for r in results
-    ]
-    stats = {
-        "max_residual": max(r.residual for r in results),
-        "max_consistency_residual": max(consistency),
-        "v_eps": v,
-        "atom0_mass": atom0,
-    }
+    )
+    stats.update(theta=params.theta, rho=params.rho, xi=params.xi)
     return xs, density, cdf, stats
 
 
@@ -183,8 +175,7 @@ def elliptical_density_grid(
     Returns (xs, density, cdf). B_n is d x d with rank at most n, so the
     CDF includes a point mass max(0, 1 - 1/(theta*rho)) at 0.
     """
-    xs, density, cdf, _ = elliptical_density_grid_detailed(params, xs, cfg)
-    return xs, density, cdf
+    return elliptical_density_grid_detailed(params, xs, cfg)[:3]
 
 
 def scaled_gram(X, d: int, p: int, n: int) -> NDArray[np.float64]:
@@ -233,9 +224,4 @@ def params_to_json_dict(params: EllipticalParams) -> dict:
 
 
 def load_params_json(path) -> EllipticalParams:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"invalid params JSON in {path}: {exc}") from exc
-    return params_from_json_dict(obj)
+    return params_from_json_dict(load_json(path, "params"))

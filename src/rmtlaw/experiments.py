@@ -12,13 +12,13 @@ CDF linearly interpolated on its grid.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .concentration import copula_cov
-from .elliptical_solver import EllipticalParams, elliptical_density_grid, scaled_gram
+from .elliptical_solver import EllipticalParams, elliptical_density_grid_detailed, scaled_gram
 from .errors import NumericalError
 from .linalg import (
     as_sym_matrix,
@@ -27,12 +27,11 @@ from .linalg import (
     sample_covariance,
     sym_eigenvalues,
 )
-from .measures import DiscreteMeasure, measure_from_eigenvalues
+from .measures import DiscreteMeasure, delta, measure_from_eigenvalues
 from .mp_solver import (
+    SUPPORT_THRESHOLD_V_EPS,
     SolverConfig,
-    default_v_eps,
-    density_grid,
-    estimate_support,
+    density_grid_detailed,
     solve_edge,
 )
 from .samplers import PopulationModel, sample_model
@@ -45,10 +44,6 @@ __all__ = [
     "run_elliptical_experiment",
     "comparison_to_json_dict",
 ]
-
-# The density threshold (in units of v_eps) used both for numerical
-# support detection and for cutting off the atom at 0 in comparisons.
-SUPPORT_THRESHOLD_V_EPS = 10.0
 
 _GRID_PAD = 0.5
 
@@ -163,17 +158,16 @@ def _ks_against_law(
     eigs: NDArray[np.float64],
     xs: NDArray[np.float64],
     cdf: NDArray[np.float64],
-    atom0: float,
-    v_eps: float,
+    stats: dict,
 ) -> float:
-    """KS distance, conditioning away the atom at 0 when one exists.
+    """KS distance, conditioning away the atom at 0 when the law's stats have one.
 
     Inversion bias concentrates at the atom, so with a point mass at 0
     both distributions are restricted to x above 10*v_eps and rescaled.
     """
-    if atom0 <= 0:
+    if stats["atom0_mass"] <= 0:
         return ks_distance(eigs, xs, cdf)
-    threshold = SUPPORT_THRESHOLD_V_EPS * v_eps
+    threshold = SUPPORT_THRESHOLD_V_EPS * stats["v_eps"]
     F_thr = float(np.interp(threshold, xs, cdf))
     if 1.0 - F_thr <= 1e-9:
         raise NumericalError("no mass above the atom cutoff; cannot compare")
@@ -186,8 +180,32 @@ def _ks_against_law(
     return ks_distance(eigs_c, xs_c, F_c)
 
 
-def _grid(lo: float, hi: float, count: int) -> NDArray[np.float64]:
-    return np.linspace(lo, hi, count)
+def _compare(
+    spec: ExperimentSpec,
+    eig_sets: list[NDArray[np.float64]],
+    solve: Callable[[NDArray[np.float64]], tuple],
+    top: float,
+    details: dict,
+    **fields,
+) -> ComparisonResult:
+    """KS of each replicate against the law solved on [min(0, eigs), top + pad].
+
+    solve is a law's *_density_grid_detailed; v_eps, the atom at 0 and the
+    support come from its stats.
+    """
+    lo = min(0.0, min(float(e[0]) for e in eig_sets))
+    xs, _, cdf, stats = solve(np.linspace(lo, top + _GRID_PAD, spec.grid_count))
+    ks_values = [_ks_against_law(e, xs, cdf, stats) for e in eig_sets]
+    eigs0 = eig_sets[0]
+    return ComparisonResult(
+        ks_distance=float(np.mean(ks_values)),
+        sample_count=eigs0.size,
+        support_empirical=(float(eigs0[0]), float(eigs0[-1])),
+        support_theoretical=stats["support_estimate"],
+        largest_eigenvalue=float(eigs0[-1]),
+        details={"ks_values": ks_values, **details, "v_eps": stats["v_eps"]},
+        **fields,
+    )
 
 
 def run_correlation_experiment(spec: ExperimentSpec) -> ComparisonResult:
@@ -228,31 +246,21 @@ def run_correlation_experiment(spec: ExperimentSpec) -> ComparisonResult:
     edge = None
     if spec.check_edge and H.support_min > 0:
         edge = solve_edge(H, model.n / model.p)
-    v = spec.cfg.v_eps if spec.cfg.v_eps is not None else default_v_eps(H, rho)
     top = max(float(e[-1]) for e in eig_sets)
     if edge is not None:
         top = max(top, edge.mu)
-    lo = min(0.0, min(float(e[0]) for e in eig_sets))
-    xs, density, cdf = density_grid(H, rho, _grid(lo, top + _GRID_PAD, spec.grid_count), spec.cfg)
-
-    atom0 = max(0.0, 1.0 - 1.0 / rho)
-    ks_values = [_ks_against_law(e, xs, cdf, atom0, v) for e in eig_sets]
-    eigs0 = eig_sets[0]
-    return ComparisonResult(
-        ks_distance=float(np.mean(ks_values)),
-        sample_count=eigs0.size,
-        support_empirical=(float(eigs0[0]), float(eigs0[-1])),
-        support_theoretical=estimate_support(xs, density, SUPPORT_THRESHOLD_V_EPS * v),
-        largest_eigenvalue=float(eigs0[-1]),
-        mu_prediction=edge.mu if edge is not None else None,
-        lemma5_stat=lemma5_stats[0],
-        details={
-            "ks_values": ks_values,
+    return _compare(
+        spec,
+        eig_sets,
+        lambda xs: density_grid_detailed(H, rho, xs, spec.cfg),
+        top,
+        {
             "lemma5_stats": lemma5_stats,
             "largest_eigenvalues": [float(e[-1]) for e in eig_sets],
             "rho": rho,
-            "v_eps": v,
         },
+        mu_prediction=edge.mu if edge is not None else None,
+        lemma5_stat=lemma5_stats[0],
     )
 
 
@@ -266,7 +274,7 @@ def _population_gram_law(model: PopulationModel) -> tuple[EllipticalParams, int]
         d = model.d
     elif model.family == "gaussian_copula":
         T = copula_cov(model.shape)
-        nu = DiscreteMeasure(np.array([1.0]), np.array([1.0]))
+        nu = delta(1.0)
         d = p
     else:
         raise ValueError(
@@ -295,27 +303,10 @@ def run_elliptical_experiment(spec: ExperimentSpec) -> ComparisonResult:
         B = scaled_gram(X, d, model.p, model.n)
         eig_sets.append(sym_eigenvalues(B))
 
-    v = spec.cfg.v_eps if spec.cfg.v_eps is not None else default_v_eps(params.H, params.rho)
-    top = max(float(e[-1]) for e in eig_sets)
-    lo = min(0.0, min(float(e[0]) for e in eig_sets))
-    xs, density, cdf = elliptical_density_grid(
-        params, _grid(lo, top + _GRID_PAD, spec.grid_count), spec.cfg
-    )
-
-    atom0 = max(0.0, 1.0 - 1.0 / (params.theta * params.rho))
-    ks_values = [_ks_against_law(e, xs, cdf, atom0, v) for e in eig_sets]
-    eigs0 = eig_sets[0]
-    return ComparisonResult(
-        ks_distance=float(np.mean(ks_values)),
-        sample_count=eigs0.size,
-        support_empirical=(float(eigs0[0]), float(eigs0[-1])),
-        support_theoretical=estimate_support(xs, density, SUPPORT_THRESHOLD_V_EPS * v),
-        largest_eigenvalue=float(eigs0[-1]),
-        details={
-            "ks_values": ks_values,
-            "theta": params.theta,
-            "rho": params.rho,
-            "xi": params.xi,
-            "v_eps": v,
-        },
+    return _compare(
+        spec,
+        eig_sets,
+        lambda xs: elliptical_density_grid_detailed(params, xs, spec.cfg),
+        max(float(e[-1]) for e in eig_sets),
+        {"theta": params.theta, "rho": params.rho, "xi": params.xi},
     )

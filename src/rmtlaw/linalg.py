@@ -15,6 +15,7 @@ from ._serialize import write_matrix_csv, write_spectrum_csv
 
 __all__ = [
     "as_sym_matrix",
+    "as_corr_matrix",
     "sym_eigenvalues",
     "operator_norm",
     "sample_covariance",
@@ -60,6 +61,14 @@ def as_sym_matrix(M, name: str = "matrix") -> NDArray[np.float64]:
     return (A + A.T) / 2.0
 
 
+def as_corr_matrix(M, name: str = "R") -> NDArray[np.float64]:
+    """as_sym_matrix plus a unit diagonal within 1e-12."""
+    A = as_sym_matrix(M, name)
+    if np.any(np.abs(np.diag(A) - 1.0) > 1e-12):
+        raise ValueError(f"{name} must have unit diagonal")
+    return A
+
+
 def sym_eigenvalues(M) -> NDArray[np.float64]:
     """All eigenvalues of a symmetric matrix, sorted ascending."""
     A = as_sym_matrix(M)
@@ -98,15 +107,10 @@ def sample_correlation(Y) -> NDArray[np.float64]:
     """Sample correlation matrix; unit diagonal exactly, entries in [-1, 1]."""
     A = _as_data_matrix(Y, min_rows=2)
     S = sample_covariance(A)
-    d = np.diag(S).copy()
-    if np.any(_degenerate_columns(A, d)):
-        bad = np.nonzero(_degenerate_columns(A, d))[0]
+    bad = np.nonzero(_degenerate_columns(A, np.diag(S)))[0]
+    if bad.size:
         raise ValueError(f"degenerate column (zero variance) at index {bad[0]}")
-    root = np.sqrt(d)
-    C = S / np.outer(root, root)
-    C = np.clip((C + C.T) / 2.0, -1.0, 1.0)
-    np.fill_diagonal(C, 1.0)
-    return C
+    return corr_from_cov(S)
 
 
 def corr_from_cov(S) -> NDArray[np.float64]:

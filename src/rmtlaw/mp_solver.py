@@ -39,6 +39,10 @@ _STALL_LIMIT = 20
 # Relative width target for the edge bisection.
 _BISECT_RTOL = 1e-12
 
+# Density threshold, in units of v_eps, for support detection; the
+# comparisons also cut the atom at 0 off there.
+SUPPORT_THRESHOLD_V_EPS = 10.0
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -275,7 +279,18 @@ def _invert_to_density(
     return density, cdf
 
 
-def _validate_grid(xs) -> NDArray[np.float64]:
+def _density_on_grid(
+    solve_at: Callable[[complex, Optional[complex]], TransformResult],
+    xs,
+    v: float,
+    atom0: float,
+) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64], list, dict]:
+    """Grid solve, inversion and summary shared by both laws.
+
+    Returns (xs, density, cdf, results, stats) with stats {atom0_mass,
+    max_residual, v_eps, support_estimate}; the support is the span of
+    density above SUPPORT_THRESHOLD_V_EPS * v.
+    """
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 1 or xs.size < 2:
         raise ValueError("xs must be a 1-d grid with at least two points")
@@ -283,7 +298,16 @@ def _validate_grid(xs) -> NDArray[np.float64]:
         raise ValueError("xs must be finite")
     if np.any(np.diff(xs) <= 0):
         raise ValueError("xs must be strictly ascending")
-    return xs
+    results = _solve_grid(solve_at, xs, v)
+    ms = np.array([r.m for r in results], dtype=np.complex128)
+    density, cdf = _invert_to_density(xs, ms, v, atom0)
+    stats = {
+        "atom0_mass": atom0,
+        "max_residual": max(r.residual for r in results),
+        "v_eps": v,
+        "support_estimate": estimate_support(xs, density, SUPPORT_THRESHOLD_V_EPS * v),
+    }
+    return xs, density, cdf, results, stats
 
 
 def density_grid_detailed(
@@ -292,8 +316,10 @@ def density_grid_detailed(
     xs,
     cfg: SolverConfig | None = None,
 ) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64], dict]:
-    """density_grid plus a stats dict {max_residual, v_eps, atom0_mass}."""
-    xs = _validate_grid(xs)
+    """density_grid plus its stats, which solve-mp prints as its summary.
+
+    stats: {rho, atom0_mass, max_residual, v_eps, support_estimate}.
+    """
     if not (rho > 0):
         raise ValueError("rho must be positive")
     cfg = cfg or SolverConfig()
@@ -302,15 +328,9 @@ def density_grid_detailed(
     def solve_at(z: complex, w0: Optional[complex]) -> TransformResult:
         return mp_companion_solve(z, H, rho, cfg, w0=w0)
 
-    results = _solve_grid(solve_at, xs, v)
-    ms = np.array([r.m for r in results], dtype=np.complex128)
     atom0 = max(0.0, 1.0 - 1.0 / rho)
-    density, cdf = _invert_to_density(xs, ms, v, atom0)
-    stats = {
-        "max_residual": max(r.residual for r in results),
-        "v_eps": v,
-        "atom0_mass": atom0,
-    }
+    xs, density, cdf, _, stats = _density_on_grid(solve_at, xs, v, atom0)
+    stats["rho"] = rho
     return xs, density, cdf, stats
 
 
@@ -325,8 +345,7 @@ def density_grid(
     Returns (xs, density, cdf). The CDF includes the point mass
     max(0, 1 - 1/rho) at 0 that appears when p > n.
     """
-    xs, density, cdf, _ = density_grid_detailed(H, rho, xs, cfg)
-    return xs, density, cdf
+    return density_grid_detailed(H, rho, xs, cfg)[:3]
 
 
 def estimate_support(

@@ -14,15 +14,15 @@ draw a pure function of its stream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-import json
 from typing import Optional
 
 import numpy as np
 from numpy.typing import NDArray
 from scipy.special import gammaincinv, ndtr, ndtri
 
-from .linalg import as_sym_matrix, matrix_sqrt_psd, toeplitz_corr, load_matrix_csv
-from .measures import DiscreteMeasure, measure_from_json_dict, measure_to_json_dict
+from ._serialize import load_json
+from .linalg import as_corr_matrix, as_sym_matrix, load_matrix_csv, matrix_sqrt_psd, toeplitz_corr
+from .measures import DiscreteMeasure, delta, measure_from_json_dict, measure_to_json_dict
 
 __all__ = [
     "PopulationModel",
@@ -235,17 +235,13 @@ class PopulationModel:
                 raise ValueError("Gamma must be finite")
             object.__setattr__(self, "shape", gamma)
             if self.mixing is None:
-                object.__setattr__(
-                    self, "mixing", DiscreteMeasure(np.array([1.0]), np.array([1.0]))
-                )
+                object.__setattr__(self, "mixing", delta(1.0))
         elif self.family == "gaussian_copula":
             if self.shape is None:
                 object.__setattr__(self, "shape", np.eye(self.p))
-            R = as_sym_matrix(self.shape, "R")
+            R = as_corr_matrix(self.shape)
             if R.shape[0] != self.p:
                 raise ValueError(f"R must be {self.p}x{self.p}")
-            if np.any(np.abs(np.diag(R) - 1.0) > 1e-12):
-                raise ValueError("R must have unit diagonal")
             object.__setattr__(self, "shape", R)
         elif self.family == "lb_ball":
             if self.b_exponent is None or not (1.0 <= float(self.b_exponent) <= 2.0):
@@ -278,11 +274,7 @@ def _sigma_root(sigma) -> tuple[int, Optional[NDArray[np.float64]]]:
 
 def sample_gaussian(n: int, sigma, seed: int, replicate: int = 0) -> NDArray[np.float64]:
     """Rows i.i.d. N(0, Sigma): row = g @ sqrt(Sigma), g standard normal."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    p, root = _sigma_root(sigma)
-    G = _row_normals(seed, replicate, n, p)
-    return G if root is None else G @ root
+    return sample_covariance_model(n, sigma, seed, replicate)
 
 
 def _sphere_rows(seed: int, replicate: int, n: int, p: int) -> NDArray[np.float64]:
@@ -327,9 +319,7 @@ def sample_elliptical(model: PopulationModel, seed: int, replicate: int = 0) -> 
 
 def sample_gaussian_copula(n: int, R, seed: int, replicate: int = 0) -> NDArray[np.float64]:
     """Rows Phi(v) - 1/2 with v ~ N(0, R); entries strictly inside (-1/2, 1/2)."""
-    R = as_sym_matrix(R, "R")
-    if np.any(np.abs(np.diag(R) - 1.0) > 1e-12):
-        raise ValueError("R must have unit diagonal")
+    R = as_corr_matrix(R)
     V = sample_gaussian(n, R, seed, replicate)
     # ndtr saturates to exactly 0/1 around |v| ~ 9; clamp to keep the
     # strict-openness contract.
@@ -376,6 +366,8 @@ def sample_covariance_model(
     n: int, sigma, seed: int, replicate: int = 0, entry_family: str = "gaussian"
 ) -> NDArray[np.float64]:
     """Y = X @ sqrt(Sigma) with i.i.d. unit-variance entries in X."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     p, root = _sigma_root(sigma)
     if entry_family == "gaussian":
         X = _row_normals(seed, replicate, n, p)
@@ -476,9 +468,4 @@ def model_to_json_dict(model: PopulationModel) -> dict:
 
 
 def load_model_json(path) -> PopulationModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"invalid model JSON in {path}: {exc}") from exc
-    return model_from_json_dict(obj)
+    return model_from_json_dict(load_json(path, "model"))

@@ -453,6 +453,17 @@ class TestVerify:
         assert code == 4
         assert json.loads(stdout)["ok"] is False
 
+    @pytest.mark.parametrize(
+        "suite, reps",
+        [("lemma6", "0"), ("quadform", "0"), ("copula", "5"), ("tightness", "5")],
+    )
+    def test_reps_rejected_exit_2(self, suite, reps, capsys):
+        # 0 reaches the suite's own check; copula and tightness take no reps.
+        code, stdout, stderr = run_cli(["verify", "--suite", suite, "--reps", reps], capsys)
+        assert code == 2
+        assert stdout == ""
+        assert json.loads(stderr)["error"] == "ValueError"
+
     def test_unknown_suite_exit_2(self, capsys):
         code, _, stderr = run_cli(["verify", "--suite", "everything"], capsys)
         assert code == 2

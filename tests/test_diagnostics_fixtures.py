@@ -6,6 +6,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from rmtlaw import cli
 from rmtlaw.concentration import angle_diagnostic, norm_diagnostic
 from rmtlaw.samplers import PopulationModel, sample_model
 
@@ -34,6 +35,12 @@ def test_pass_fractions_consistent(fixtures):
     assert fixtures["angle_pass_fraction"] == pytest.approx(
         np.mean(angle <= fixtures["angle_threshold"])
     )
+
+
+def test_diagnose_defaults_are_fixture_thresholds(fixtures):
+    args = cli.build_parser().parse_args(["diagnose"])
+    assert args.norm_threshold == fixtures["norm_threshold"]
+    assert args.angle_threshold == fixtures["angle_threshold"]
 
 
 @pytest.mark.parametrize("index", [0, 17, 49])
