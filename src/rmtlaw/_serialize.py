@@ -3,7 +3,8 @@
 All CLI-visible numeric output flows through these helpers so reruns are
 byte-identical. JSON objects are emitted with sorted keys and floats printed
 with %.17g (json.dumps would use shortest-repr floats, which is also
-deterministic but not 17 significant digits).
+deterministic but not 17 significant digits). Float arrays are formatted
+in bulk, each distinct value once, with the same bytes as one by one.
 """
 
 from __future__ import annotations
@@ -25,6 +26,31 @@ __all__ = [
 def fmt(x: float) -> str:
     """Format a finite float with 17 significant digits."""
     return "%.17g" % float(x)
+
+
+def _format_floats(a, target: str) -> np.ndarray:
+    """``fmt`` of every entry, as an object array of str with a's shape.
+
+    Each distinct bit pattern is formatted once. Distinctness is decided
+    on the uint64 view, not the float values, so -0.0 ("-0") stays apart
+    from 0.0 ("0"). A non-finite entry raises, naming the first one in C
+    order.
+    """
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    finite = np.isfinite(a)
+    if not finite.all():
+        x = float(a.flat[np.argmin(finite)])
+        raise ValueError(f"non-finite value {x!r} cannot be serialized to {target}")
+    bits, inv = np.unique(a.view(np.uint64).ravel(), return_inverse=True)
+    strs = np.array(list(map("%.17g".__mod__, bits.view(np.float64).tolist())), dtype=object)
+    return strs[inv].reshape(a.shape)
+
+
+def _nest(rows: list, ndim: int) -> str:
+    """JSON text of the nested lists of formatted numbers that tolist() gives."""
+    if ndim == 1:
+        return "[" + ", ".join(rows) + "]"
+    return "[" + ", ".join(_nest(r, ndim - 1) for r in rows) + "]"
 
 
 def _escape(s: str) -> str:
@@ -64,6 +90,8 @@ def _dump(obj) -> str:
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(_dump(v) for v in obj) + "]"
     if isinstance(obj, np.ndarray):
+        if obj.dtype.kind == "f" and obj.ndim >= 1:
+            return _nest(_format_floats(obj, "JSON").tolist(), obj.ndim)
         return _dump(obj.tolist())
     raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
 
@@ -82,30 +110,27 @@ def load_json(path, what: str):
             raise ValueError(f"invalid {what} JSON in {path}: {exc}") from exc
 
 
-def write_density_csv(path, xs, density, cdf) -> None:
-    lines = ["x,density,cdf"]
-    for x, f, F in zip(xs, density, cdf):
-        lines.append(f"{fmt(x)},{fmt(f)},{fmt(F)}")
+def _write_lines(path, lines) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
+        fh.writelines(line + "\n" for line in lines)
+
+
+def write_density_csv(path, xs, density, cdf) -> None:
+    table = _format_floats(np.column_stack([xs, density, cdf]), "CSV").tolist()
+    _write_lines(path, ["x,density,cdf", *map(",".join, table)])
 
 
 def write_spectrum_csv(path, eigs) -> None:
     eigs = np.asarray(eigs, dtype=np.float64)
+    if eigs.ndim != 1:
+        raise ValueError("spectrum must be 1-d")
     if eigs.size and np.any(np.diff(eigs) < 0):
         raise ValueError("spectrum must be sorted ascending")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for lam in eigs:
-            fh.write(fmt(lam))
-            fh.write("\n")
+    _write_lines(path, _format_floats(eigs, "CSV").tolist())
 
 
 def write_matrix_csv(path, M) -> None:
     M = np.asarray(M, dtype=np.float64)
     if M.ndim != 2:
         raise ValueError("matrix must be 2-d")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for row in M:
-            fh.write(",".join(fmt(v) for v in row))
-            fh.write("\n")
+    _write_lines(path, map(",".join, _format_floats(M, "CSV").tolist()))

@@ -164,6 +164,8 @@ def _ks_against_law(
 
     Inversion bias concentrates at the atom, so with a point mass at 0
     both distributions are restricted to x above 10*v_eps and rescaled.
+    The conditioned grid starts at that cutoff, where its CDF is 0, so it
+    covers every eigenvalue kept.
     """
     if stats["atom0_mass"] <= 0:
         return ks_distance(eigs, xs, cdf)
@@ -171,9 +173,9 @@ def _ks_against_law(
     F_thr = float(np.interp(threshold, xs, cdf))
     if 1.0 - F_thr <= 1e-9:
         raise NumericalError("no mass above the atom cutoff; cannot compare")
-    keep = xs >= threshold
-    xs_c = xs[keep]
-    F_c = np.clip((cdf[keep] - F_thr) / (1.0 - F_thr), 0.0, 1.0)
+    keep = xs > threshold
+    xs_c = np.concatenate(([threshold], xs[keep]))
+    F_c = np.concatenate(([0.0], np.clip((cdf[keep] - F_thr) / (1.0 - F_thr), 0.0, 1.0)))
     eigs_c = eigs[eigs > threshold]
     if eigs_c.size == 0:
         return 1.0

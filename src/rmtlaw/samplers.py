@@ -434,7 +434,7 @@ def model_from_json_dict(obj) -> PopulationModel:
     shape = _shape_from_json(obj.get("shape"), p, rows)
     mixing = measure_from_json_dict(obj["mixing"]) if obj.get("mixing") else None
     mu = obj.get("mu", 0.0)
-    mu = np.asarray(mu, dtype=np.float64) if isinstance(mu, list) else float(mu)
+    mu = np.asarray(mu, dtype=np.float64) if isinstance(mu, (list, np.ndarray)) else float(mu)
     return PopulationModel(
         family=family,
         n=n,
@@ -453,15 +453,14 @@ def model_from_json_dict(obj) -> PopulationModel:
 def model_to_json_dict(model: PopulationModel) -> dict:
     out: dict = {"family": model.family, "n": model.n, "p": model.p, "d": model.d}
     if model.shape is not None:
-        out["shape"] = {"kind": "dense", "entries": np.asarray(model.shape).tolist()}
+        out["shape"] = {"kind": "dense", "entries": model.shape}
     if model.mixing is not None:
         out["mixing"] = measure_to_json_dict(model.mixing)
     if model.b_exponent is not None:
         out["b"] = model.b_exponent
     if model.bound is not None:
         out["bound"] = model.bound
-    mu = model.location
-    out["mu"] = mu.tolist() if isinstance(mu, np.ndarray) else mu
+    out["mu"] = model.location
     out["mixing_schedule"] = model.mixing_schedule
     out["entry_family"] = model.entry_family
     return out

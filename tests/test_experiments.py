@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rmtlaw.experiments import (
+    _ks_against_law,
     ComparisonResult,
     ExperimentSpec,
     comparison_to_json_dict,
@@ -11,7 +12,7 @@ from rmtlaw.experiments import (
     run_correlation_experiment,
     run_elliptical_experiment,
 )
-from rmtlaw.measures import delta
+from rmtlaw.measures import DiscreteMeasure, delta
 from rmtlaw.mp_solver import solve_edge
 from rmtlaw.samplers import PopulationModel
 
@@ -66,6 +67,24 @@ class TestKsDistance:
         for _ in range(10):
             eigs = rng.uniform(-1.0, 4.0, size=25)
             assert 0.0 <= ks_distance(eigs, xs, cdf) <= 1.0
+
+
+class TestKsAgainstLaw:
+    STATS = {"atom0_mass": 0.5, "v_eps": 0.01}
+
+    def test_grid_starts_at_atom_cutoff(self):
+        # cutoff 0.1; the first grid point above it is 0.2, one eigenvalue
+        # lies between them and is compared with F rising from 0 at 0.1.
+        xs = np.array([0.0, 0.2, 1.0])
+        cdf = np.array([0.5, 0.5, 1.0])
+        ks = _ks_against_law(np.array([0.0, 0.15, 0.6]), xs, cdf, self.STATS)
+        assert ks == pytest.approx(0.5)
+
+    def test_eigenvalues_at_atom_dropped(self):
+        xs = np.array([0.0, 0.1, 1.0])
+        cdf = np.array([0.5, 0.5, 1.0])
+        eigs = np.array([0.0, 0.05, 0.55])
+        assert _ks_against_law(eigs, xs, cdf, self.STATS) == pytest.approx(0.5)
 
 
 class TestSpecValidation:
@@ -246,6 +265,21 @@ class TestEllipticalExperiment:
         spec = ExperimentSpec(model=model, law="mp", grid_count=50)
         with pytest.raises(ValueError, match='law "elliptical"'):
             run_elliptical_experiment(spec)
+
+    def test_eigenvalue_below_first_grid_point_above_atom_cutoff(self):
+        # rho = 1.5 puts an atom at 0; the cutoff is 10 * v_eps = 0.03 and
+        # the first grid point above it 0.04167, while replicate 0 has an
+        # eigenvalue at 0.03108 between the two.
+        mixing = DiscreteMeasure(np.array([0.5, 1.5]), np.array([0.5, 0.5]))
+        model = PopulationModel(family="sphere_elliptical", n=40, p=60, mixing=mixing)
+        spec = ExperimentSpec(
+            model=model, law="elliptical", grid_count=200, replicates=2, seed=4
+        )
+        result = run_elliptical_experiment(spec)
+        assert result.details["v_eps"] == 0.003
+        assert result.details["ks_values"] == pytest.approx(
+            [0.10854236515179702, 0.12380467518429569], abs=1e-12
+        )
 
 
 class TestComparisonJson:

@@ -7,7 +7,8 @@ spectrum and compare. These values are the program's current output and
 must not move under a refactor. They include a known defect: for
 H = {1, 10} at rho = 0.1 the upper bulk stays below the 10 * v_eps support
 threshold, so the default grid ends near x = 1.86 with the CDF at 0.4955
-(ROADMAP item 3). Mending that defect re-pins these values.
+(ROADMAP item 3). Mending that defect re-pins these values. `simulate` is
+pinned by the sha256 of its .meta.json and .eigs.csv.
 """
 
 import hashlib
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 
 from rmtlaw import cli
+from rmtlaw._serialize import json_dumps
 from rmtlaw.experiments import (
     ExperimentSpec,
     comparison_to_json_dict,
@@ -25,7 +27,7 @@ from rmtlaw.experiments import (
 )
 from rmtlaw.linalg import toeplitz_corr
 from rmtlaw.measures import DiscreteMeasure
-from rmtlaw.samplers import PopulationModel
+from rmtlaw.samplers import PopulationModel, model_from_json_dict, model_to_json_dict
 
 
 def _atoms(values, weights):
@@ -137,3 +139,72 @@ def test_elliptical_experiment_pinned():
         "support_empirical": [0.021007536728472075, 4.405899219379062],
         "support_theoretical": [0.0, 4.905899219379062],
     }
+
+
+# name -> (model JSON, --matrix, .meta.json sha256, .eigs.csv sha256). The
+# meta JSON echoes each model's dense shape in 17 significant digits.
+SIMULATE_CASES = {
+    "gaussian_toeplitz": (
+        {
+            "family": "gaussian",
+            "n": 80,
+            "p": 40,
+            "shape": {"kind": "toeplitz", "r": 0.45},
+            "mu": [i / 7.0 for i in range(40)],
+        },
+        "covariance",
+        "30e64324c0c5977f9144370735b63898754abf1dac2e4150823182830c435693",
+        "65038f7c9e77bacf2234967486ed7c929209e0d26c223b7c08d4e0ced3948b8e",
+    ),
+    "sphere_identity": (
+        {
+            "family": "sphere_elliptical",
+            "n": 60,
+            "p": 30,
+            "shape": {"kind": "identity"},
+            "mixing": _atoms([0.5, 1.5], [0.5, 0.5]),
+        },
+        "gram",
+        "c0349efc5331791ccda9c94bbd847f61bd66117539292ac892ada2a2dd65baa2",
+        "42acac28e36a36539980026723a335d92d28d87a53c38c69d8e8bb48c22a72cf",
+    ),
+    "copula_toeplitz": (
+        {
+            "family": "gaussian_copula",
+            "n": 50,
+            "p": 25,
+            "shape": {"kind": "toeplitz", "r": 0.3},
+        },
+        "correlation",
+        "898e715cb2897d21fa541955d10210930bbaf5445892f4f3627a52644feafe8f",
+        "f5e67ebadd90bee1475089c0bb3f773c8e20dfc4c84b21566a54a68b6b061554",
+    ),
+}
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(SIMULATE_CASES))
+def test_simulate_pinned(tmp_path, capsys, name):
+    model, matrix, meta_sha, eigs_sha = SIMULATE_CASES[name]
+    source = tmp_path / "model.json"
+    source.write_text(json.dumps(model))
+    out = tmp_path / "sim"
+    argv = ["simulate", "--model", str(source), "--matrix", matrix, "--seed", "5"]
+    assert cli.main([*argv, "--out", str(out), "--quiet"]) == 0
+    assert capsys.readouterr().out == ""
+    assert _sha256(tmp_path / "sim.meta.json") == meta_sha
+    assert _sha256(tmp_path / "sim.eigs.csv") == eigs_sha
+
+
+@pytest.mark.parametrize("name", sorted(SIMULATE_CASES))
+def test_model_json_round_trip_bit_identical(name):
+    model = model_from_json_dict(SIMULATE_CASES[name][0])
+    text = json_dumps(model_to_json_dict(model))
+    back = model_from_json_dict(json.loads(text))
+    assert back.shape.dtype == np.float64
+    assert back.shape.tobytes() == model.shape.tobytes()
+    assert np.asarray(back.location).tobytes() == np.asarray(model.location).tobytes()
+    assert json_dumps(model_to_json_dict(back)) == text

@@ -4,8 +4,9 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from rmtlaw._serialize import (
     fmt,
@@ -102,6 +103,84 @@ class TestJsonDumps:
             return v
 
         assert normalize(parsed) == normalize(obj)
+
+
+def _reference_dump(obj) -> str:
+    """The per-element JSON writer that bulk formatting must reproduce."""
+    if isinstance(obj, list):
+        return "[" + ", ".join(_reference_dump(v) for v in obj) + "]"
+    if isinstance(obj, dict):
+        items = sorted(obj.items())
+        return "{" + ", ".join(f'"{k}": {_reference_dump(v)}' for k, v in items) + "}"
+    if isinstance(obj, np.ndarray):
+        return _reference_dump(obj.tolist())
+    x = float(obj)
+    if not np.isfinite(x):
+        raise ValueError(f"non-finite value {x!r} cannot be serialized to JSON")
+    return "%.17g" % x
+
+
+EDGE_VALUES = [-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308, 3.0, 2.0**60]
+
+
+class TestFloatArrays:
+    @given(
+        hnp.arrays(
+            dtype=st.sampled_from([np.float64, np.float32]),
+            shape=hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=6),
+            elements={"allow_nan": False, "allow_infinity": False},
+        )
+    )
+    @example(np.array(EDGE_VALUES))
+    @example(np.array([-0.0, 0.0, 1e-45, 3.4e38, -3.4e38, 3.0], dtype=np.float32))
+    @example(np.array([[-0.0, 0.0], [0.0, -0.0]]))
+    @example(np.arange(-3.0, 4.0))
+    @example(np.zeros(0))
+    @example(np.zeros((0, 3)))
+    @example(np.zeros((3, 0)))
+    @example(np.linspace(-1.0, 1.0, 24).reshape(2, 3, 4))
+    @example(np.array(-0.0))
+    @example(np.array(2.5))
+    @settings(max_examples=200, deadline=None)
+    def test_bytes_match_per_element_writer(self, a):
+        assert json_dumps(a) == _reference_dump(a)
+        nested = {"b": [a, {"m": a.T}], "a": a}
+        assert json_dumps(nested) == _reference_dump(nested)
+
+    def test_non_float_arrays_unchanged(self):
+        assert json_dumps(np.array([[1, 2], [3, 4]])) == "[[1, 2], [3, 4]]"
+        assert json_dumps(np.array([True, False])) == "[true, false]"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_first_non_finite_in_c_order_named(self, bad):
+        other = np.inf if np.isnan(bad) else np.nan
+        a = np.array([[1.0, 2.0, other], [bad, 3.0, 4.0]])
+        # Column-major order would reach `bad` first.
+        a = np.asfortranarray(a)
+        with pytest.raises(ValueError) as exc:
+            json_dumps({"x": a})
+        assert str(exc.value) == f"non-finite value {other!r} cannot be serialized to JSON"
+        with pytest.raises(ValueError) as exc:
+            json_dumps({"x": a[:, :2]})
+        assert str(exc.value) == f"non-finite value {bad!r} cannot be serialized to JSON"
+
+    def test_csv_writers_match_per_element_format(self, tmp_path):
+        values = np.array(EDGE_VALUES)
+        path = tmp_path / "m.csv"
+        write_matrix_csv(path, values.reshape(2, 4))
+        rows = ["%.17g" % v for v in EDGE_VALUES]
+        assert path.read_text() == ",".join(rows[:4]) + "\n" + ",".join(rows[4:]) + "\n"
+        write_spectrum_csv(path, np.sort(values))
+        assert path.read_text() == "".join("%.17g\n" % v for v in np.sort(values))
+        write_density_csv(path, values[:2], values[2:4], values[4:6])
+        assert path.read_text().splitlines()[1:] == [
+            ",".join(rows[0::2][:3]),
+            ",".join(rows[1::2][:3]),
+        ]
+
+    def test_csv_rejects_non_finite(self, tmp_path):
+        with pytest.raises(ValueError, match="non-finite value nan cannot be serialized to CSV"):
+            write_matrix_csv(tmp_path / "m.csv", np.array([[1.0, np.nan]]))
 
 
 class TestCsvWriters:
