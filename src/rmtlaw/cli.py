@@ -90,9 +90,14 @@ def _add_solve_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--tol", type=float, default=SolverConfig.tol, help="fixed-point residual target"
     )
-    sub.add_argument("--max-iters", type=int, default=SolverConfig.max_iters, help="iteration cap")
     sub.add_argument(
-        "--damping", type=float, default=SolverConfig.damping, help="initial damping in (0,1]"
+        "--max-iters", type=int, default=SolverConfig.max_iters, help="evaluation cap per point"
+    )
+    sub.add_argument(
+        "--damping",
+        type=float,
+        default=SolverConfig.damping,
+        help="initial weight in (0,1] of the fallback fixed-point step",
     )
     sub.add_argument(
         "--v-eps", type=float, default=None, help="imaginary offset for density recovery"

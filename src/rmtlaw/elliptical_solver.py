@@ -24,9 +24,13 @@ from .measures import DiscreteMeasure, measure_from_json_dict, measure_to_json_d
 from .mp_solver import (
     SolverConfig,
     TransformResult,
+    _as_points,
     _check_upper_half_plane,
-    _damped_fixed_point,
     _density_on_grid,
+    _newton_fixed_point,
+    _pole_sums,
+    _start,
+    _transform_result,
     default_v_eps,
 )
 
@@ -89,52 +93,60 @@ class EllipticalParams:
         object.__setattr__(self, "xi", xi_exact)
 
 
-def mixing_integral(
-    w: complex, nu: DiscreteMeasure, theta: float, xi: float
-) -> complex:
-    """b = int theta*lam^2 / (1 + xi*lam^2*w) dnu(lam).
+def mixing_integral(w, nu: DiscreteMeasure, theta: float, xi: float):
+    """b = int theta*lam^2 / (1 + xi*lam^2*w) dnu(lam), at a scalar or array w.
 
     Im(b) <= 0 whenever Im(w) >= 0. A mixing atom with 1 + xi*lam^2*w = 0
     makes the integrand singular and raises.
     """
-    return nu.integrate(lambda lam: theta * lam**2 / (1.0 + xi * lam**2 * w))
+    w_arr = np.asarray(w, dtype=np.complex128)
+    lam2 = nu.values**2
+    with np.errstate(all="ignore"):
+        s, _ = _pole_sums(1.0, xi * w_arr.ravel(), lam2, nu.weights * lam2)
+    if not np.all(np.isfinite(s)):
+        raise ValueError("singular integrand: 1 + xi*lam^2*w vanishes at a mixing atom")
+    b = theta * s
+    return complex(b[0]) if w_arr.ndim == 0 else b.reshape(w_arr.shape)
 
 
 def elliptical_solve(
-    z: complex,
+    z,
     params: EllipticalParams,
     cfg: SolverConfig | None = None,
-    w0: complex | None = None,
+    w0=None,
 ) -> TransformResult:
     """Solve w = int tau dH / (tau*b(w) - z) for w in C+, then m.
 
     m = int dH / (tau*b(w) - z); the identity 1 + z*m = w*b(w) is checked
-    to 100*tol after convergence.
+    to 100*tol after convergence. z (and w0) may be a scalar or a 1-d
+    array, as in mp_companion_solve.
     """
-    z = complex(z)
-    if not (z.imag > 0):
-        raise ValueError("z must have positive imaginary part")
+    z, scalar = _as_points(z)
     cfg = cfg or SolverConfig()
     H, nu, theta, xi = params.H, params.nu, params.theta, params.xi
     assert xi is not None
+    tau, lam2 = H.values, nu.values**2
+    q1 = nu.weights * lam2
+    h1 = H.weights * tau
 
-    def step(w: complex) -> complex:
-        b = mixing_integral(w, nu, theta, xi)
-        return H.integrate(lambda tau: tau / (tau * b - z))
+    def step(w, idx):
+        sb, sdb = _pole_sums(1.0, xi * w, lam2, q1, q1 * lam2)
+        s1, s2 = _pole_sums(-z[idx], theta * sb, tau, h1, h1 * tau)
+        return s1, theta * xi * sdb * s2
 
-    first_moment = H.mean
-    start = w0 if w0 is not None else -first_moment / z
-    w, iterations, residual = _damped_fixed_point(step, start, cfg)
+    w, residual, evals = _newton_fixed_point(step, _start(w0, -H.mean / z), cfg)
     b = mixing_integral(w, nu, theta, xi)
-    m = H.integrate(lambda tau: 1.0 / (tau * b - z))
+    m, _ = _pole_sums(-z, b, tau, H.weights)
     _check_upper_half_plane(z, w, m)
-    consistency = abs(1.0 + z * m - w * b)
-    if consistency > 100.0 * cfg.tol:
+    consistency = np.abs(1.0 + z * m - w * b)
+    worst = int(np.argmax(consistency))
+    if consistency[worst] > 100.0 * cfg.tol:
         raise NumericalError(
-            f"consistency identity violated at z={z!r}: |1 + z*m - w*b| = "
-            f"{consistency:.3e}"
+            f"consistency identity violated at z={complex(z[worst])!r}: "
+            f"|1 + z*m - w*b| = {consistency[worst]:.3e}",
+            index=worst,
         )
-    return TransformResult(z=z, w=w, m=m, residual=residual, iterations=iterations)
+    return _transform_result(z, w, m, residual, evals, scalar)
 
 
 def elliptical_density_grid_detailed(
@@ -151,15 +163,15 @@ def elliptical_density_grid_detailed(
     cfg = cfg or SolverConfig()
     v = cfg.v_eps if cfg.v_eps is not None else default_v_eps(params.H, params.rho)
 
-    def solve_at(z: complex, w0: Optional[complex]) -> TransformResult:
+    def solve_at(z, w0) -> TransformResult:
         return elliptical_solve(z, params, cfg, w0=w0)
 
     atom0 = max(0.0, 1.0 - 1.0 / (params.theta * params.rho))
-    xs, density, cdf, results, stats = _density_on_grid(solve_at, xs, v, atom0)
+    xs, density, cdf, result, stats = _density_on_grid(solve_at, xs, v, atom0)
     assert params.xi is not None
-    stats["max_consistency_residual"] = max(
-        abs(1.0 + r.z * r.m - r.w * mixing_integral(r.w, params.nu, params.theta, params.xi))
-        for r in results
+    b = mixing_integral(result.w, params.nu, params.theta, params.xi)
+    stats["max_consistency_residual"] = float(
+        np.max(np.abs(1.0 + result.z * result.m - result.w * b))
     )
     stats.update(theta=params.theta, rho=params.rho, xi=params.xi)
     return xs, density, cdf, stats

@@ -4,12 +4,17 @@ Solves the self-consistent equation for the companion Stieltjes transform
 w(z) of the limiting spectral law with population spectrum H and aspect
 ratio rho = p/n, recovers densities and CDFs on real grids by Stieltjes
 inversion, and computes the almost-sure limit of the largest eigenvalue.
+
+Both this law and the elliptical one are fixed points w = T(w) of maps
+with a closed-form derivative. One array-valued safeguarded-Newton
+kernel solves every point of a grid at once, and one continuation
+pipeline turns the grid solve into a density, a CDF and a summary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 from numpy.typing import NDArray
@@ -32,9 +37,18 @@ __all__ = [
     "solve_edge",
 ]
 
-# Damping is halved after this many consecutive iterations without a
-# residual decrease; near the real axis the undamped map can cycle.
+# A point's fallback damping is halved after this many consecutive rounds
+# without a decrease of its hyperbolic residual; near the real axis the
+# undamped map can cycle.
 _STALL_LIMIT = 20
+
+# Imaginary heights of the grid continuation; those above v_eps are solved
+# in turn before v_eps itself.
+_RUNGS = (1.0, 0.1, 0.01)
+
+# Largest (points x atoms) block one evaluation builds; more points are
+# taken in chunks, so memory stays flat in the grid and spectrum sizes.
+_BLOCK_ENTRIES = 1 << 15
 
 # Relative width target for the edge bisection.
 _BISECT_RTOL = 1e-12
@@ -46,10 +60,14 @@ SUPPORT_THRESHOLD_V_EPS = 10.0
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Fixed-point solver knobs.
+    """Solver knobs.
 
-    v_eps is the imaginary offset used for density recovery; None means
-    the spectral-scale default 1e-3 * (1 + max(H)) * max(1, rho).
+    tol is the target for the absolute residual |T(w) - w| of the fixed
+    point map at each point; max_iters caps the evaluations of the map
+    per point; damping is the initial weight d of the fallback step
+    (1-d)w + d*T(w) taken where a Newton step is rejected. v_eps is the
+    imaginary offset used for density recovery; None means the
+    spectral-scale default 1e-3 * (1 + max(H)) * max(1, rho).
     """
 
     tol: float = 1e-12
@@ -70,15 +88,17 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class TransformResult:
-    """Converged transforms at one spectral parameter z.
+    """Converged transforms at a spectral parameter z or an array of them.
 
     w is the companion transform, m the Stieltjes transform of the
-    spectral law itself; residual is re-evaluated after convergence.
+    spectral law itself; residual is |T(w) - w| at the returned w. For an
+    array z, z, w and m are arrays, residual is the largest residual and
+    iterations the summed evaluation count.
     """
 
-    z: complex
-    w: complex
-    m: complex
+    z: Union[complex, NDArray[np.complex128]]
+    w: Union[complex, NDArray[np.complex128]]
+    m: Union[complex, NDArray[np.complex128]]
     residual: float
     iterations: int
 
@@ -92,170 +112,250 @@ class EdgeResult:
     rho: float
 
 
+# step(w, idx) -> (T(w), T'(w)) at the active points idx of a kernel solve.
+_Step = Callable[
+    [NDArray[np.complex128], NDArray[np.intp]],
+    tuple[NDArray[np.complex128], NDArray[np.complex128]],
+]
+# solve_at(z, w0) -> the array solve of one law at the points z.
+_SolveAt = Callable[[NDArray[np.complex128], Optional[NDArray[np.complex128]]], TransformResult]
+
+
 def default_v_eps(H: DiscreteMeasure, rho: float) -> float:
     """Imaginary offset matched to the spectral scale of (H, rho)."""
     return 1e-3 * (1.0 + H.support_max) * max(1.0, float(rho))
 
 
-def _damped_fixed_point(
-    step: Callable[[complex], complex], w0: complex, cfg: SolverConfig
-) -> tuple[complex, int, float]:
-    """Drive |step(w) - w| below tol by damped iteration plus Aitken steps.
+def _pole_sums(
+    a, c: NDArray[np.complex128], x: NDArray[np.float64], p1, p2=None
+) -> tuple[NDArray[np.complex128], Optional[NDArray[np.complex128]]]:
+    """Per point k: sum_j p1_j/(a_k + c_k x_j) and sum_j p2_j/(a_k + c_k x_j)^2.
 
-    The backbone is w <- (1-d)w + d*step(w) with the damping d halved
-    after 20 consecutive non-decreasing residuals. Because the map's
-    contraction rate degrades to 1 - O(Im z) inside the spectral bulk,
-    each cycle also tries an Aitken delta-squared extrapolation; the
-    extrapolated point is accepted only if it stays in the closed upper
-    half-plane and strictly reduces the residual, so the safeguarded
-    iteration inherits the damped map's global behavior. Returns
-    (w, evaluations, residual) with the residual evaluated at the
-    returned w, independently of the update path.
+    a is a scalar or matches c; the sums are matrix-vector products over
+    a (points x atoms) block of at most _BLOCK_ENTRIES entries, taken
+    chunk by chunk over the points. A pole gives a non-finite sum. The
+    products run in numpy's own single-threaded loop (einsum), not BLAS:
+    each point's sum is then the same bytes whatever the BLAS library,
+    its thread count or the chunking, and no BLAS threads wait on a busy
+    core for blocks this small.
     """
+    a = np.broadcast_to(a, c.shape)
+    s1 = np.empty(c.shape, dtype=np.complex128)
+    s2 = None if p2 is None else np.empty(c.shape, dtype=np.complex128)
+    rows = max(1, _BLOCK_ENTRIES // x.size)
+    for lo in range(0, c.size, rows):
+        sl = slice(lo, lo + rows)
+        block = np.multiply.outer(c[sl], x)
+        block += a[sl, None]
+        np.reciprocal(block, out=block)
+        s1[sl] = np.einsum("ij,j->i", block, p1)
+        if s2 is not None:
+            block *= block
+            s2[sl] = np.einsum("ij,j->i", block, p2)
+    return s1, s2
 
-    def apply(w: complex) -> complex:
-        fw = step(w)
-        if not (np.isfinite(fw.real) and np.isfinite(fw.imag)):
-            raise NumericalError("fixed-point iterate diverged")
-        return fw
 
-    w = complex(w0)
-    delta = cfg.damping
-    prev_residual = np.inf
-    stall = 0
-    residual = np.inf
-    evals = 0
-    while evals < cfg.max_iters:
-        fw = apply(w)
-        evals += 1
-        residual = abs(fw - w)
-        if residual <= cfg.tol:
-            return w, evals, residual
-        if residual >= prev_residual:
-            stall += 1
-            if stall >= _STALL_LIMIT:
-                delta *= 0.5
-                stall = 0
-        else:
-            stall = 0
-        prev_residual = residual
+def _hyperbolic_residual(
+    w: NDArray[np.complex128], t: NDArray[np.complex128]
+) -> NDArray[np.float64]:
+    """|t - w| / sqrt(Im w * Im t), the hyperbolic distance of w and t in C+
+    to first order; inf or nan off C+."""
+    with np.errstate(all="ignore"):
+        return np.abs(t - w) / np.sqrt(np.maximum(w.imag, 0.0) * np.maximum(t.imag, 0.0))
 
-        if evals >= cfg.max_iters:
-            break
-        f2 = apply(fw)
-        evals += 1
-        residual = abs(f2 - fw)
-        if residual <= cfg.tol:
-            return fw, evals, residual
-        accelerated = None
-        denom = f2 - 2.0 * fw + w
-        if denom != 0:
-            candidate = w - (fw - w) ** 2 / denom
-            if (
-                np.isfinite(candidate.real)
-                and np.isfinite(candidate.imag)
-                and candidate.imag >= 0
-                and evals < cfg.max_iters
-            ):
-                f3 = apply(candidate)
-                evals += 1
-                res3 = abs(f3 - candidate)
-                if res3 <= cfg.tol:
-                    return candidate, evals, res3
-                if res3 < residual:
-                    accelerated = (candidate, res3)
-        if accelerated is not None:
-            w, prev_residual = accelerated
-        else:
-            w = (1.0 - delta) * fw + delta * f2
-            prev_residual = residual
-    raise ConvergenceError(
-        "fixed-point iteration did not converge",
-        residual=float(residual),
-        iterations=evals,
+
+def _newton_fixed_point(
+    step: _Step, w0: NDArray[np.complex128], cfg: SolverConfig
+) -> tuple[NDArray[np.complex128], NDArray[np.float64], NDArray[np.int64]]:
+    """Drive |T(w) - w| below tol at every point by safeguarded Newton.
+
+    step(w, idx) returns T(w) and T'(w) for the points idx still active;
+    T maps C+ into C+. Each round tries a Newton step on T(w) - w and
+    keeps it where it meets tol or lowers the step w -> T(w) measured in
+    the hyperbolic metric of C+ (so the step stays in C+); elsewhere it takes
+    the damped fixed-point step (1-d)w + d*T(w), which maps C+ into C+.
+    By the Schwarz-Pick lemma that measure never grows under the undamped
+    step, whereas |T(w) - w| grows on the way to a large w (z near 0 with
+    rho just below 1). A point's d starts at cfg.damping and is halved
+    after _STALL_LIMIT rounds without a decrease. Every round costs each
+    active point one evaluation; converged points leave the active set,
+    and no point is evaluated more than cfg.max_iters times. Returns (w,
+    residual |T(w) - w|, evaluations) per point.
+    """
+    n = w0.size
+    w_out = np.empty(n, dtype=np.complex128)
+    res_out = np.empty(n)
+    evals_out = np.empty(n, dtype=np.int64)
+    idx = np.arange(n)
+    w = w0
+    with np.errstate(all="ignore"):
+        t, dt = step(w, idx)
+    r = np.abs(t - w)
+    if not np.all(np.isfinite(r)):
+        raise NumericalError(
+            "fixed-point iterate diverged", index=int(np.argmin(np.isfinite(r)))
+        )
+    h = _hyperbolic_residual(w, t)
+    d = np.full(n, float(cfg.damping))
+    stall = np.zeros(n, dtype=np.int64)
+    newton = np.ones(n, dtype=bool)
+    rounds = 1
+    while True:
+        done = r <= cfg.tol
+        if done.any():
+            w_out[idx[done]] = w[done]
+            res_out[idx[done]] = r[done]
+            evals_out[idx[done]] = rounds
+            keep = ~done
+            idx, w, t, dt, r, h, d, stall, newton = (
+                a[keep] for a in (idx, w, t, dt, r, h, d, stall, newton)
+            )
+        if idx.size == 0:
+            return w_out, res_out, evals_out
+        if rounds >= cfg.max_iters:
+            worst = int(np.argmax(r))
+            raise ConvergenceError(
+                "fixed-point iteration did not converge",
+                residual=float(r[worst]),
+                iterations=rounds,
+                index=int(idx[worst]),
+            )
+        with np.errstate(all="ignore"):
+            cand = w - (t - w) / (dt - 1.0)
+            use = newton & np.isfinite(cand) & (cand.imag > 0)
+            cand = np.where(use, cand, (1.0 - d) * w + d * t)
+            tc, dtc = step(cand, idx)
+            rc = np.abs(tc - cand)
+        rounds += 1
+        diverged = ~use & ~np.isfinite(rc)
+        if diverged.any():
+            raise NumericalError(
+                "fixed-point iterate diverged", index=int(idx[np.argmax(diverged)])
+            )
+        hc = _hyperbolic_residual(cand, tc)
+        decreased = hc < h
+        accept = ~use | decreased | (rc <= cfg.tol)
+        w = np.where(accept, cand, w)
+        t = np.where(accept, tc, t)
+        dt = np.where(accept, dtc, dt)
+        r = np.where(accept, rc, r)
+        h = np.where(accept, hc, h)
+        newton = accept
+        stall = np.where(decreased, 0, stall + 1)
+        halve = stall >= _STALL_LIMIT
+        d = np.where(halve, 0.5 * d, d)
+        stall[halve] = 0
+
+
+def _as_points(z) -> tuple[NDArray[np.complex128], bool]:
+    """z as a 1-d complex array, and whether it was given as a scalar."""
+    z_arr = np.asarray(z, dtype=np.complex128)
+    if z_arr.ndim > 1:
+        raise ValueError("z must be a scalar or a 1-d array")
+    points = np.atleast_1d(z_arr)
+    if points.size == 0:
+        raise ValueError("z must hold at least one point")
+    if not np.all(points.imag > 0):
+        raise ValueError("z must have positive imaginary part")
+    return points, z_arr.ndim == 0
+
+
+def _start(w0, default: NDArray[np.complex128]) -> NDArray[np.complex128]:
+    if w0 is None:
+        return default
+    return np.broadcast_to(np.asarray(w0, dtype=np.complex128), default.shape).copy()
+
+
+def _transform_result(z, w, m, residual, evals, scalar: bool) -> TransformResult:
+    if scalar:
+        return TransformResult(
+            z=complex(z[0]),
+            w=complex(w[0]),
+            m=complex(m[0]),
+            residual=float(residual[0]),
+            iterations=int(evals[0]),
+        )
+    return TransformResult(
+        z=z, w=w, m=m, residual=float(residual.max()), iterations=int(evals.sum())
     )
 
 
-def _check_upper_half_plane(z: complex, w: complex, m: complex) -> None:
-    if w.imag < 0 or m.imag < 0:
+def _check_upper_half_plane(z, w, m) -> None:
+    """Raise at the first point where w or m has a negative imaginary part."""
+    bad = np.flatnonzero((np.imag(w) < 0) | (np.imag(m) < 0))
+    if bad.size:
+        i = int(bad[0])
+        zi, wi, mi = (complex(np.ravel(a)[i]) for a in (z, w, m))
         raise NumericalError(
-            f"solution left the upper half-plane at z={z!r}: "
-            f"Im(w)={w.imag:.3e}, Im(m)={m.imag:.3e}"
+            f"solution left the upper half-plane at z={zi!r}: "
+            f"Im(w)={wi.imag:.3e}, Im(m)={mi.imag:.3e}",
+            index=i,
         )
 
 
-def mp_m_from_w(z: complex, w: complex, rho: float) -> complex:
+def mp_m_from_w(z, w, rho: float):
     """Stieltjes transform of the spectral law from its companion transform."""
     return (w + (1.0 - rho) / z) / rho
 
 
 def mp_companion_solve(
-    z: complex,
+    z,
     H: DiscreteMeasure,
     rho: float,
     cfg: SolverConfig | None = None,
-    w0: complex | None = None,
+    w0=None,
 ) -> TransformResult:
     """Solve -1/w = z - rho * int lam dH(lam)/(1 + lam*w) for w in C+.
 
     H is the population spectral law (support in [0, inf)), rho = p/n.
-    The returned m satisfies w = -(1 - rho)/z + rho*m.
+    The returned m satisfies w = -(1 - rho)/z + rho*m. z (and w0) may be
+    a scalar or a 1-d array; an array is solved at once and gives array
+    z, w and m, the largest residual and the summed evaluation count.
     """
-    z = complex(z)
-    if not (z.imag > 0):
-        raise ValueError("z must have positive imaginary part")
+    z, scalar = _as_points(z)
     if not (rho > 0):
         raise ValueError("rho must be positive")
     if H.support_min < 0:
         raise ValueError("H must be supported on [0, inf)")
     cfg = cfg or SolverConfig()
+    lam = H.values
+    p1 = H.weights * lam
+    p2 = p1 * lam
 
-    def step(w: complex) -> complex:
-        return -1.0 / (z - rho * H.integrate(lambda lam: lam / (1.0 + lam * w)))
+    def step(w, idx):
+        s1, s2 = _pole_sums(1.0, w, lam, p1, p2)
+        t = -1.0 / (z[idx] - rho * s1)
+        return t, rho * s2 * t * t
 
-    start = w0 if w0 is not None else -1.0 / z
-    w, iterations, residual = _damped_fixed_point(step, start, cfg)
+    w, residual, evals = _newton_fixed_point(step, _start(w0, -1.0 / z), cfg)
     m = mp_m_from_w(z, w, rho)
     _check_upper_half_plane(z, w, m)
-    return TransformResult(z=z, w=w, m=m, residual=residual, iterations=iterations)
-
-
-def _ladder_rungs(v: float) -> list[float]:
-    """Imaginary offsets stepping geometrically from 1 down to v."""
-    rungs = []
-    u = 1.0
-    while u > v:
-        rungs.append(u)
-        u *= 0.5
-    rungs.append(v)
-    return rungs
+    return _transform_result(z, w, m, residual, evals, scalar)
 
 
 def _solve_grid(
-    solve_at: Callable[[complex, Optional[complex]], TransformResult],
+    solve_at: _SolveAt,
     xs: NDArray[np.float64],
     v: float,
-) -> list[TransformResult]:
-    """Continuation along a real grid at height v.
+) -> TransformResult:
+    """Continuation along a real grid down to height v.
 
-    The first point descends an imaginary-part ladder from 1 to v; every
-    later point warm-starts from its left neighbor's w.
+    One array solve per rung of _RUNGS above v, then one at v, each
+    warm-started from the previous rung's w. A failure names the grid
+    point it happened at.
     """
-    results: list[TransformResult] = []
-    w_prev: Optional[complex] = None
-    for j, x in enumerate(xs):
+    result = None
+    w = None
+    for u in [u for u in _RUNGS if u > v] + [v]:
         try:
-            if j == 0:
-                for rung in _ladder_rungs(v):
-                    res = solve_at(complex(x, rung), w_prev)
-                    w_prev = res.w
-            else:
-                res = solve_at(complex(x, v), w_prev)
-                w_prev = res.w
-        except (ConvergenceError, NumericalError) as exc:
-            raise NumericalError(f"density grid failed at x={x!r}: {exc}") from exc
-        results.append(res)
-    return results
+            result = solve_at(xs + 1j * u, w)
+        except NumericalError as exc:
+            x = float(xs[exc.index or 0])
+            raise NumericalError(
+                f"density grid failed at x={x!r}: {exc}", index=exc.index
+            ) from exc
+        w = result.w
+    return result
 
 
 def _invert_to_density(
@@ -280,14 +380,15 @@ def _invert_to_density(
 
 
 def _density_on_grid(
-    solve_at: Callable[[complex, Optional[complex]], TransformResult],
+    solve_at: _SolveAt,
     xs,
     v: float,
     atom0: float,
-) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64], list, dict]:
+) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64], TransformResult, dict]:
     """Grid solve, inversion and summary shared by both laws.
 
-    Returns (xs, density, cdf, results, stats) with stats {atom0_mass,
+    Returns (xs, density, cdf, result, stats), result being the array
+    solve at height v, with stats {atom0_mass,
     max_residual, v_eps, support_estimate}; the support is the span of
     density above SUPPORT_THRESHOLD_V_EPS * v.
     """
@@ -298,16 +399,15 @@ def _density_on_grid(
         raise ValueError("xs must be finite")
     if np.any(np.diff(xs) <= 0):
         raise ValueError("xs must be strictly ascending")
-    results = _solve_grid(solve_at, xs, v)
-    ms = np.array([r.m for r in results], dtype=np.complex128)
-    density, cdf = _invert_to_density(xs, ms, v, atom0)
+    result = _solve_grid(solve_at, xs, v)
+    density, cdf = _invert_to_density(xs, result.m, v, atom0)
     stats = {
         "atom0_mass": atom0,
-        "max_residual": max(r.residual for r in results),
+        "max_residual": result.residual,
         "v_eps": v,
         "support_estimate": estimate_support(xs, density, SUPPORT_THRESHOLD_V_EPS * v),
     }
-    return xs, density, cdf, results, stats
+    return xs, density, cdf, result, stats
 
 
 def density_grid_detailed(
@@ -325,7 +425,7 @@ def density_grid_detailed(
     cfg = cfg or SolverConfig()
     v = cfg.v_eps if cfg.v_eps is not None else default_v_eps(H, rho)
 
-    def solve_at(z: complex, w0: Optional[complex]) -> TransformResult:
+    def solve_at(z, w0) -> TransformResult:
         return mp_companion_solve(z, H, rho, cfg, w0=w0)
 
     atom0 = max(0.0, 1.0 - 1.0 / rho)

@@ -588,3 +588,37 @@ class TestProcessLevel:
                 )
             )
         assert outputs[0] == outputs[1]
+
+    def test_solves_invariant_to_blas_and_worker_threads(self, tmp_path):
+        # A 200-atom H makes every evaluation reduce over a (points x atoms)
+        # block, which a one-atom H (criterion 13) never reaches.
+        atoms = [{"value": float(v), "weight": 1.0 / 200} for v in np.linspace(0.5, 3.0, 200)]
+        h = tmp_path / "h.json"
+        h.write_text(json.dumps({"atoms": atoms}))
+        params = tmp_path / "params.json"
+        nu = {"atoms": [{"value": 0.7, "weight": 0.4}, {"value": 1.3, "weight": 0.6}]}
+        params.write_text(json.dumps({"H": {"atoms": atoms}, "nu": nu, "theta": 1.0, "rho": 0.5}))
+        script = "import json, sys; from rmtlaw.cli import main; " \
+                 "sys.exit(max(main(a) for a in json.loads(sys.argv[1])))"
+        outputs = []
+        for blas, workers in (("1", "1"), ("2", "2"), ("1", "2"), ("2", "1")):
+            out = tmp_path / f"b{blas}w{workers}"
+            out.mkdir()
+            commands = [
+                ["solve-mp", "--h-file", str(h), "--rho", "0.5", "--out", str(out / "mp")],
+                ["solve-elliptical", "--params", str(params), "--out", str(out / "ell")],
+            ]
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=blas, RMT_THREADS=workers)
+            proc = subprocess.run(
+                [sys.executable, "-c", script, json.dumps(commands)],
+                capture_output=True,
+                text=True,
+                env=env,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(
+                [proc.stdout]
+                + [(out / name).read_bytes() for name in
+                   ("mp.density.csv", "mp.summary.json", "ell.density.csv", "ell.summary.json")]
+            )
+        assert all(o == outputs[0] for o in outputs[1:])

@@ -4,10 +4,16 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rmtlaw.errors import NumericalError
 from rmtlaw.measures import DiscreteMeasure, delta
-from rmtlaw.mp_solver import SolverConfig, density_grid, mp_companion_solve
+from rmtlaw.mp_solver import (
+    SolverConfig,
+    density_grid,
+    density_grid_detailed,
+    mp_companion_solve,
+)
 from rmtlaw.elliptical_solver import (
     EllipticalParams,
     elliptical_density_grid,
@@ -19,6 +25,7 @@ from rmtlaw.elliptical_solver import (
     params_to_json_dict,
     scaled_gram,
 )
+from strategies import populations
 
 UNIT = delta(1.0)
 TWO_ATOM = DiscreteMeasure(np.array([1.0, 2.0]), np.array([0.5, 0.5]))
@@ -44,6 +51,18 @@ class TestMixingIntegral:
 
     def test_zero_mixing_mass(self):
         assert mixing_integral(1.0j, delta(0.0), 1.0, 1.0) == 0.0
+
+    def test_array_matches_scalar_calls(self):
+        nu = DiscreteMeasure(np.array([0.5, 1.0, 3.0]), np.array([0.2, 0.5, 0.3]))
+        ws = np.array([1.0j, 0.5 + 1e-3j, -2.0 + 0.1j])
+        b = mixing_integral(ws, nu, 1.3, 2.0)
+        assert b.shape == (3,)
+        for w, bw in zip(ws, b):
+            assert abs(bw - mixing_integral(w, nu, 1.3, 2.0)) <= 1e-15
+
+    def test_singular_atom_raises(self):
+        with pytest.raises(ValueError, match="singular"):
+            mixing_integral(-1.0 + 0.0j, delta(1.0), 1.0, 1.0)
 
     @pytest.mark.parametrize("w", [1.0j, 0.5 + 1e-3j, -2.0 + 0.1j])
     def test_lower_half_plane_image(self, w):
@@ -107,6 +126,16 @@ class TestReduction:
         wc = mp_companion_solve(z, UNIT, 1.0).w
         assert abs(we - wc) < 1e-9
 
+    @settings(max_examples=25, deadline=None)
+    @given(H=populations(), rho=st.floats(0.05, 4.0))
+    def test_grid_matches_covariance_law(self, H, rho):
+        # nu = delta_1 and theta = 1 make both laws the same measure.
+        xs = np.linspace(0.0, (1 + np.sqrt(rho)) ** 2 * H.support_max + 1.0, 150)
+        _, fe, Fe, _ = elliptical_density_grid_detailed(unit_params(rho, H=H), xs)
+        _, fc, Fc, _ = density_grid_detailed(H, rho, xs)
+        assert np.max(np.abs(fe - fc)) <= 1e-10
+        assert np.max(np.abs(Fe - Fc)) <= 1e-10
+
     def test_density_reduction_pointwise(self):
         rho = 0.5
         params = unit_params(rho)
@@ -152,6 +181,35 @@ class TestSolverInvariants:
     def test_requires_upper_half_z(self):
         with pytest.raises(ValueError, match="imaginary"):
             elliptical_solve(1.0, unit_params(1.0))
+
+
+class TestArrayInput:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        H=populations(),
+        nu=populations(max_atoms=3),
+        theta=st.floats(0.5, 2.0),
+        rho=st.floats(0.05, 4.0),
+        xs=st.lists(st.floats(-1.0, 40.0), min_size=1, max_size=12),
+        v=st.sampled_from([1e-3, 1e-2, 1.0]),
+    )
+    def test_array_matches_scalar_calls(self, H, nu, theta, rho, xs, v):
+        params = EllipticalParams(H=H, nu=nu, theta=theta, rho=rho)
+        zs = np.array(xs) + 1j * v
+        res = elliptical_solve(zs, params)
+        assert res.w.shape == res.m.shape == zs.shape
+        for z, w, m in zip(zs, res.w, res.m):
+            single = elliptical_solve(z, params)
+            assert abs(w - single.w) <= 1e-10
+            assert abs(m - single.m) <= 1e-10
+
+    def test_array_fields(self):
+        params = unit_params(0.5, H=TWO_ATOM)
+        zs = np.linspace(0.2, 4.0, 6) + 1e-2j
+        res = elliptical_solve(zs, params)
+        singles = [elliptical_solve(z, params) for z in zs]
+        assert res.residual == max(r.residual for r in singles)
+        assert res.iterations == sum(r.iterations for r in singles)
 
 
 class TestEllipticalDensity:

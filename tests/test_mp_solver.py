@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rmtlaw.errors import ConvergenceError, NumericalError
 from rmtlaw.measures import DiscreteMeasure, delta
 from rmtlaw.mp_solver import (
     SolverConfig,
+    _solve_grid,
     default_v_eps,
     density_grid,
     density_grid_detailed,
@@ -16,6 +18,7 @@ from rmtlaw.mp_solver import (
     mp_companion_solve,
     solve_edge,
 )
+from strategies import populations
 
 
 def null_companion_closed_form(z: complex, rho: float) -> complex:
@@ -38,6 +41,16 @@ def mp_density_closed_form(x, rho: float):
 
 
 UNIT = delta(1.0)
+
+
+def start_residuals(zs, H: DiscreteMeasure, rho: float):
+    """|T(w0) - w0| at the default start w0 = -1/z, one point at a time."""
+    out = []
+    for z in zs:
+        w0 = -1.0 / z
+        t = -1.0 / (z - rho * H.integrate(lambda lam: lam / (1.0 + lam * w0)))
+        out.append(abs(t - w0))
+    return np.array(out)
 
 
 class TestCompanionClosedForm:
@@ -115,6 +128,21 @@ class TestSolverInvariants:
         with pytest.raises(ValueError, match=r"\[0, inf\)"):
             mp_companion_solve(1.0j, H, 1.0)
 
+    def test_array_convergence_error_names_worst_point(self):
+        zs = np.array([-1e8, 0.5, 1.0, 3.0, 1e8]) + 1.0j
+        with pytest.raises(ConvergenceError) as excinfo:
+            mp_companion_solve(zs, UNIT, 0.5, cfg=SolverConfig(max_iters=1))
+        residuals = start_residuals(zs, UNIT, 0.5)
+        assert excinfo.value.index == int(np.argmax(residuals))
+        assert excinfo.value.iterations == 1
+        assert excinfo.value.residual == pytest.approx(residuals.max(), rel=1e-12)
+
+    @pytest.mark.parametrize("max_iters", [1, 2, 3, 7])
+    def test_evaluations_never_exceed_max_iters(self, max_iters):
+        with pytest.raises(ConvergenceError) as excinfo:
+            mp_companion_solve(complex(1.0, 1e-6), UNIT, 1.0, cfg=SolverConfig(max_iters=max_iters))
+        assert excinfo.value.iterations == max_iters
+
     def test_convergence_error_fields(self):
         cfg = SolverConfig(max_iters=2)
         with pytest.raises(ConvergenceError) as excinfo:
@@ -122,6 +150,67 @@ class TestSolverInvariants:
         assert excinfo.value.iterations == 2
         assert excinfo.value.residual > 0
         assert "residual=" in str(excinfo.value)
+
+
+class TestArrayInput:
+    def test_scalar_input_gives_scalars(self):
+        res = mp_companion_solve(complex(1.0, 1e-2), UNIT, 0.5)
+        assert all(type(v) is complex for v in (res.z, res.w, res.m))
+        assert type(res.residual) is float and type(res.iterations) is int
+
+    def test_array_fields(self):
+        zs = np.linspace(0.1, 3.0, 7) + 1e-2j
+        res = mp_companion_solve(zs, UNIT, 0.5)
+        singles = [mp_companion_solve(z, UNIT, 0.5) for z in zs]
+        assert res.z.shape == res.w.shape == res.m.shape == (7,)
+        assert np.array_equal(res.z, zs)
+        assert res.residual == max(r.residual for r in singles)
+        assert res.iterations == sum(r.iterations for r in singles)
+
+    def test_array_w0(self):
+        zs = np.array([0.5, 1.0, 2.0]) + 1e-3j
+        cold = mp_companion_solve(zs, UNIT, 0.5)
+        warm = mp_companion_solve(zs, UNIT, 0.5, w0=cold.w)
+        assert np.max(np.abs(warm.w - cold.w)) < 1e-12
+        assert warm.iterations == 3
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        H=populations(),
+        rho=st.floats(0.05, 4.0),
+        xs=st.lists(st.floats(-1.0, 40.0), min_size=1, max_size=12),
+        v=st.sampled_from([1e-4, 1e-3, 1e-2, 1.0]),
+    )
+    def test_array_matches_scalar_calls(self, H, rho, xs, v):
+        zs = np.array(xs) + 1j * v
+        res = mp_companion_solve(zs, H, rho)
+        for z, w, m in zip(zs, res.w, res.m):
+            single = mp_companion_solve(z, H, rho)
+            assert abs(w - single.w) <= 1e-10
+            assert abs(m - single.m) <= 1e-10
+
+    def test_rejects_two_dimensional_z(self):
+        with pytest.raises(ValueError, match="1-d"):
+            mp_companion_solve(np.ones((2, 2)) * 1j, UNIT, 1.0)
+
+    def test_rejects_empty_z(self):
+        with pytest.raises(ValueError, match="at least one"):
+            mp_companion_solve(np.array([], dtype=complex), UNIT, 1.0)
+
+    def test_rejects_any_real_point(self):
+        with pytest.raises(ValueError, match="imaginary"):
+            mp_companion_solve(np.array([1.0 + 1j, 2.0]), UNIT, 1.0)
+
+
+class TestGridClosedForm:
+    @settings(max_examples=30, deadline=None)
+    @given(rho=st.floats(0.05, 4.0), v=st.sampled_from([1e-2, 1e-3, 1e-4]))
+    def test_unit_population_grid_matches_closed_form(self, rho, v):
+        xs = np.linspace(0.0, (1 + np.sqrt(rho)) ** 2 + 1.0, 150)
+        res = _solve_grid(lambda z, w0: mp_companion_solve(z, UNIT, rho, w0=w0), xs, v)
+        w = np.array([null_companion_closed_form(z, rho) for z in xs + 1j * v])
+        m = (w + (1.0 - rho) / (xs + 1j * v)) / rho
+        assert np.max(np.abs(res.m - m)) <= 1e-10
 
 
 class TestSolverConfig:
@@ -220,6 +309,19 @@ class TestDensityGrid:
         cfg = SolverConfig(max_iters=1)
         with pytest.raises(NumericalError, match="density grid failed at x="):
             density_grid(UNIT, 1.0, np.linspace(0.5, 2.0, 10), cfg=cfg)
+
+    def test_failure_names_worst_grid_point(self):
+        # The first rung (height 1) fails after one evaluation at every
+        # point but the two far ones; the message names the point whose
+        # start residual is largest (x = 0.6), not the first that failed.
+        xs = np.array([-1e8, -2.0, -1.0, -0.5, 0.6, 2.0, 1e8])
+        worst = int(np.argmax(start_residuals(xs + 1.0j, UNIT, 0.5)))
+        assert worst == 4
+        with pytest.raises(NumericalError) as excinfo:
+            density_grid(UNIT, 0.5, xs, cfg=SolverConfig(max_iters=1))
+        assert str(excinfo.value).startswith("density grid failed at x=0.6: ")
+        assert excinfo.value.index == worst
+        assert isinstance(excinfo.value.__cause__, ConvergenceError)
 
     def test_max_residual_reported(self):
         xs = np.linspace(0.0, 4.0, 100)
