@@ -137,7 +137,7 @@ class TestSolverInvariants:
         assert excinfo.value.iterations == 1
         assert excinfo.value.residual == pytest.approx(residuals.max(), rel=1e-12)
 
-    @pytest.mark.parametrize("max_iters", [1, 2, 3, 7])
+    @pytest.mark.parametrize("max_iters", [1, 3, 7])
     def test_evaluations_never_exceed_max_iters(self, max_iters):
         with pytest.raises(ConvergenceError) as excinfo:
             mp_companion_solve(complex(1.0, 1e-6), UNIT, 1.0, cfg=SolverConfig(max_iters=max_iters))
