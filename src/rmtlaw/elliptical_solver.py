@@ -30,6 +30,7 @@ from .mp_solver import (
     _newton_fixed_point,
     _pole_sums,
     _start,
+    _stop_bound,
     _transform_result,
     default_v_eps,
 )
@@ -118,8 +119,9 @@ def elliptical_solve(
     """Solve w = int tau dH / (tau*b(w) - z) for w in C+, then m.
 
     m = int dH / (tau*b(w) - z); the identity 1 + z*m = w*b(w) is checked
-    to 100*tol after convergence. z (and w0) may be a scalar or a 1-d
-    array, as in mp_companion_solve.
+    after convergence, to 100*max(1, |b|) times the residual bound
+    max(tol, 16*eps*|w|). z (and w0) may be a scalar or a 1-d array, as
+    in mp_companion_solve.
     """
     z, scalar = _as_points(z)
     cfg = cfg or SolverConfig()
@@ -138,9 +140,11 @@ def elliptical_solve(
     b = mixing_integral(w, nu, theta, xi)
     m, _ = _pole_sums(-z, b, tau, H.weights)
     _check_upper_half_plane(z, w, m)
+    # 1 + z*m - w*b = b*(T(w) - w), so the bound scales with |b|.
     consistency = np.abs(1.0 + z * m - w * b)
-    worst = int(np.argmax(consistency))
-    if consistency[worst] > 100.0 * cfg.tol:
+    bound = 100.0 * _stop_bound(w, cfg.tol) * np.maximum(1.0, np.abs(b))
+    worst = int(np.argmax(consistency / bound))
+    if consistency[worst] > bound[worst]:
         raise NumericalError(
             f"consistency identity violated at z={complex(z[worst])!r}: "
             f"|1 + z*m - w*b| = {consistency[worst]:.3e}",
@@ -163,8 +167,8 @@ def elliptical_density_grid_detailed(
     cfg = cfg or SolverConfig()
     v = cfg.v_eps if cfg.v_eps is not None else default_v_eps(params.H, params.rho)
 
-    def solve_at(z, w0) -> TransformResult:
-        return elliptical_solve(z, params, cfg, w0=w0)
+    def solve_at(z) -> TransformResult:
+        return elliptical_solve(z, params, cfg)
 
     atom0 = max(0.0, 1.0 - 1.0 / (params.theta * params.rho))
     xs, density, cdf, result, stats = _density_on_grid(solve_at, xs, v, atom0)

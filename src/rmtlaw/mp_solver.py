@@ -7,8 +7,9 @@ inversion, and computes the almost-sure limit of the largest eigenvalue.
 
 Both this law and the elliptical one are fixed points w = T(w) of maps
 with a closed-form derivative. One array-valued safeguarded-Newton
-kernel solves every point of a grid at once, and one continuation
-pipeline turns the grid solve into a density, a CDF and a summary.
+kernel solves every point of a grid at once, directly at the grid's
+height, and one pipeline turns the grid solve into a density, a CDF and
+a summary.
 """
 
 from __future__ import annotations
@@ -42,9 +43,9 @@ __all__ = [
 # undamped map can cycle.
 _STALL_LIMIT = 20
 
-# Imaginary heights of the grid continuation; those above v_eps are solved
-# in turn before v_eps itself.
-_RUNGS = (1.0, 0.1, 0.01)
+# Multiple of eps*|w| that floors tol in the stopping test; evaluating T
+# at w rounds by up to about 6*eps*|w|.
+_ROUNDING_ULPS = 16.0
 
 # Largest (points x atoms) block one evaluation builds; more points are
 # taken in chunks, so memory stays flat in the grid and spectrum sizes.
@@ -63,11 +64,15 @@ class SolverConfig:
     """Solver knobs.
 
     tol is the target for the absolute residual |T(w) - w| of the fixed
-    point map at each point; max_iters caps the evaluations of the map
-    per point; damping is the initial weight d of the fallback step
-    (1-d)w + d*T(w) taken where a Newton step is rejected. v_eps is the
-    imaginary offset used for density recovery; None means the
-    spectral-scale default 1e-3 * (1 + max(H)) * max(1, rho).
+    point map at each point, floored at 16*eps*|w| (eps the float64
+    machine epsilon), a margin over the rounding in evaluating T at w;
+    the floor matters only where |w| > tol/(16*eps), about 280 at the
+    default tol, which happens near x = 0 at a small v_eps. max_iters
+    caps the evaluations of the map per point; damping is the initial
+    weight d of the fallback step (1-d)w + d*T(w) taken where a Newton
+    step is rejected. v_eps is the imaginary offset used for density
+    recovery; None means the spectral-scale default
+    1e-3 * (1 + max(H)) * max(1, rho).
     """
 
     tol: float = 1e-12
@@ -117,8 +122,6 @@ _Step = Callable[
     [NDArray[np.complex128], NDArray[np.intp]],
     tuple[NDArray[np.complex128], NDArray[np.complex128]],
 ]
-# solve_at(z, w0) -> the array solve of one law at the points z.
-_SolveAt = Callable[[NDArray[np.complex128], Optional[NDArray[np.complex128]]], TransformResult]
 
 
 def default_v_eps(H: DiscreteMeasure, rho: float) -> float:
@@ -164,20 +167,26 @@ def _hyperbolic_residual(
         return np.abs(t - w) / np.sqrt(np.maximum(w.imag, 0.0) * np.maximum(t.imag, 0.0))
 
 
+def _stop_bound(w: NDArray[np.complex128], tol: float) -> NDArray[np.float64]:
+    """Residual bound at w: tol, or _ROUNDING_ULPS * eps * |w| where larger."""
+    return np.maximum(tol, _ROUNDING_ULPS * np.finfo(np.float64).eps * np.abs(w))
+
+
 def _newton_fixed_point(
     step: _Step, w0: NDArray[np.complex128], cfg: SolverConfig
 ) -> tuple[NDArray[np.complex128], NDArray[np.float64], NDArray[np.int64]]:
-    """Drive |T(w) - w| below tol at every point by safeguarded Newton.
+    """Safeguarded Newton: drive |T(w) - w| below _stop_bound everywhere.
 
     step(w, idx) returns T(w) and T'(w) for the points idx still active;
     T maps C+ into C+. Each round tries a Newton step on T(w) - w and
-    keeps it where it meets tol or lowers the step w -> T(w) measured in
-    the hyperbolic metric of C+ (so the step stays in C+); elsewhere it takes
-    the damped fixed-point step (1-d)w + d*T(w), which maps C+ into C+.
-    By the Schwarz-Pick lemma that measure never grows under the undamped
-    step, whereas |T(w) - w| grows on the way to a large w (z near 0 with
-    rho just below 1). A point's d starts at cfg.damping and is halved
-    after _STALL_LIMIT rounds without a decrease. Every round costs each
+    keeps it where it meets that bound or lowers the step w -> T(w)
+    measured in the hyperbolic metric of C+ (so the step stays in C+);
+    elsewhere it takes the damped fixed-point step (1-d)w + d*T(w), which
+    maps C+ into C+. By the Schwarz-Pick lemma that measure never grows
+    under the undamped step, whereas |T(w) - w| grows on the way to a
+    large w (z near 0 with rho just below 1). A point's d starts at
+    cfg.damping and is halved after _STALL_LIMIT rounds without a
+    decrease. Every round costs each
     active point one evaluation; converged points leave the active set,
     and no point is evaluated more than cfg.max_iters times. Returns (w,
     residual |T(w) - w|, evaluations) per point.
@@ -201,7 +210,7 @@ def _newton_fixed_point(
     newton = np.ones(n, dtype=bool)
     rounds = 1
     while True:
-        done = r <= cfg.tol
+        done = r <= _stop_bound(w, cfg.tol)
         if done.any():
             w_out[idx[done]] = w[done]
             res_out[idx[done]] = r[done]
@@ -234,7 +243,7 @@ def _newton_fixed_point(
             )
         hc = _hyperbolic_residual(cand, tc)
         decreased = hc < h
-        accept = ~use | decreased | (rc <= cfg.tol)
+        accept = ~use | decreased | (rc <= _stop_bound(cand, cfg.tol))
         w = np.where(accept, cand, w)
         t = np.where(accept, tc, t)
         dt = np.where(accept, dtc, dt)
@@ -333,31 +342,6 @@ def mp_companion_solve(
     return _transform_result(z, w, m, residual, evals, scalar)
 
 
-def _solve_grid(
-    solve_at: _SolveAt,
-    xs: NDArray[np.float64],
-    v: float,
-) -> TransformResult:
-    """Continuation along a real grid down to height v.
-
-    One array solve per rung of _RUNGS above v, then one at v, each
-    warm-started from the previous rung's w. A failure names the grid
-    point it happened at.
-    """
-    result = None
-    w = None
-    for u in [u for u in _RUNGS if u > v] + [v]:
-        try:
-            result = solve_at(xs + 1j * u, w)
-        except NumericalError as exc:
-            x = float(xs[exc.index or 0])
-            raise NumericalError(
-                f"density grid failed at x={x!r}: {exc}", index=exc.index
-            ) from exc
-        w = result.w
-    return result
-
-
 def _invert_to_density(
     xs: NDArray[np.float64], ms: NDArray[np.complex128], v: float, atom0: float
 ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
@@ -380,17 +364,20 @@ def _invert_to_density(
 
 
 def _density_on_grid(
-    solve_at: _SolveAt,
+    solve_at: Callable[[NDArray[np.complex128]], TransformResult],
     xs,
     v: float,
     atom0: float,
 ) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64], TransformResult, dict]:
     """Grid solve, inversion and summary shared by both laws.
 
-    Returns (xs, density, cdf, result, stats), result being the array
-    solve at height v, with stats {atom0_mass,
-    max_residual, v_eps, support_estimate}; the support is the span of
-    density above SUPPORT_THRESHOLD_V_EPS * v.
+    One array solve at xs + iv from the law's own start: the fixed point
+    of a self-map of C+ is unique and attracting, so no continuation
+    from greater heights is needed. A failure names the grid point it
+    happened at. Returns (xs, density, cdf, result, stats), result being
+    that solve, with stats {atom0_mass, max_residual, v_eps,
+    support_estimate}; the support is the span of density above
+    SUPPORT_THRESHOLD_V_EPS * v.
     """
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 1 or xs.size < 2:
@@ -399,7 +386,13 @@ def _density_on_grid(
         raise ValueError("xs must be finite")
     if np.any(np.diff(xs) <= 0):
         raise ValueError("xs must be strictly ascending")
-    result = _solve_grid(solve_at, xs, v)
+    try:
+        result = solve_at(xs + 1j * v)
+    except NumericalError as exc:
+        x = float(xs[exc.index or 0])
+        raise NumericalError(
+            f"density grid failed at x={x!r}: {exc}", index=exc.index
+        ) from exc
     density, cdf = _invert_to_density(xs, result.m, v, atom0)
     stats = {
         "atom0_mass": atom0,
@@ -425,8 +418,8 @@ def density_grid_detailed(
     cfg = cfg or SolverConfig()
     v = cfg.v_eps if cfg.v_eps is not None else default_v_eps(H, rho)
 
-    def solve_at(z, w0) -> TransformResult:
-        return mp_companion_solve(z, H, rho, cfg, w0=w0)
+    def solve_at(z) -> TransformResult:
+        return mp_companion_solve(z, H, rho, cfg)
 
     atom0 = max(0.0, 1.0 - 1.0 / rho)
     xs, density, cdf, _, stats = _density_on_grid(solve_at, xs, v, atom0)

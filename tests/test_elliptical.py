@@ -178,6 +178,22 @@ class TestSolverInvariants:
         b = elliptical_solve(z, params, w0=1.0j)
         assert abs(a.w - b.w) < 1e-8
 
+    def test_converges_where_rounding_exceeds_tol(self):
+        # theta*rho > 1 puts an atom at 0, so at z = 1e-5 i the solution
+        # has |w| ~ 2.6e4 and rounding alone leaves |T(w) - w| ~ 3.6e-12,
+        # above tol = 1e-12; the stopping test floors tol at 16*eps*|w|.
+        H = DiscreteMeasure(
+            np.array([0.72696897, 2.78546359, 2.97848288, 4.6355129, 5.40877517]),
+            np.array([0.34858365, 0.0619879, 0.4356739, 0.08418914, 0.06956541]),
+        )
+        params = EllipticalParams(
+            H=H, nu=delta(1.79002532), theta=0.5, rho=2.3885476566791892
+        )
+        res = elliptical_solve(1e-5j, params, SolverConfig(v_eps=1e-5))
+        assert abs(res.w) > 2e4
+        assert res.residual <= 16 * np.finfo(float).eps * abs(res.w)
+        assert res.iterations <= 20
+
     def test_requires_upper_half_z(self):
         with pytest.raises(ValueError, match="imaginary"):
             elliptical_solve(1.0, unit_params(1.0))

@@ -5,11 +5,12 @@ places the 400-point grid, then the solve whose summary and CSV are
 written; the experiments solve on a padded grid around the simulated
 spectrum and compare. These values are the program's current output and
 must not move under a refactor. The law values were last re-pinned when
-the per-point fixed-point loop gave way to the array Newton kernel: its
-solutions differ from the old ones by about 1e-11, so the residuals, the
-density CSV hashes and the KS values moved in their last digits, while
-the support estimates stayed put (test_law_reference.py bounds the
-density change by 1e-9). They include a known defect: for
+the grid solve dropped its continuation from heights 1, 0.1 and 0.01 and
+solved each grid directly at v_eps: its solutions differ from the
+continuation's by at most 5e-12 in density, so the residuals, the density
+CSV hashes and the KS values moved in their last digits, while the
+support estimates stayed put (test_law_reference.py bounds the density
+change by 1e-9). They include a known defect: for
 H = {1, 10} at rho = 0.1 the upper bulk stays below the 10 * v_eps support
 threshold, so the default grid ends near x = 1.86 with the CDF at 0.4955
 (ROADMAP item 3). Mending that defect re-pins these values. `simulate` is
@@ -45,20 +46,20 @@ SOLVE_CASES = {
         "solve-mp",
         _atoms([1.0, 10.0], [0.5, 0.5]),
         ["--rho", "0.1"],
-        '{"atom0_mass": 0, "max_residual": 9.8553219699186703e-13, '
+        '{"atom0_mass": 0, "max_residual": 9.9960996563440807e-13, '
         '"rho": 0.10000000000000001, '
         '"support_estimate": [0.55657115952362157, 1.4145272260733532], '
         '"v_eps": 0.010999999999999999}\n',
-        "d66fe16274e186801f4eadf10aae180af8ddfa23538ba72ea69362211df9819d",
+        "86dddacba2780ef07c59254b551d7ac927fb670c4b08c02bc0c009cdefcf5e74",
     ),
     "mp_atom_at_zero": (
         "solve-mp",
         _atoms([1.0], [1.0]),
         ["--rho", "2"],
-        '{"atom0_mass": 0.5, "max_residual": 7.1211297243738909e-13, "rho": 2, '
+        '{"atom0_mass": 0.5, "max_residual": 9.8741204208451556e-13, "rho": 2, '
         '"support_estimate": [0.17901934666123825, 4.6161417246219294], '
         '"v_eps": 0.0040000000000000001}\n',
-        "5e8a055cf2b2798cef66e0ff59d3c8715f01d9c33c9e598975e67b966c333632",
+        "4bd897f7127194123a2eed9dca9cbbc94bcecdbab7308cd1e21f49a2fa873588",
     ),
     "elliptical_two_atom_nu": (
         "solve-elliptical",
@@ -69,11 +70,11 @@ SOLVE_CASES = {
             "rho": 0.25,
         },
         [],
-        '{"atom0_mass": 0, "max_consistency_residual": 1.8712880613720628e-12, '
-        '"max_residual": 9.6755461431961447e-13, "rho": 0.25, '
+        '{"atom0_mass": 0, "max_consistency_residual": 2.6010078122718246e-12, '
+        '"max_residual": 9.8787916509965837e-13, "rho": 0.25, '
         '"support_estimate": [0.2950153558846289, 4.5850303227069409], '
         '"theta": 2, "v_eps": 0.0050000000000000001, "xi": 1}\n',
-        "c4e5fd0ce9a415fbc1f53d4c2ae9c55f93e7286777eb8f76e88f6489809d01dd",
+        "e8cba0e6cb199f921f3c99d909113db31fc5cbbe6803683189b52bdf45976e58",
     ),
 }
 
@@ -103,13 +104,13 @@ def test_correlation_experiment_pinned():
     )
     assert comparison_to_json_dict(run_correlation_experiment(spec)) == {
         "details": {
-            "ks_values": [0.05040897334439998, 0.06410604787856533],
+            "ks_values": [0.05040897334437877, 0.06410604787858298],
             "largest_eigenvalues": [3.6545505643299983, 2.7606535327505375],
             "lemma5_stats": [0.21791091137888552, 0.22930191814125267],
             "rho": 0.5,
             "v_eps": 0.002846157150645584,
         },
-        "ks_distance": 0.057257510611482654,
+        "ks_distance": 0.05725751061148088,
         "largest_eigenvalue": 3.6545505643299983,
         "lemma5_stat": 0.21791091137888552,
         "mu_prediction": 3.5721108000117745,
@@ -130,13 +131,13 @@ def test_elliptical_experiment_pinned():
     )
     assert comparison_to_json_dict(run_elliptical_experiment(spec)) == {
         "details": {
-            "ks_values": [0.0687067852878584, 0.0546753405497972],
+            "ks_values": [0.06870678528785357, 0.054675340549790646],
             "rho": 0.6666666666666666,
             "theta": 1.0,
             "v_eps": 0.002,
             "xi": 0.6666666666666666,
         },
-        "ks_distance": 0.061691062918827796,
+        "ks_distance": 0.06169106291882211,
         "largest_eigenvalue": 4.405899219379062,
         "lemma5_stat": None,
         "mu_prediction": None,

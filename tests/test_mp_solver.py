@@ -8,7 +8,6 @@ from rmtlaw.errors import ConvergenceError, NumericalError
 from rmtlaw.measures import DiscreteMeasure, delta
 from rmtlaw.mp_solver import (
     SolverConfig,
-    _solve_grid,
     default_v_eps,
     density_grid,
     density_grid_detailed,
@@ -207,7 +206,7 @@ class TestGridClosedForm:
     @given(rho=st.floats(0.05, 4.0), v=st.sampled_from([1e-2, 1e-3, 1e-4]))
     def test_unit_population_grid_matches_closed_form(self, rho, v):
         xs = np.linspace(0.0, (1 + np.sqrt(rho)) ** 2 + 1.0, 150)
-        res = _solve_grid(lambda z, w0: mp_companion_solve(z, UNIT, rho, w0=w0), xs, v)
+        res = mp_companion_solve(xs + 1j * v, UNIT, rho)
         w = np.array([null_companion_closed_form(z, rho) for z in xs + 1j * v])
         m = (w + (1.0 - rho) / (xs + 1j * v)) / rho
         assert np.max(np.abs(res.m - m)) <= 1e-10
@@ -311,11 +310,13 @@ class TestDensityGrid:
             density_grid(UNIT, 1.0, np.linspace(0.5, 2.0, 10), cfg=cfg)
 
     def test_failure_names_worst_grid_point(self):
-        # The first rung (height 1) fails after one evaluation at every
-        # point but the two far ones; the message names the point whose
-        # start residual is largest (x = 0.6), not the first that failed.
+        # The grid solve at height v_eps fails after one evaluation at
+        # every point but the two far ones; the message names the point
+        # whose start residual is largest (x = 0.6), not the first that
+        # failed.
         xs = np.array([-1e8, -2.0, -1.0, -0.5, 0.6, 2.0, 1e8])
-        worst = int(np.argmax(start_residuals(xs + 1.0j, UNIT, 0.5)))
+        v = default_v_eps(UNIT, 0.5)
+        worst = int(np.argmax(start_residuals(xs + 1j * v, UNIT, 0.5)))
         assert worst == 4
         with pytest.raises(NumericalError) as excinfo:
             density_grid(UNIT, 0.5, xs, cfg=SolverConfig(max_iters=1))
