@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 from numpy.typing import NDArray
 
-from ._serialize import json_dumps, write_density_csv, write_spectrum_csv
+from ._serialize import _write_lines, json_dumps, write_density_csv, write_spectrum_csv
 from .concentration import (
     ANGLE_THRESHOLD,
     NORM_THRESHOLD,
@@ -58,10 +58,12 @@ from .samplers import load_model_json, model_to_json_dict, sample_model
 
 DEFAULT_GRID_COUNT = 400
 _PROBE_COUNT = 200
+# Where a numerical failure happened and how close it got, when known.
+_ERROR_FIELDS = ("index", "x", "residual", "iterations")
 
 
-def _emit_error(kind: str, message: str) -> None:
-    sys.stderr.write(json_dumps({"error": kind, "message": message}) + "\n")
+def _emit_error(kind: str, message: str, **fields) -> None:
+    sys.stderr.write(json_dumps({"error": kind, "message": message, **fields}) + "\n")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -108,12 +110,11 @@ def _add_solve_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _print_json(args: argparse.Namespace, obj, path: Optional[str]) -> None:
-    text = json_dumps(obj) + "\n"
+    text = json_dumps(obj)
     if not args.quiet:
-        sys.stdout.write(text)
+        sys.stdout.write(text + "\n")
     if path:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        _write_lines(path, [text])
 
 
 def _probe_hi(scale: float, ratio: float) -> float:
@@ -348,7 +349,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         _emit_error(type(exc).__name__, str(exc))
         return 2
     except NumericalError as exc:
-        _emit_error(type(exc).__name__, str(exc))
+        fields = {k: v for k in _ERROR_FIELDS if (v := getattr(exc, k, None)) is not None}
+        _emit_error(type(exc).__name__, str(exc), **fields)
         return 3
 
 

@@ -16,12 +16,14 @@ class NumericalError(RuntimeError):
     """A computation failed numerically (not an input-validation problem).
 
     index, when set, is the position of the failing point in an
-    array-valued solve.
+    array-valued solve; x, when set, is that point's real coordinate in a
+    density-grid solve.
     """
 
     def __init__(self, message: str, *, index: Optional[int] = None):
         super().__init__(message)
         self.index = index
+        self.x: Optional[float] = None
 
 
 class ConvergenceError(NumericalError):

@@ -13,7 +13,7 @@ from typing import Callable
 import numpy as np
 from numpy.typing import NDArray
 
-from ._serialize import json_dumps, load_json
+from ._serialize import _write_lines, json_dumps, load_json
 
 __all__ = [
     "DiscreteMeasure",
@@ -196,6 +196,4 @@ def load_measure_json(path) -> DiscreteMeasure:
 
 
 def save_measure_json(path, mu: DiscreteMeasure) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json_dumps(measure_to_json_dict(mu)))
-        fh.write("\n")
+    _write_lines(path, [json_dumps(measure_to_json_dict(mu))])

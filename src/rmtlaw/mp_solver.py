@@ -389,10 +389,10 @@ def _density_on_grid(
     try:
         result = solve_at(xs + 1j * v)
     except NumericalError as exc:
-        x = float(xs[exc.index or 0])
-        raise NumericalError(
-            f"density grid failed at x={x!r}: {exc}", index=exc.index
-        ) from exc
+        # The same exception, class and fields kept, naming its grid point.
+        exc.x = float(xs[exc.index or 0])
+        exc.args = (f"density grid failed at x={exc.x!r}: {exc}",)
+        raise
     density, cdf = _invert_to_density(xs, result.m, v, atom0)
     stats = {
         "atom0_mass": atom0,

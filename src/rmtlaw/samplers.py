@@ -8,7 +8,9 @@ row's Philox key in one pass, and one reused Philox draws each row, so a
 row holds the same bytes as rng_stream(seed, replicate, kind, i) gives.
 Uniforms are mapped through inverse CDFs (normal via ndtri, gamma
 magnitudes via gammaincinv) rather than rejection methods, keeping every
-draw a pure function of its stream.
+draw a pure function of its stream. Those come from scipy.special, which
+the functions that call them import on their first draw: importing this
+module, and so rmtlaw and its CLI, loads no scipy module.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from typing import Optional
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.special import gammaincinv, ndtr, ndtri
 
 from ._serialize import load_json
 from .linalg import as_corr_matrix, as_sym_matrix, load_matrix_csv, matrix_sqrt_psd, toeplitz_corr
@@ -67,6 +68,8 @@ def uniform_open(rng: np.random.Generator | _RowStreams, size) -> NDArray[np.flo
 
 def standard_normal(rng: np.random.Generator | _RowStreams, size) -> NDArray[np.float64]:
     """Standard normals by inverse CDF of open-interval uniforms."""
+    from scipy.special import ndtri  # here, not at import: the law commands never sample
+
     return ndtri(uniform_open(rng, size))
 
 
@@ -321,6 +324,8 @@ def sample_gaussian_copula(n: int, R, seed: int, replicate: int = 0) -> NDArray[
     """Rows Phi(v) - 1/2 with v ~ N(0, R); entries strictly inside (-1/2, 1/2)."""
     R = as_corr_matrix(R)
     V = sample_gaussian(n, R, seed, replicate)
+    from scipy.special import ndtr  # here, not at import: the law commands never sample
+
     # ndtr saturates to exactly 0/1 around |v| ~ 9; clamp to keep the
     # strict-openness contract.
     U = np.clip(ndtr(V), 2.0**-55, 1.0 - 2.0**-53)
@@ -340,6 +345,8 @@ def sample_lb_ball(n: int, p: int, b: float, seed: int, replicate: int = 0) -> N
         raise ValueError("b must be in [1, 2]")
     if n < 1 or p < 1:
         raise ValueError("n and p must be >= 1")
+    from scipy.special import gammaincinv  # here, not at import: the law commands never sample
+
     U = _row_uniforms(seed, replicate, n, 2 * p + 1)
     gamma_draws = gammaincinv(1.0 / b, U[:, :p])
     magnitudes = gamma_draws ** (1.0 / b)

@@ -149,6 +149,27 @@ class TestSolveMp:
         assert code == 2
         assert json.loads(stderr)["error"] in ("FileNotFoundError", "OSError")
 
+    def test_convergence_failure_exit_3_with_fields(self, tmp_path, unit_h, capsys):
+        # Two evaluations per point do not reach tol; the error keeps its
+        # class and says where the worst grid point is and how close it got.
+        code, _, stderr = run_cli(
+            ["solve-mp", "--h-file", unit_h, "--rho", "0.5", "--grid", "0,3,50",
+             "--max-iters", "2", "--out", str(tmp_path / "x")],
+            capsys,
+        )
+        assert code == 3
+        err = json.loads(stderr)
+        assert err["error"] == "ConvergenceError"
+        assert err["message"] == (
+            "density grid failed at x=0.7959183673469388: fixed-point iteration "
+            "did not converge (residual=8.643e+01 after 2 iterations)"
+        )
+        assert err["index"] == 13
+        assert err["x"] == np.linspace(0.0, 3.0, 50)[13]
+        assert err["iterations"] == 2
+        assert f"{err['residual']:.3e}" == "8.643e+01"
+        assert not (tmp_path / "x.density.csv").exists()
+
     def test_rerun_byte_identical(self, tmp_path, unit_h, capsys):
         out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
         for out in (out1, out2):
@@ -556,6 +577,53 @@ class TestParserErrors:
 
 
 class TestProcessLevel:
+    # Runs argv[1] in a fresh interpreter, then prints the scipy modules loaded.
+    _SCIPY_PROBE = (
+        "import json, sys\n"
+        "exec(sys.argv[1])\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')))\n"
+    )
+
+    def _scipy_modules(self, code, *args):
+        proc = subprocess.run(
+            [sys.executable, "-c", self._SCIPY_PROBE, code, *args],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    @pytest.mark.parametrize("code", ["import rmtlaw", "import rmtlaw.cli"])
+    def test_import_loads_no_scipy(self, code):
+        assert self._scipy_modules(code) == []
+
+    def test_law_commands_load_no_scipy(self, tmp_path, unit_h, unit_params):
+        eigs = tmp_path / "eigs.csv"
+        eigs.write_text("0.5\n1\n1.5\n")
+        commands = [
+            ["solve-mp", "--h-file", unit_h, "--rho", "0.5", "--out", str(tmp_path / "mp")],
+            ["solve-elliptical", "--params", unit_params, "--out", str(tmp_path / "ell")],
+            ["edge", "--h-file", unit_h, "--n-over-p", "4"],
+            ["compare", "--eigs", str(eigs), "--law", str(tmp_path / "mp.density.csv")],
+        ]
+        code = (
+            "from rmtlaw.cli import main\n"
+            "assert [main(a + ['--quiet']) for a in json.loads(sys.argv[2])] == [0, 0, 0, 0]\n"
+        )
+        assert self._scipy_modules(code, json.dumps(commands)) == []
+
+    def test_sampling_loads_scipy_special_on_first_draw(self, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"family": "lb_ball", "n": 60, "p": 20, "b": 1.5}))
+        argv = ["simulate", "--model", str(model), "--quiet", "--out"]
+        code = "from rmtlaw.cli import main\nassert main(json.loads(sys.argv[2])) == 0\n"
+        fresh = json.dumps(argv + [str(tmp_path / "fresh")])
+        assert "scipy.special" in self._scipy_modules(code, fresh)
+        assert run_cli(argv + [str(tmp_path / "warm")], capsys)[0] == 0
+        assert (tmp_path / "fresh.eigs.csv").read_bytes() == (
+            tmp_path / "warm.eigs.csv"
+        ).read_bytes()
+
     def test_console_script_thread_invariance(self, tmp_path):
         h = tmp_path / "h.json"
         h.write_text(json.dumps({"atoms": [{"value": 1.0, "weight": 1.0}]}))

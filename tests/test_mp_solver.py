@@ -318,11 +318,13 @@ class TestDensityGrid:
         v = default_v_eps(UNIT, 0.5)
         worst = int(np.argmax(start_residuals(xs + 1j * v, UNIT, 0.5)))
         assert worst == 4
-        with pytest.raises(NumericalError) as excinfo:
+        with pytest.raises(ConvergenceError) as excinfo:
             density_grid(UNIT, 0.5, xs, cfg=SolverConfig(max_iters=1))
         assert str(excinfo.value).startswith("density grid failed at x=0.6: ")
         assert excinfo.value.index == worst
-        assert isinstance(excinfo.value.__cause__, ConvergenceError)
+        assert excinfo.value.x == 0.6
+        assert excinfo.value.iterations == 1
+        assert excinfo.value.residual > 0
 
     def test_max_residual_reported(self):
         xs = np.linspace(0.0, 4.0, 100)
