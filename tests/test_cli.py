@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -611,6 +612,24 @@ class TestProcessLevel:
             "assert [main(a + ['--quiet']) for a in json.loads(sys.argv[2])] == [0, 0, 0, 0]\n"
         )
         assert self._scipy_modules(code, json.dumps(commands)) == []
+
+    @pytest.mark.skipif(shutil.which("rmtlaw") is None, reason="rmtlaw console script not installed")
+    def test_console_script_loads_no_scipy(self, tmp_path, unit_h):
+        # Runs the installed entry point as __main__ under the same probe.
+        code = (
+            "import runpy\n"
+            "sys.argv = json.loads(sys.argv[2])\n"
+            "try:\n"
+            "    runpy.run_path(sys.argv[0], run_name='__main__')\n"
+            "except SystemExit as exc:\n"
+            "    assert not exc.code, exc.code\n"
+        )
+        for args in (
+            ["edge", "--h-file", unit_h, "--n-over-p", "4"],
+            ["solve-mp", "--h-file", unit_h, "--rho", "0.5", "--out", str(tmp_path / "mp")],
+        ):
+            argv = [shutil.which("rmtlaw"), *args, "--quiet"]
+            assert self._scipy_modules(code, json.dumps(argv)) == []
 
     def test_sampling_loads_scipy_special_on_first_draw(self, tmp_path, capsys):
         model = tmp_path / "model.json"
