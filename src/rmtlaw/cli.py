@@ -53,10 +53,9 @@ from .linalg import (
     sym_eigenvalues,
 )
 from .measures import load_measure_json
-from .mp_solver import SolverConfig, density_grid_detailed, solve_edge
+from .mp_solver import DEFAULT_GRID_COUNT, GRID_PAD, SolverConfig, density_grid_detailed, solve_edge
 from .samplers import load_model_json, model_to_json_dict, sample_model
 
-DEFAULT_GRID_COUNT = 400
 _PROBE_COUNT = 200
 # Where a numerical failure happened and how close it got, when known.
 _ERROR_FIELDS = ("index", "x", "residual", "iterations")
@@ -94,12 +93,6 @@ def _add_solve_flags(sub: argparse.ArgumentParser) -> None:
     )
     sub.add_argument(
         "--max-iters", type=int, default=SolverConfig.max_iters, help="evaluation cap per point"
-    )
-    sub.add_argument(
-        "--damping",
-        type=float,
-        default=SolverConfig.damping,
-        help="initial weight in (0,1] of the fallback fixed-point step",
     )
     sub.add_argument(
         "--v-eps", type=float, default=None, help="imaginary offset for density recovery"
@@ -144,16 +137,14 @@ def _elliptical_law(args: argparse.Namespace):
 def cmd_solve(args: argparse.Namespace) -> int:
     """Solve the subcommand's law; its stats are the summary JSON."""
     probe_hi, solve = args.law(args)
-    cfg = SolverConfig(
-        tol=args.tol, max_iters=args.max_iters, damping=args.damping, v_eps=args.v_eps
-    )
+    cfg = SolverConfig(tol=args.tol, max_iters=args.max_iters, v_eps=args.v_eps)
     if args.grid is not None:
         xs = _parse_grid(args.grid)
     else:
-        # [max(0, a - 0.5), b + 0.5] around the support a probe solve detects.
+        # The support a probe solve detects, GRID_PAD wider on each side.
         support = solve(np.linspace(0.0, probe_hi, _PROBE_COUNT), cfg)[3]["support_estimate"]
         a, b = support if support is not None else (0.0, probe_hi)
-        xs = np.linspace(max(0.0, a - 0.5), b + 0.5, DEFAULT_GRID_COUNT)
+        xs = np.linspace(max(0.0, a - GRID_PAD), b + GRID_PAD, DEFAULT_GRID_COUNT)
     xs, density, cdf, stats = solve(xs, cfg)
     write_density_csv(f"{args.out}.density.csv", xs, density, cdf)
     _print_json(args, stats, f"{args.out}.summary.json")

@@ -29,6 +29,8 @@ from .linalg import (
 )
 from .measures import DiscreteMeasure, delta, measure_from_eigenvalues
 from .mp_solver import (
+    DEFAULT_GRID_COUNT,
+    GRID_PAD,
     SUPPORT_THRESHOLD_V_EPS,
     SolverConfig,
     density_grid_detailed,
@@ -45,8 +47,6 @@ __all__ = [
     "comparison_to_json_dict",
 ]
 
-_GRID_PAD = 0.5
-
 _MP_FAMILIES = ("gaussian",)
 _ELLIPTICAL_FAMILIES = ("sphere_elliptical", "gaussian_copula")
 
@@ -62,7 +62,7 @@ class ExperimentSpec:
 
     model: PopulationModel
     law: str
-    grid_count: int = 400
+    grid_count: int = DEFAULT_GRID_COUNT
     replicates: int = 1
     seed: int = 0
     check_edge: bool = False
@@ -196,7 +196,7 @@ def _compare(
     support come from its stats.
     """
     lo = min(0.0, min(float(e[0]) for e in eig_sets))
-    xs, _, cdf, stats = solve(np.linspace(lo, top + _GRID_PAD, spec.grid_count))
+    xs, _, cdf, stats = solve(np.linspace(lo, top + GRID_PAD, spec.grid_count))
     ks_values = [_ks_against_law(e, xs, cdf, stats) for e in eig_sets]
     eigs0 = eig_sets[0]
     return ComparisonResult(

@@ -38,11 +38,6 @@ __all__ = [
     "solve_edge",
 ]
 
-# A point's fallback damping is halved after this many consecutive rounds
-# without a decrease of its hyperbolic residual; near the real axis the
-# undamped map can cycle.
-_STALL_LIMIT = 20
-
 # Multiple of eps*|w| that floors tol in the stopping test; evaluating T
 # at w rounds by up to about 6*eps*|w|.
 _ROUNDING_ULPS = 16.0
@@ -58,6 +53,11 @@ _BISECT_RTOL = 1e-12
 # comparisons also cut the atom at 0 off there.
 SUPPORT_THRESHOLD_V_EPS = 10.0
 
+# Default law grids: DEFAULT_GRID_COUNT points, reaching GRID_PAD past the
+# detected support (solve commands) or the top eigenvalue (comparisons).
+DEFAULT_GRID_COUNT = 400
+GRID_PAD = 0.5
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -68,16 +68,16 @@ class SolverConfig:
     machine epsilon), a margin over the rounding in evaluating T at w;
     the floor matters only where |w| > tol/(16*eps), about 280 at the
     default tol, which happens near x = 0 at a small v_eps. max_iters
-    caps the evaluations of the map per point; damping is the initial
-    weight d of the fallback step (1-d)w + d*T(w) taken where a Newton
-    step is rejected. v_eps is the imaginary offset used for density
-    recovery; None means the spectral-scale default
-    1e-3 * (1 + max(H)) * max(1, rho).
+    caps the evaluations of the map per point. Where a Newton step is
+    rejected the solver takes the plain step w -> T(w), which needs no
+    damping: T is a holomorphic self-map of C+, so by the Schwarz-Pick
+    lemma that step lowers the hyperbolic residual the solver accepts
+    steps by. v_eps is the imaginary offset used for density recovery;
+    None means the spectral-scale default 1e-3 * (1 + max(H)) * max(1, rho).
     """
 
     tol: float = 1e-12
     max_iters: int = 10000
-    damping: float = 1.0
     v_eps: Optional[float] = None
 
     def __post_init__(self) -> None:
@@ -85,8 +85,6 @@ class SolverConfig:
             raise ValueError("tol must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if not (0 < self.damping <= 1):
-            raise ValueError("damping must be in (0, 1]")
         if self.v_eps is not None and not (self.v_eps > 0):
             raise ValueError("v_eps must be positive")
 
@@ -181,15 +179,13 @@ def _newton_fixed_point(
     T maps C+ into C+. Each round tries a Newton step on T(w) - w and
     keeps it where it meets that bound or lowers the step w -> T(w)
     measured in the hyperbolic metric of C+ (so the step stays in C+);
-    elsewhere it takes the damped fixed-point step (1-d)w + d*T(w), which
-    maps C+ into C+. By the Schwarz-Pick lemma that measure never grows
-    under the undamped step, whereas |T(w) - w| grows on the way to a
-    large w (z near 0 with rho just below 1). A point's d starts at
-    cfg.damping and is halved after _STALL_LIMIT rounds without a
-    decrease. Every round costs each
-    active point one evaluation; converged points leave the active set,
-    and no point is evaluated more than cfg.max_iters times. Returns (w,
-    residual |T(w) - w|, evaluations) per point.
+    elsewhere it takes the plain step w -> T(w). T is a holomorphic
+    self-map of C+, so by the Schwarz-Pick lemma that step lowers the
+    hyperbolic measure, whereas |T(w) - w| grows on the way to a large w
+    (z near 0 with rho just below 1). Every round costs each active point
+    one evaluation; converged points leave the active set, and no point
+    is evaluated more than cfg.max_iters times. Returns (w, residual
+    |T(w) - w|, evaluations) per point.
     """
     n = w0.size
     w_out = np.empty(n, dtype=np.complex128)
@@ -205,8 +201,6 @@ def _newton_fixed_point(
             "fixed-point iterate diverged", index=int(np.argmin(np.isfinite(r)))
         )
     h = _hyperbolic_residual(w, t)
-    d = np.full(n, float(cfg.damping))
-    stall = np.zeros(n, dtype=np.int64)
     newton = np.ones(n, dtype=bool)
     rounds = 1
     while True:
@@ -216,9 +210,7 @@ def _newton_fixed_point(
             res_out[idx[done]] = r[done]
             evals_out[idx[done]] = rounds
             keep = ~done
-            idx, w, t, dt, r, h, d, stall, newton = (
-                a[keep] for a in (idx, w, t, dt, r, h, d, stall, newton)
-            )
+            idx, w, t, dt, r, h, newton = (a[keep] for a in (idx, w, t, dt, r, h, newton))
         if idx.size == 0:
             return w_out, res_out, evals_out
         if rounds >= cfg.max_iters:
@@ -232,7 +224,7 @@ def _newton_fixed_point(
         with np.errstate(all="ignore"):
             cand = w - (t - w) / (dt - 1.0)
             use = newton & np.isfinite(cand) & (cand.imag > 0)
-            cand = np.where(use, cand, (1.0 - d) * w + d * t)
+            cand = np.where(use, cand, t)
             tc, dtc = step(cand, idx)
             rc = np.abs(tc - cand)
         rounds += 1
@@ -242,18 +234,13 @@ def _newton_fixed_point(
                 "fixed-point iterate diverged", index=int(idx[np.argmax(diverged)])
             )
         hc = _hyperbolic_residual(cand, tc)
-        decreased = hc < h
-        accept = ~use | decreased | (rc <= _stop_bound(cand, cfg.tol))
+        accept = ~use | (hc < h) | (rc <= _stop_bound(cand, cfg.tol))
         w = np.where(accept, cand, w)
         t = np.where(accept, tc, t)
         dt = np.where(accept, dtc, dt)
         r = np.where(accept, rc, r)
         h = np.where(accept, hc, h)
         newton = accept
-        stall = np.where(decreased, 0, stall + 1)
-        halve = stall >= _STALL_LIMIT
-        d = np.where(halve, 0.5 * d, d)
-        stall[halve] = 0
 
 
 def _as_points(z) -> tuple[NDArray[np.complex128], bool]:

@@ -576,6 +576,20 @@ class TestParserErrors:
         assert code == 2
         assert json.loads(stderr)["error"] == "UsageError"
 
+    def test_damping_flag_removed(self, tmp_path, unit_h, capsys):
+        # The fallback is the plain step T(w), so there is no damping knob.
+        out = tmp_path / "law"
+        code, _, stderr = run_cli(
+            ["solve-mp", "--h-file", unit_h, "--rho", "0.5", "--damping", "1",
+             "--out", str(out)],
+            capsys,
+        )
+        assert code == 2
+        err = json.loads(stderr)
+        assert err["error"] == "UsageError"
+        assert "--damping" in err["message"]
+        assert not (tmp_path / "law.summary.json").exists()
+
 
 class TestProcessLevel:
     # Runs argv[1] in a fresh interpreter, then prints the scipy modules loaded.
