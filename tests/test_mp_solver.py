@@ -306,6 +306,8 @@ class TestSolverConfig:
             {"tol": 0.0},
             {"tol": -1e-9},
             {"max_iters": 0},
+            {"tol": float("nan")},
+            {"v_eps": 0.0},
             {"v_eps": -1e-3},
         ],
     )
