@@ -11,11 +11,8 @@ as well.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-import os
-import threading
-from typing import Callable, Optional, Sequence, TypeVar
+from typing import Optional, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -30,10 +27,7 @@ from .linalg import (
     toeplitz_corr,
 )
 from .measures import delta
-from .samplers import PopulationModel, sample_gaussian_copula, sample_model
-
-_T = TypeVar("_T")
-_U = TypeVar("_U")
+from .samplers import PopulationModel, parallel_map, sample_gaussian_copula, sample_model
 
 __all__ = [
     "ConcentrationReport",
@@ -68,48 +62,6 @@ NORM_THRESHOLD = 0.35
 ANGLE_THRESHOLD = 0.2
 
 _EXACT_ZERO = 1e-13
-
-
-def _thread_count() -> int:
-    env = os.environ.get("RMT_THREADS")
-    if env is not None:
-        count = int(env)
-        if count < 1:
-            raise ValueError("RMT_THREADS must be >= 1")
-        return count
-    return os.cpu_count() or 1
-
-
-_pool_lock = threading.Lock()
-_pool: Optional[ThreadPoolExecutor] = None
-_pool_workers = 0
-
-
-def _shared_pool(workers: int) -> ThreadPoolExecutor:
-    """The one worker pool, rebuilt only when the thread count changes.
-
-    A replaced pool is dropped, not shut down, so a map still running on it
-    finishes; its threads exit once it is collected.
-    """
-    global _pool, _pool_workers
-    with _pool_lock:
-        if _pool is None or _pool_workers != workers:
-            _pool = ThreadPoolExecutor(max_workers=workers)
-            _pool_workers = workers
-        return _pool
-
-
-def parallel_map(fn: Callable[[_T], _U], items: Sequence[_T]) -> list[_U]:
-    """Map preserving order, threaded when RMT_THREADS allows.
-
-    Results are independent of the thread count because every item draws
-    from its own RNG stream. The pool is shared, so fn must not call
-    parallel_map itself: it could wait on its own saturated pool.
-    """
-    workers = _thread_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    return list(_shared_pool(workers).map(fn, items))
 
 
 @dataclass(frozen=True)

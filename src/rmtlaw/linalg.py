@@ -34,6 +34,8 @@ __all__ = [
 SYM_RTOL = 1e-12
 # matrix_sqrt_psd clamps eigenvalues in [-PSD_TOL * ||M||_2, 0) to zero.
 PSD_TOL = 1e-10
+# sym_eigenvalues zeroes entries below this fraction of the largest one.
+_TINY_RTOL = np.finfo(np.float64).eps ** 2
 
 
 def _as_matrix(M, name: str = "matrix") -> NDArray[np.float64]:
@@ -70,8 +72,16 @@ def as_corr_matrix(M, name: str = "R") -> NDArray[np.float64]:
 
 
 def sym_eigenvalues(M) -> NDArray[np.float64]:
-    """All eigenvalues of a symmetric matrix, sorted ascending."""
+    """All eigenvalues of a symmetric matrix, sorted ascending.
+
+    Nonzero entries below eps^2 * max|A| are zeroed first, which moves each
+    eigenvalue by at most p * eps^2 * max|A|: eigvalsh loses accuracy when
+    entries' squares are subnormal (+-2.50035 for +-2.5 with 1e-160
+    entries). Exact zeros are left alone, so -0.0 keeps its sign.
+    """
     A = as_sym_matrix(M)
+    mag = np.abs(A)
+    A[(mag < _TINY_RTOL * mag.max(initial=0.0)) & (A != 0.0)] = 0.0
     return np.linalg.eigvalsh(A)
 
 

@@ -11,12 +11,20 @@ magnitudes via gammaincinv) rather than rejection methods, keeping every
 draw a pure function of its stream. Those come from scipy.special, which
 the functions that call them import on their first draw: importing this
 module, and so rmtlaw and its CLI, loads no scipy module.
+
+The module also owns the one worker pool (parallel_map, sized by
+RMT_THREADS). Large inverse-CDF maps run on it in row blocks; each entry
+is the same scalar computation whichever thread runs it, so the bytes do
+not depend on the thread count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import partial
+import os
+import threading
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, TypeVar
 
 import numpy as np
 from numpy.typing import NDArray
@@ -24,6 +32,9 @@ from numpy.typing import NDArray
 from ._serialize import load_json
 from .linalg import as_corr_matrix, as_sym_matrix, load_matrix_csv, matrix_sqrt_psd, toeplitz_corr
 from .measures import DiscreteMeasure, delta, measure_from_json_dict, measure_to_json_dict
+
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
 
 __all__ = [
     "PopulationModel",
@@ -50,6 +61,89 @@ FAMILIES = ("gaussian", "sphere_elliptical", "gaussian_copula", "lb_ball", "boun
 _KIND_ROW = 0
 _KIND_MIXING = 1
 
+_T = TypeVar("_T")
+_U = TypeVar("_U")
+
+# Elementwise maps over fewer entries than this run as one call.
+_BLOCK_FLOOR = 1 << 16
+
+
+def _thread_count() -> int:
+    env = os.environ.get("RMT_THREADS")
+    if env is not None:
+        count = int(env)
+        if count < 1:
+            raise ValueError("RMT_THREADS must be >= 1")
+        return count
+    return os.cpu_count() or 1
+
+
+_pool_lock = threading.Lock()
+_pool: Optional[ThreadPoolExecutor] = None
+_pool_workers = 0
+# active is set in the pool's own threads, so a map called there runs inline.
+_worker = threading.local()
+
+
+def _mark_worker() -> None:
+    _worker.active = True
+
+
+def _in_worker() -> bool:
+    return getattr(_worker, "active", False)
+
+
+def _shared_pool(workers: int) -> ThreadPoolExecutor:
+    """The one worker pool, rebuilt only when the thread count changes.
+
+    A replaced pool is dropped, not shut down, so a map still running on it
+    finishes; its threads exit once it is collected.
+    """
+    # Imported here: concurrent.futures loads logging, and the law commands never map.
+    from concurrent.futures import ThreadPoolExecutor
+
+    global _pool, _pool_workers
+    with _pool_lock:
+        if _pool is None or _pool_workers != workers:
+            _pool = ThreadPoolExecutor(max_workers=workers, initializer=_mark_worker)
+            _pool_workers = workers
+        return _pool
+
+
+def parallel_map(fn: Callable[[_T], _U], items: Sequence[_T]) -> list[_U]:
+    """Map preserving order, threaded when RMT_THREADS allows.
+
+    Results are independent of the thread count because each item's result
+    depends on that item alone: a replicate draws from its own RNG stream, a
+    row block of an elementwise map computes its own entries. Called from a
+    pool worker, it runs inline in that worker: a worker waiting on items
+    queued behind itself could wait forever.
+    """
+    workers = _thread_count()
+    if workers <= 1 or len(items) <= 1 or _in_worker():
+        return [fn(item) for item in items]
+    return list(_shared_pool(workers).map(fn, items))
+
+
+def _map_rows(fn: Callable, x: NDArray, out: NDArray) -> NDArray:
+    """fn(x, out=out) for an elementwise fn, in one row block per worker.
+
+    Blocks split axis 0 and write straight into their rows of out (which
+    may be x itself). Below _BLOCK_FLOOR entries, inside a pool worker or
+    at one thread the map is a single call.
+    """
+    blocks = 1 if x.size < _BLOCK_FLOOR or _in_worker() else min(_thread_count(), len(x))
+    if blocks == 1:
+        return fn(x, out=out)
+    bounds = [len(x) * k // blocks for k in range(blocks + 1)]
+
+    def block(k: int) -> None:
+        part = slice(bounds[k], bounds[k + 1])
+        fn(x[part], out=out[part])
+
+    parallel_map(block, range(blocks))
+    return out
+
 
 def rng_stream(seed: int, *path: int) -> np.random.Generator:
     """Independent counter-based stream for (seed, *path)."""
@@ -70,7 +164,8 @@ def standard_normal(rng: np.random.Generator | _RowStreams, size) -> NDArray[np.
     """Standard normals by inverse CDF of open-interval uniforms."""
     from scipy.special import ndtri  # here, not at import: the law commands never sample
 
-    return ndtri(uniform_open(rng, size))
+    u = uniform_open(rng, size)
+    return _map_rows(ndtri, u, out=u)
 
 
 # Constants of numpy's SeedSequence hash (numpy/random/bit_generator.pyx).
@@ -98,36 +193,40 @@ def _uint32_words(value: int) -> list[int]:
 
 
 def _hasher(init: int, mult: int):
-    """SeedSequence's hashmix with its running constant, over uint32 arrays."""
+    """SeedSequence's hashmix with its running constant.
+
+    value is a Python int below 2**32 or a uint32 array; both wrap modulo
+    2**32 (an array's uint32 product wraps without a warning).
+    """
     const = init
 
-    def hashmix(value: NDArray[np.uint32]) -> NDArray[np.uint32]:
+    def hashmix(value):
         nonlocal const
-        value = value ^ np.uint32(const)
+        value = value ^ const
         const = (const * mult) & _MASK32
-        value = value * np.uint32(const)
-        return value ^ (value >> np.uint32(16))
+        value = (value * const) & _MASK32
+        return value ^ (value >> 16)
 
     return hashmix
 
 
-def _mix(x: NDArray[np.uint32], y: NDArray[np.uint32]) -> NDArray[np.uint32]:
-    result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-    return result ^ (result >> np.uint32(16))
+def _mix(x: int, y):
+    """SeedSequence's mix of a pool word x (an int) with y (an int or a uint32 array)."""
+    result = (((_MIX_MULT_L * x) & _MASK32) - ((_MIX_MULT_R * y) & _MASK32)) & _MASK32
+    return result ^ (result >> 16)
 
 
 def _stream_keys(seed: int, path: tuple[int, ...], n: int) -> NDArray[np.uint64]:
     """Philox keys of SeedSequence(seed, spawn_key=(*path, i)) for i < n, shape (n, 2).
 
-    numpy's mix_entropy and generate_state(2, uint64), run on arrays over
-    the row index i so all n keys come out in one pass.
+    numpy's mix_entropy and generate_state(2, uint64). Every word but the
+    last, the row index i, is the same for every row, so their part of the
+    hash runs once on Python ints; the rest runs on arrays over i.
     """
     run = _uint32_words(seed)
     # With a spawn key present, SeedSequence zero-pads the run entropy to the pool size.
     run += [0] * (_POOL_SIZE - len(run))
-    prefix = run + [word for key in path for word in _uint32_words(key)]
-    entropy = [np.array([word], dtype=np.uint32) for word in prefix]
-    entropy.append(np.arange(n, dtype=np.uint32))
+    entropy = run + [word for key in path for word in _uint32_words(key)]
 
     hashmix = _hasher(_INIT_A, _MULT_A)
     pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
@@ -138,6 +237,8 @@ def _stream_keys(seed: int, path: tuple[int, ...], n: int) -> NDArray[np.uint64]
     for word in entropy[_POOL_SIZE:]:
         for i_dst in range(_POOL_SIZE):
             pool[i_dst] = _mix(pool[i_dst], hashmix(word))
+    rows = np.arange(n, dtype=np.uint32)
+    pool = [_mix(word, hashmix(rows)) for word in pool]
 
     generate = _hasher(_INIT_B, _MULT_B)
     state = [generate(word).astype(np.uint64) for word in pool]
@@ -327,9 +428,11 @@ def sample_gaussian_copula(n: int, R, seed: int, replicate: int = 0) -> NDArray[
     from scipy.special import ndtr  # here, not at import: the law commands never sample
 
     # ndtr saturates to exactly 0/1 around |v| ~ 9; clamp to keep the
-    # strict-openness contract.
-    U = np.clip(ndtr(V), 2.0**-55, 1.0 - 2.0**-53)
-    return U - 0.5
+    # strict-openness contract. V is a fresh draw, so every step runs in place.
+    _map_rows(ndtr, V, out=V)
+    np.clip(V, 2.0**-55, 1.0 - 2.0**-53, out=V)
+    V -= 0.5
+    return V
 
 
 def sample_lb_ball(n: int, p: int, b: float, seed: int, replicate: int = 0) -> NDArray[np.float64]:
@@ -348,7 +451,7 @@ def sample_lb_ball(n: int, p: int, b: float, seed: int, replicate: int = 0) -> N
     from scipy.special import gammaincinv  # here, not at import: the law commands never sample
 
     U = _row_uniforms(seed, replicate, n, 2 * p + 1)
-    gamma_draws = gammaincinv(1.0 / b, U[:, :p])
+    gamma_draws = _map_rows(partial(gammaincinv, 1.0 / b), U[:, :p], out=np.empty((n, p)))
     magnitudes = gamma_draws ** (1.0 / b)
     signs = np.where(U[:, p : 2 * p] < 0.5, -1.0, 1.0)
     w_exp = -np.log1p(-U[:, 2 * p])

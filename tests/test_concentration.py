@@ -6,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 
-from rmtlaw import concentration
+from rmtlaw import samplers
 from rmtlaw.concentration import (
     _EXACT_ZERO,
     ConcentrationReport,
@@ -100,12 +100,12 @@ class TestParallelMap:
     def test_pool_reused_until_thread_count_changes(self, monkeypatch):
         monkeypatch.setenv("RMT_THREADS", "3")
         assert parallel_map(lambda i: -i, [1, 2, 3]) == [-1, -2, -3]
-        first = concentration._pool
+        first = samplers._pool
         parallel_map(lambda i: i, [1, 2])
-        assert concentration._pool is first
+        assert samplers._pool is first
         monkeypatch.setenv("RMT_THREADS", "2")
         assert parallel_map(lambda i: 2 * i, [1, 2, 3]) == [2, 4, 6]
-        assert concentration._pool is not first
+        assert samplers._pool is not first
 
     def test_concurrent_callers_share_the_pool(self, monkeypatch):
         monkeypatch.setenv("RMT_THREADS", "4")
@@ -126,6 +126,32 @@ class TestParallelMap:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert results == {k: [(k, i * i) for i in range(50)] for k in range(8)}
+
+    @staticmethod
+    def _finishes(call, timeout):
+        # On a joined thread, so a deadlocked pool fails the test instead of hanging it.
+        result = []
+        thread = threading.Thread(target=lambda: result.append(call()), daemon=True)
+        thread.start()
+        thread.join(timeout=timeout)
+        assert not thread.is_alive(), "deadlocked on the shared pool"
+        return result[0]
+
+    def test_nested_map_runs_inline(self, monkeypatch):
+        monkeypatch.setenv("RMT_THREADS", "2")
+        out = self._finishes(
+            lambda: parallel_map(lambda i: parallel_map(lambda j: i * j, range(4)), range(6)), 30
+        )
+        assert out == [[i * j for j in range(4)] for i in range(6)]
+
+    def test_sampler_blocks_inside_workers(self, monkeypatch):
+        # Each replicate's lb_ball draw is above the block floor, so its
+        # gammaincinv map would queue blocks on the pool from inside a worker.
+        monkeypatch.setenv("RMT_THREADS", "2")
+        model = PopulationModel(family="lb_ball", n=1024, p=64, b_exponent=1.0)
+        assert model.n * model.p >= samplers._BLOCK_FLOOR
+        report = self._finishes(lambda: stieltjes_concentration_mc(model, 1.0j, 50, seed=0), 60)
+        assert report.reps == 50
 
     def test_thread_count_invariance(self, monkeypatch):
         model = PopulationModel(family="gaussian", n=15, p=10)

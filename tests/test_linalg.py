@@ -53,16 +53,20 @@ class TestSymEigenvalues:
         A = Q @ np.diag(lams) @ Q.T
         assert np.allclose(sym_eigenvalues(A), lams, atol=1e-12)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="eigvalsh loses accuracy when entries' squares are subnormal: "
-        "+-2.50035 against +-2.5 with 1e-160 entries",
-    )
     def test_subnormal_squares(self):
         A = np.full((4, 4), 1e-160)
         A[0, 1] = A[1, 0] = 2.5
         clean = np.where(np.abs(A) < 1.0, 0.0, A)
         assert np.allclose(sym_eigenvalues(A), sym_eigenvalues(clean), rtol=0.0, atol=1e-12)
+
+    def test_no_tiny_entries_keeps_bytes(self):
+        # Nothing is below the cut, and exact zeros (-0.0 too) stay as they are.
+        rng = np.random.Generator(np.random.Philox(5))
+        A = rng.normal(size=(6, 6))
+        A = A + A.T
+        A[0, 1] = A[1, 0] = -0.0
+        A[2, 3] = A[3, 2] = 0.0
+        assert sym_eigenvalues(A).tobytes() == np.linalg.eigvalsh(A).tobytes()
 
     def test_ascending_order(self):
         eigs = sym_eigenvalues(np.diag([3.0, -1.0, 2.0]))

@@ -5,13 +5,14 @@ import json
 from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
-from scipy.special import gammaincinv
+from scipy.special import gammaincinv, ndtr
 
 from rmtlaw.linalg import matrix_sqrt_psd, sample_covariance, toeplitz_corr
 from rmtlaw.measures import DiscreteMeasure, delta
 from rmtlaw.samplers import (
     FAMILIES,
     PopulationModel,
+    _BLOCK_FLOOR,
     _RowStreams,
     _row_normals,
     _row_uniforms,
@@ -150,6 +151,31 @@ class TestRowStreams:
         expected = G @ matrix_sqrt_psd(eye)
         assert sample_gaussian(30, eye, 5, replicate=1).tobytes() == expected.tobytes()
         assert sample_covariance_model(30, eye, 5, replicate=1).tobytes() == expected.tobytes()
+
+
+class TestRowBlocks:
+    """Above _BLOCK_FLOOR entries the inverse-CDF maps run in row blocks on
+    the pool; the bytes do not depend on RMT_THREADS, an uneven split included."""
+
+    N, P = 301, 220  # N odd and not a multiple of 3: uneven blocks
+
+    def test_lb_ball(self, monkeypatch):
+        assert self.N * self.P >= _BLOCK_FLOOR
+        expected = _lb_ball_reference(self.N, self.P, 1.5, 11, 2).tobytes()
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("RMT_THREADS", threads)
+            assert sample_lb_ball(self.N, self.P, 1.5, 11, replicate=2).tobytes() == expected
+
+    def test_gaussian_and_copula(self, monkeypatch):
+        assert self.N * self.P >= _BLOCK_FLOOR
+        rows = [standard_normal(rng_stream(11, 2, 0, i), self.P) for i in range(self.N)]
+        gaussian = np.array(rows).tobytes()
+        copula = np.array([np.clip(ndtr(g), 2.0**-55, 1.0 - 2.0**-53) - 0.5 for g in rows]).tobytes()
+        eye = np.eye(self.P)
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("RMT_THREADS", threads)
+            assert sample_gaussian(self.N, eye, 11, replicate=2).tobytes() == gaussian
+            assert sample_gaussian_copula(self.N, eye, 11, replicate=2).tobytes() == copula
 
 
 class TestGaussian:
