@@ -13,18 +13,19 @@ the functions that call them import on their first draw: importing this
 module, and so rmtlaw and its CLI, loads no scipy module.
 
 The module also owns the one worker pool (parallel_map, sized by
-RMT_THREADS). Large inverse-CDF maps run on it in row blocks; each entry
+RMT_THREADS). The inverse-CDF maps run on it in row blocks; each entry
 is the same scalar computation whichever thread runs it, so the bytes do
 not depend on the thread count.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 import os
 import threading
-from typing import TYPE_CHECKING, Callable, Optional, Sequence, TypeVar
+from typing import Callable, Optional, Sequence, TypeVar
 
 import numpy as np
 from numpy.typing import NDArray
@@ -32,9 +33,6 @@ from numpy.typing import NDArray
 from ._serialize import load_json
 from .linalg import as_corr_matrix, as_sym_matrix, load_matrix_csv, matrix_sqrt_psd, toeplitz_corr
 from .measures import DiscreteMeasure, delta, measure_from_json_dict, measure_to_json_dict
-
-if TYPE_CHECKING:
-    from concurrent.futures import ThreadPoolExecutor
 
 __all__ = [
     "PopulationModel",
@@ -64,9 +62,6 @@ _KIND_MIXING = 1
 _T = TypeVar("_T")
 _U = TypeVar("_U")
 
-# Elementwise maps over fewer entries than this run as one call.
-_BLOCK_FLOOR = 1 << 16
-
 
 def _thread_count() -> int:
     env = os.environ.get("RMT_THREADS")
@@ -89,19 +84,12 @@ def _mark_worker() -> None:
     _worker.active = True
 
 
-def _in_worker() -> bool:
-    return getattr(_worker, "active", False)
-
-
 def _shared_pool(workers: int) -> ThreadPoolExecutor:
     """The one worker pool, rebuilt only when the thread count changes.
 
     A replaced pool is dropped, not shut down, so a map still running on it
     finishes; its threads exit once it is collected.
     """
-    # Imported here: concurrent.futures loads logging, and the law commands never map.
-    from concurrent.futures import ThreadPoolExecutor
-
     global _pool, _pool_workers
     with _pool_lock:
         if _pool is None or _pool_workers != workers:
@@ -120,7 +108,7 @@ def parallel_map(fn: Callable[[_T], _U], items: Sequence[_T]) -> list[_U]:
     queued behind itself could wait forever.
     """
     workers = _thread_count()
-    if workers <= 1 or len(items) <= 1 or _in_worker():
+    if workers <= 1 or len(items) <= 1 or getattr(_worker, "active", False):
         return [fn(item) for item in items]
     return list(_shared_pool(workers).map(fn, items))
 
@@ -129,12 +117,12 @@ def _map_rows(fn: Callable, x: NDArray, out: NDArray) -> NDArray:
     """fn(x, out=out) for an elementwise fn, in one row block per worker.
 
     Blocks split axis 0 and write straight into their rows of out (which
-    may be x itself). Below _BLOCK_FLOOR entries, inside a pool worker or
-    at one thread the map is a single call.
+    may be x itself); parallel_map runs them inline at one thread or inside
+    a pool worker. A scalar x gives the scalar fn(x).
     """
-    blocks = 1 if x.size < _BLOCK_FLOOR or _in_worker() else min(_thread_count(), len(x))
-    if blocks == 1:
-        return fn(x, out=out)
+    if np.ndim(x) == 0:
+        return fn(x)
+    blocks = max(1, min(_thread_count(), len(x)))
     bounds = [len(x) * k // blocks for k in range(blocks + 1)]
 
     def block(k: int) -> None:

@@ -145,11 +145,10 @@ class TestParallelMap:
         assert out == [[i * j for j in range(4)] for i in range(6)]
 
     def test_sampler_blocks_inside_workers(self, monkeypatch):
-        # Each replicate's lb_ball draw is above the block floor, so its
-        # gammaincinv map would queue blocks on the pool from inside a worker.
+        # Each replicate's lb_ball draw splits its gammaincinv map into row
+        # blocks, which would queue on the pool from inside a worker.
         monkeypatch.setenv("RMT_THREADS", "2")
         model = PopulationModel(family="lb_ball", n=1024, p=64, b_exponent=1.0)
-        assert model.n * model.p >= samplers._BLOCK_FLOOR
         report = self._finishes(lambda: stieltjes_concentration_mc(model, 1.0j, 50, seed=0), 60)
         assert report.reps == 50
 

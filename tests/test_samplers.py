@@ -5,14 +5,13 @@ import json
 from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
-from scipy.special import gammaincinv, ndtr
+from scipy.special import gammaincinv, ndtr, ndtri
 
 from rmtlaw.linalg import matrix_sqrt_psd, sample_covariance, toeplitz_corr
 from rmtlaw.measures import DiscreteMeasure, delta
 from rmtlaw.samplers import (
     FAMILIES,
     PopulationModel,
-    _BLOCK_FLOOR,
     _RowStreams,
     _row_normals,
     _row_uniforms,
@@ -67,6 +66,13 @@ class TestStreams:
         assert abs(g.var() - 1.0) < 5 * np.sqrt(2.0 / n)
         # fourth moment 3 for a Gaussian; se of the estimate is sqrt(96/n)
         assert abs(np.mean(g**4) - 3.0) < 5 * np.sqrt(96.0 / n)
+
+    @pytest.mark.parametrize("size", [None, ()])
+    def test_standard_normal_scalar(self, size):
+        # size None (or ()) draws one value and returns a scalar, as numpy does.
+        z = standard_normal(rng_stream(0, 0), size)
+        assert np.ndim(z) == 0
+        assert z == ndtri(uniform_open(rng_stream(0, 0), size)) == 0.5864003712044271
 
 
 def _lb_ball_reference(n, p, b, seed, replicate):
@@ -154,20 +160,18 @@ class TestRowStreams:
 
 
 class TestRowBlocks:
-    """Above _BLOCK_FLOOR entries the inverse-CDF maps run in row blocks on
-    the pool; the bytes do not depend on RMT_THREADS, an uneven split included."""
+    """The inverse-CDF maps run in row blocks on the pool; the bytes do not
+    depend on RMT_THREADS, an uneven split included."""
 
     N, P = 301, 220  # N odd and not a multiple of 3: uneven blocks
 
     def test_lb_ball(self, monkeypatch):
-        assert self.N * self.P >= _BLOCK_FLOOR
         expected = _lb_ball_reference(self.N, self.P, 1.5, 11, 2).tobytes()
         for threads in ("1", "2", "3"):
             monkeypatch.setenv("RMT_THREADS", threads)
             assert sample_lb_ball(self.N, self.P, 1.5, 11, replicate=2).tobytes() == expected
 
     def test_gaussian_and_copula(self, monkeypatch):
-        assert self.N * self.P >= _BLOCK_FLOOR
         rows = [standard_normal(rng_stream(11, 2, 0, i), self.P) for i in range(self.N)]
         gaussian = np.array(rows).tobytes()
         copula = np.array([np.clip(ndtr(g), 2.0**-55, 1.0 - 2.0**-53) - 0.5 for g in rows]).tobytes()
