@@ -27,6 +27,7 @@ from .linalg import (
     toeplitz_corr,
 )
 from .measures import delta
+# parallel_map is re-exported: callers look the shared pool up through this module.
 from .samplers import PopulationModel, parallel_map, sample_gaussian_copula, sample_model
 
 __all__ = [
@@ -147,12 +148,10 @@ def stieltjes_concentration_mc(
     if not (z.imag > 0):
         raise ValueError("z must have positive imaginary part")
 
-    def one(replicate: int) -> complex:
+    values = np.empty(reps, dtype=np.complex128)
+    for replicate in range(reps):
         Y = sample_model(model, seed, replicate)
-        gram = Y.T @ Y
-        return empirical_stieltjes(sym_eigenvalues(gram), z)
-
-    values = np.array(parallel_map(one, range(reps)), dtype=np.complex128)
+        values[replicate] = empirical_stieltjes(sym_eigenvalues(Y.T @ Y), z)
     center = values.mean()
     deviations = np.abs(values - center)
     v = z.imag
@@ -215,12 +214,11 @@ def quadratic_form_deviation(
     target = float(np.trace(M @ sigma)) / dim
     mean_row = np.asarray(model.location, dtype=np.float64)
 
-    def one(replicate: int) -> float:
+    stats = np.empty(reps)
+    for replicate in range(reps):
         Y = sample_model(model, seed, replicate) - mean_row
         quad = np.einsum("ij,ij->i", Y @ M, Y) / dim
-        return float(np.max(np.abs(quad - target)))
-
-    stats = np.array(parallel_map(one, range(reps)))
+        stats[replicate] = np.max(np.abs(quad - target))
     details = {
         "mean_max_deviation": float(stats.mean()),
         "max_max_deviation": float(stats.max()),

@@ -13,9 +13,10 @@ the functions that call them import on their first draw: importing this
 module, and so rmtlaw and its CLI, loads no scipy module.
 
 The module also owns the one worker pool (parallel_map, sized by
-RMT_THREADS). The inverse-CDF maps run on it in row blocks; each entry
-is the same scalar computation whichever thread runs it, so the bytes do
-not depend on the thread count.
+RMT_THREADS). Its only job in the program is the inverse-CDF maps, which
+run on it in row blocks; each entry is the same scalar computation
+whichever thread runs it, so the bytes do not depend on the thread count.
+Monte Carlo replicates run in a plain loop, leaving BLAS both cores.
 """
 
 from __future__ import annotations
@@ -66,9 +67,12 @@ _U = TypeVar("_U")
 def _thread_count() -> int:
     env = os.environ.get("RMT_THREADS")
     if env is not None:
-        count = int(env)
+        try:
+            count = int(env)
+        except ValueError:
+            count = 0
         if count < 1:
-            raise ValueError("RMT_THREADS must be >= 1")
+            raise ValueError(f"RMT_THREADS must be an integer >= 1, got {env!r}")
         return count
     return os.cpu_count() or 1
 
@@ -101,11 +105,10 @@ def _shared_pool(workers: int) -> ThreadPoolExecutor:
 def parallel_map(fn: Callable[[_T], _U], items: Sequence[_T]) -> list[_U]:
     """Map preserving order, threaded when RMT_THREADS allows.
 
-    Results are independent of the thread count because each item's result
-    depends on that item alone: a replicate draws from its own RNG stream, a
-    row block of an elementwise map computes its own entries. Called from a
-    pool worker, it runs inline in that worker: a worker waiting on items
-    queued behind itself could wait forever.
+    Results are independent of the thread count as long as each item's
+    result depends on that item alone, as a row block of an elementwise map
+    does. Called from a pool worker, it runs inline in that worker: a worker
+    waiting on items queued behind itself could wait forever.
     """
     workers = _thread_count()
     if workers <= 1 or len(items) <= 1 or getattr(_worker, "active", False):

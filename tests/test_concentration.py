@@ -145,21 +145,34 @@ class TestParallelMap:
         assert out == [[i * j for j in range(4)] for i in range(6)]
 
     def test_sampler_blocks_inside_workers(self, monkeypatch):
-        # Each replicate's lb_ball draw splits its gammaincinv map into row
-        # blocks, which would queue on the pool from inside a worker.
+        # A library caller mapping draws over the pool: each lb_ball draw
+        # splits its gammaincinv map into row blocks, which would queue on
+        # the pool from inside a worker.
         monkeypatch.setenv("RMT_THREADS", "2")
         model = PopulationModel(family="lb_ball", n=1024, p=64, b_exponent=1.0)
-        report = self._finishes(lambda: stieltjes_concentration_mc(model, 1.0j, 50, seed=0), 60)
-        assert report.reps == 50
+        draws = self._finishes(
+            lambda: parallel_map(lambda r: sample_model(model, 0, r), range(4)), 60
+        )
+        for replicate, Y in enumerate(draws):
+            np.testing.assert_array_equal(Y, sample_model(model, 0, replicate))
 
     def test_thread_count_invariance(self, monkeypatch):
-        model = PopulationModel(family="gaussian", n=15, p=10)
-        monkeypatch.setenv("RMT_THREADS", "1")
-        r1 = stieltjes_concentration_mc(model, 1.0j, 50, seed=0)
-        monkeypatch.setenv("RMT_THREADS", "4")
-        r2 = stieltjes_concentration_mc(model, 1.0j, 50, seed=0)
-        assert r1.frequencies == r2.frequencies
-        assert r1.details["std"] == r2.details["std"]
+        # The copula rows run ndtri and ndtr row blocks on the pool.
+        gaussian = PopulationModel(family="gaussian", n=15, p=10)
+        copula = PopulationModel(family="gaussian_copula", n=40, p=10, shape=toeplitz_corr(10, 0.4))
+        runs = {}
+        for threads in ("1", "4"):
+            monkeypatch.setenv("RMT_THREADS", threads)
+            mc = stieltjes_concentration_mc(gaussian, 1.0j, 50, seed=0)
+            quad = quadratic_form_deviation(copula, np.eye(10), reps=5, seed=0)
+            runs[threads] = (mc.frequencies, mc.details["std"], quad.details["per_replicate"])
+        assert runs["1"] == runs["4"]
+
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    def test_bad_thread_count_names_the_variable(self, monkeypatch, value):
+        monkeypatch.setenv("RMT_THREADS", value)
+        with pytest.raises(ValueError, match=f"RMT_THREADS must be an integer >= 1, got '{value}'"):
+            parallel_map(lambda i: i, [1, 2])
 
 
 class TestReport:
