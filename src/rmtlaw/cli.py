@@ -85,6 +85,16 @@ def _parse_grid(text: str) -> NDArray[np.float64]:
     return np.linspace(lo, hi, count)
 
 
+def _seed(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return seed
+
+
 def _add_solve_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", required=True, help="output prefix for .density.csv/.summary.json")
     sub.add_argument("--quiet", action="store_true", help="suppress stdout summary")
@@ -287,7 +297,7 @@ def build_parser() -> _Parser:
         default="correlation",
         help="which matrix to decompose",
     )
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    p.add_argument("--seed", type=_seed, default=0, help="RNG seed (default 0)")
     p.add_argument("--out", required=True, help="output prefix for .eigs.csv/.meta.json")
     p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=cmd_simulate)
@@ -295,7 +305,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("diagnose", help="row-geometry diagnostics")
     p.add_argument("--data", default=None, help="data matrix CSV (rows = observations)")
     p.add_argument("--model", default=None, help="model JSON to simulate instead of --data")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    p.add_argument("--seed", type=_seed, default=0, help="RNG seed (default 0)")
     p.add_argument(
         "--trace-sigma-over-p",
         type=float,
@@ -314,7 +324,7 @@ def build_parser() -> _Parser:
         "--suite", required=True, choices=("lemma6", "quadform", "copula", "tightness")
     )
     p.add_argument("--reps", type=int, default=None, help="replicate count override")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    p.add_argument("--seed", type=_seed, default=0, help="RNG seed (default 0)")
     p.add_argument("--out", default=None, help="optional JSON output file")
     p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=cmd_verify)

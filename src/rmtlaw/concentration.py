@@ -409,8 +409,9 @@ def verify_copula(
 
     bound_ok = True
     gaps = []
+    null = PopulationModel(family="gaussian", n=p + 10, p=p)
     for t in range(trials):
-        Z = sample_model(PopulationModel(family="gaussian", n=p + 10, p=p), seed, t)
+        Z = sample_model(null, seed, t)
         R = sample_correlation(Z)
         gap = copula_norm_bound(R) - operator_norm(copula_cov(R))
         gaps.append(float(gap))

@@ -591,6 +591,22 @@ class TestParserErrors:
         assert not (tmp_path / "law.summary.json").exists()
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--model", "model.json", "--out", "sim"],
+            ["diagnose", "--model", "model.json"],
+            ["verify", "--suite", "tightness"],
+        ],
+    )
+    def test_negative_seed_names_the_option(self, argv, capsys):
+        code, _, stderr = run_cli(argv + ["--seed", "-1"], capsys)
+        assert code == 2
+        err = json.loads(stderr)
+        assert err["error"] == "UsageError"
+        assert "--seed" in err["message"] and "'-1'" in err["message"]
+
+
 class TestProcessLevel:
     # Runs argv[1] in a fresh interpreter, then prints the scipy modules loaded.
     _SCIPY_PROBE = (

@@ -9,7 +9,10 @@ from scipy.special import gammaincinv, ndtr, ndtri
 
 from rmtlaw.linalg import matrix_sqrt_psd, sample_covariance, toeplitz_corr
 from rmtlaw.measures import DiscreteMeasure, delta
+from rmtlaw import samplers
 from rmtlaw.samplers import (
+    _CHUNK_BLOCKS,
+    _VECTOR_COLS,
     FAMILIES,
     PopulationModel,
     _RowStreams,
@@ -157,6 +160,60 @@ class TestRowStreams:
         expected = G @ matrix_sqrt_psd(eye)
         assert sample_gaussian(30, eye, 5, replicate=1).tobytes() == expected.tobytes()
         assert sample_covariance_model(30, eye, 5, replicate=1).tobytes() == expected.tobytes()
+
+
+class TestShortRows:
+    """Rows shorter than _VECTOR_COLS are computed together by the vectorized
+    Philox, _CHUNK_BLOCKS blocks a call; each row is still its own stream."""
+
+    @pytest.mark.parametrize("cols", [1, 4, _VECTOR_COLS - 1, _VECTOR_COLS])
+    @pytest.mark.parametrize("seed, replicate", [(0, 0), (2**70 + 11, 2**33)])
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_chunk_edges_equal_row_streams(self, monkeypatch, cols, seed, replicate, threads):
+        monkeypatch.setenv("RMT_THREADS", threads)
+        calls = []
+        words = samplers._philox_words
+        monkeypatch.setattr(samplers, "_philox_words", lambda *a: calls.append(1) or words(*a))
+        chunk = _CHUNK_BLOCKS // -(-cols // 4)
+        n = chunk + 1
+        U = uniform_open(_RowStreams(seed, replicate), (n, cols))
+        G = standard_normal(_RowStreams(seed, replicate), (n, cols))
+        # Two chunks each below the cutoff, none at it.
+        assert len(calls) == (4 if cols < _VECTOR_COLS else 0)
+        for i in (0, chunk - 1, chunk, n - 1):  # the first and last row of each chunk
+            rng = rng_stream(seed, replicate, 0, i)
+            assert U[i].tobytes() == uniform_open(rng, cols).tobytes()
+            rng = rng_stream(seed, replicate, 0, i)
+            assert G[i].tobytes() == standard_normal(rng, cols).tobytes()
+
+
+class TestShapeRoot:
+    """A gaussian or gaussian_copula model checks and roots its shape once."""
+
+    @pytest.mark.parametrize(
+        "family, public",
+        [("gaussian", sample_covariance_model), ("gaussian_copula", sample_gaussian_copula)],
+    )
+    def test_root_taken_once(self, monkeypatch, family, public):
+        calls = []
+        monkeypatch.setattr(
+            samplers, "matrix_sqrt_psd", lambda M: calls.append(1) or matrix_sqrt_psd(M)
+        )
+        R = toeplitz_corr(30, 0.4)
+        model = PopulationModel(family=family, n=40, p=30, shape=R)
+        draws = [sample_model(model, 7, replicate) for replicate in range(3)]
+        assert len(calls) == 1
+        for replicate, Y in enumerate(draws):
+            assert Y.tobytes() == public(40, R, 7, replicate).tobytes()
+
+    @pytest.mark.parametrize("family", ["gaussian", "sphere_elliptical", "gaussian_copula"])
+    def test_shape_read_only(self, family):
+        given = np.eye(3)
+        model = PopulationModel(family=family, n=5, p=3, shape=given)
+        with pytest.raises(ValueError, match="read-only"):
+            model.shape[0, 1] = 0.5
+        given[0, 1] = 0.5  # the caller's array is left writable and unshared
+        assert model.shape[0, 1] == 0.0
 
 
 class TestRowBlocks:
@@ -328,6 +385,11 @@ class TestBoundedIid:
 
     def test_zero_bound(self):
         assert np.array_equal(sample_bounded_iid(3, 2, 0.0, seed=0), np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("n, p", [(0, 3), (3, 0), (-2, 3)])
+    def test_dimensions_checked(self, n, p):
+        with pytest.raises(ValueError, match="n and p must be >= 1"):
+            sample_bounded_iid(n, p, 1.0, seed=0)
 
 
 class TestLocation:
