@@ -62,6 +62,7 @@ from .mp_solver import (
     estimate_support,
     mp_companion_solve,
     solve_edge,
+    support_hull,
 )
 from .samplers import (
     PopulationModel,

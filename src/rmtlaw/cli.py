@@ -53,7 +53,14 @@ from .linalg import (
     sym_eigenvalues,
 )
 from .measures import load_measure_json
-from .mp_solver import DEFAULT_GRID_COUNT, GRID_PAD, SolverConfig, density_grid_detailed, solve_edge
+from .mp_solver import (
+    DEFAULT_GRID_COUNT,
+    GRID_PAD,
+    SolverConfig,
+    density_grid_detailed,
+    solve_edge,
+    support_hull,
+)
 from .samplers import load_model_json, model_to_json_dict, sample_model
 
 _PROBE_COUNT = 200
@@ -126,34 +133,44 @@ def _probe_hi(scale: float, ratio: float) -> float:
 
 
 def _mp_law(args: argparse.Namespace):
-    """(probe_hi, solve(xs, cfg)) for solve-mp: the covariance law of H at rho."""
+    """(span(cfg), solve(xs, cfg)) for solve-mp: the covariance law of H at
+    rho, whose span is its exact support hull."""
     H = load_measure_json(args.h_file)
     rho = args.rho
     if not (rho > 0):
         raise ValueError("--rho must be positive")
-    return _probe_hi(H.support_max, rho), lambda xs, cfg: density_grid_detailed(H, rho, xs, cfg)
+    return (
+        lambda cfg: support_hull(H, rho),
+        lambda xs, cfg: density_grid_detailed(H, rho, xs, cfg),
+    )
 
 
 def _elliptical_law(args: argparse.Namespace):
-    """(probe_hi, solve(xs, cfg)) for solve-elliptical: the scaled-Gram law."""
+    """(span(cfg), solve(xs, cfg)) for solve-elliptical: the scaled-Gram
+    law, whose span is the support a probe solve detects."""
     params = load_params_json(args.params)
     scale = params.theta * float(np.max(params.nu.values**2)) * params.H.support_max
-    return (
-        _probe_hi(scale, params.theta * params.rho),
-        lambda xs, cfg: elliptical_density_grid_detailed(params, xs, cfg),
-    )
+    probe_hi = _probe_hi(scale, params.theta * params.rho)
+
+    def solve(xs, cfg):
+        return elliptical_density_grid_detailed(params, xs, cfg)
+
+    def span(cfg):
+        support = solve(np.linspace(0.0, probe_hi, _PROBE_COUNT), cfg)[3]["support_estimate"]
+        return support if support is not None else (0.0, probe_hi)
+
+    return span, solve
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
     """Solve the subcommand's law; its stats are the summary JSON."""
-    probe_hi, solve = args.law(args)
+    span, solve = args.law(args)
     cfg = SolverConfig(tol=args.tol, max_iters=args.max_iters, v_eps=args.v_eps)
     if args.grid is not None:
         xs = _parse_grid(args.grid)
     else:
-        # The support a probe solve detects, GRID_PAD wider on each side.
-        support = solve(np.linspace(0.0, probe_hi, _PROBE_COUNT), cfg)[3]["support_estimate"]
-        a, b = support if support is not None else (0.0, probe_hi)
+        # The law's span, GRID_PAD wider on each side.
+        a, b = span(cfg)
         xs = np.linspace(max(0.0, a - GRID_PAD), b + GRID_PAD, DEFAULT_GRID_COUNT)
     xs, density, cdf, stats = solve(xs, cfg)
     write_density_csv(f"{args.out}.density.csv", xs, density, cdf)

@@ -14,6 +14,7 @@ a summary.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -33,6 +34,7 @@ __all__ = [
     "density_grid",
     "density_grid_detailed",
     "estimate_support",
+    "support_hull",
     "edge_c0_solve",
     "edge_mu",
     "solve_edge",
@@ -46,8 +48,10 @@ _ROUNDING_ULPS = 16.0
 # taken in chunks, so memory stays flat in the grid and spectrum sizes.
 _BLOCK_ENTRIES = 1 << 15
 
-# Relative width target for the edge bisection.
+# Relative width target for the edge bisection, and the relative gap its
+# brackets keep from a pole c = 1/lam of the edge equation.
 _BISECT_RTOL = 1e-12
+_POLE_GAP = 1e-12
 
 # Density threshold, in units of v_eps, for support detection; the
 # comparisons also cut the atom at 0 off there.
@@ -408,7 +412,8 @@ def density_grid_detailed(
     def solve_at(z) -> TransformResult:
         return mp_companion_solve(z, H, rho, cfg)
 
-    atom0 = max(0.0, 1.0 - 1.0 / rho)
+    # rank S = min(n, p * H((0, inf))): the rest of the p eigenvalues are 0.
+    atom0 = max(1.0 - 1.0 / rho, H.cdf(0.0))
     xs, density, cdf, _, stats = _density_on_grid(solve_at, xs, v, atom0)
     stats["rho"] = rho
     return xs, density, cdf, stats
@@ -423,7 +428,8 @@ def density_grid(
     """Density and CDF of the limiting spectral law on a real grid.
 
     Returns (xs, density, cdf). The CDF includes the point mass
-    max(0, 1 - 1/rho) at 0 that appears when p > n.
+    max(1 - 1/rho, H({0})) at 0 that appears when p > n or H has an
+    atom at 0.
     """
     return density_grid_detailed(H, rho, xs, cfg)[:3]
 
@@ -439,6 +445,36 @@ def estimate_support(
     return float(xs[idx[0]]), float(xs[idx[-1]])
 
 
+def _check_edge_population(H: DiscreteMeasure) -> None:
+    # Atoms at 0 add nothing to the edge equation or the edge formula.
+    if H.support_min < 0 or H.support_max <= 0:
+        raise ValueError("H must be supported on [0, inf) with mass on (0, inf)")
+
+
+def _edge_equation(H: DiscreteMeasure) -> Callable[[float], float]:
+    """g(c) = int (lam*c/(1-lam*c))^2 dH, whose roots c give the law's edges."""
+    return lambda c: float(H.integrate(lambda lam: (lam * c / (1.0 - lam * c)) ** 2))
+
+
+def _bisect(g: Callable[[float], float], target: float, lo: float, hi: float) -> float:
+    """Root of g(c) = target for g monotone between lo and hi, given
+    g(lo) < target <= g(hi); lo may exceed hi. Resolved to _BISECT_RTOL
+    relative width."""
+    while abs(hi - lo) > _BISECT_RTOL * max(abs(lo), abs(hi)):
+        mid = 0.5 * (lo + hi)
+        if g(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _edge_x(H: DiscreteMeasure, p_over_n: float, c: float) -> float:
+    """(1/c)(1 + p/n * int lam*c/(1-lam*c) dH), an edge of the law at a root c."""
+    integral = float(H.integrate(lambda lam: lam * c / (1.0 - lam * c)))
+    return (1.0 / c) * (1.0 + p_over_n * integral)
+
+
 def edge_c0_solve(H: DiscreteMeasure, n_over_p: float) -> float:
     """Unique c0 in (0, 1/max(H)) with int (lam*c/(1-lam*c))^2 dH = n/p.
 
@@ -447,39 +483,26 @@ def edge_c0_solve(H: DiscreteMeasure, n_over_p: float) -> float:
     """
     if not (n_over_p > 0):
         raise ValueError("n_over_p must be positive")
-    if H.support_min <= 0:
-        raise ValueError("H must be supported on (0, inf)")
+    _check_edge_population(H)
     lam_max = H.support_max
-
-    def g(c: float) -> float:
-        return float(H.integrate(lambda lam: (lam * c / (1.0 - lam * c)) ** 2))
-
-    lo = 0.0
-    hi = (1.0 - 1e-12) / lam_max
+    g = _edge_equation(H)
+    hi = (1.0 - _POLE_GAP) / lam_max
     if g(hi) <= n_over_p:
         raise NumericalError(
             f"no interior solution: the edge equation cannot reach n/p={n_over_p!r} "
             f"inside (0, 1/{lam_max!r})"
         )
-    while hi - lo > _BISECT_RTOL * hi:
-        mid = 0.5 * (lo + hi)
-        if g(mid) < n_over_p:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect(g, n_over_p, 0.0, hi)
 
 
 def edge_mu(H: DiscreteMeasure, p_over_n: float, c0: float) -> float:
     """Largest-eigenvalue limit (1/c0)(1 + p/n * int lam*c0/(1-lam*c0) dH)."""
-    if H.support_min <= 0:
-        raise ValueError("H must be supported on (0, inf)")
+    _check_edge_population(H)
     if not (0 < c0 < 1.0 / H.support_max):
         raise ValueError("c0 must lie in (0, 1/max(H))")
     if not (p_over_n > 0):
         raise ValueError("p_over_n must be positive")
-    integral = float(H.integrate(lambda lam: lam * c0 / (1.0 - lam * c0)))
-    return (1.0 / c0) * (1.0 + p_over_n * integral)
+    return _edge_x(H, p_over_n, c0)
 
 
 def solve_edge(H: DiscreteMeasure, n_over_p: float) -> EdgeResult:
@@ -487,3 +510,40 @@ def solve_edge(H: DiscreteMeasure, n_over_p: float) -> EdgeResult:
     c0 = edge_c0_solve(H, n_over_p)
     mu = edge_mu(H, 1.0 / n_over_p, c0)
     return EdgeResult(c0=c0, mu=mu, rho=1.0 / n_over_p)
+
+
+def support_hull(H: DiscreteMeasure, rho: float) -> tuple[float, float]:
+    """Smallest interval [a, b] that holds the covariance law but its atom at 0.
+
+    Off the support the companion transform w is real and inverts to
+    x(w) = -1/w + rho * int lam dH/(1 + lam*w); the support edges are the
+    values of x at its real critical points (Silverstein and Choi, J.
+    Multivariate Anal. 54, 1995). With c = -w, x'(w) = 0 is the edge
+    equation int (lam*c/(1-lam*c))^2 dH = 1/rho and x(w) is the edge
+    formula, so b = solve_edge(H, 1/rho).mu. a is the root beyond the
+    pole of the smallest positive atom when rho * H((0, inf)) < 1, the
+    negative root when it exceeds 1, and 0 when it is 1. H = delta_0
+    gives [0, 0].
+    """
+    if not (rho > 0):
+        raise ValueError("rho must be positive")
+    if H.support_max == 0:
+        return 0.0, 0.0
+    n_over_p = 1.0 / rho
+    b = solve_edge(H, n_over_p).mu
+    lam_min = float(H.values[H.values > 0][0])
+    g = _edge_equation(H)
+    # g tends to m = H((0, inf)) as |c| grows, and r^2 m = 1/rho.
+    r = math.sqrt(n_over_p / (1.0 - H.cdf(0.0)))
+    if r > 1.0:
+        # g falls from +inf at c = 1/lam_min; at c = (1 + 2/(r - 1))/lam_min
+        # it is at most m (1 + (r - 1)/2)^2 < 1/rho.
+        far = (1.0 + 2.0 / (r - 1.0)) / lam_min
+        c = _bisect(g, n_over_p, far, (1.0 + _POLE_GAP) / lam_min)
+    elif r < 1.0:
+        # g rises from 0 as c falls from 0; at lam_min c = -2r/(1 - r) it is
+        # at least m (2r/(1 + r))^2 > 1/rho.
+        c = _bisect(g, n_over_p, 0.0, -2.0 * r / ((1.0 - r) * lam_min))
+    else:
+        return 0.0, b
+    return _edge_x(H, rho, c), b

@@ -74,6 +74,29 @@ class TestSolveMp:
         file_summary = (tmp_path / "law.summary.json").read_text()
         assert file_summary == stdout
 
+    @pytest.mark.parametrize(
+        "atoms, atom0, grid_hi",
+        [
+            ([(0.0, 0.3), (1.0, 0.7)], 0.3, (1 + np.sqrt(0.35)) ** 2 + 0.5),
+            ([(0.0, 1.0)], 1.0, 0.5),
+        ],
+    )
+    def test_population_atom_at_zero(self, tmp_path, capsys, atoms, atom0, grid_hi):
+        # H's own mass at 0 is part of the law's atom there, and the
+        # default grid spans the support hull plus GRID_PAD.
+        h = tmp_path / "h.json"
+        h.write_text(json.dumps({"atoms": [{"value": v, "weight": w} for v, w in atoms]}))
+        out = str(tmp_path / "law")
+        code, stdout, _ = run_cli(
+            ["solve-mp", "--h-file", str(h), "--rho", "0.5", "--out", out], capsys
+        )
+        assert code == 0
+        assert json.loads(stdout)["atom0_mass"] == atom0
+        table = np.loadtxt(tmp_path / "law.density.csv", delimiter=",", skiprows=1)
+        assert table[0, 0] == 0.0
+        assert table[-1, 0] == pytest.approx(grid_hi, rel=1e-12)
+        assert abs(table[-1, 2] - 1.0) < 0.02
+
     def test_explicit_grid(self, tmp_path, unit_h, capsys):
         out = str(tmp_path / "law")
         code, _, _ = run_cli(
@@ -277,6 +300,21 @@ class TestEdge:
         assert code == 0
         assert path.read_text() == stdout
         assert json.loads(stdout)["mu"] == pytest.approx(4.0, abs=1e-12)
+
+    def test_population_atom_at_zero(self, tmp_path, capsys):
+        h = tmp_path / "h.json"
+        atoms = [{"value": 0.0, "weight": 0.3}, {"value": 1.0, "weight": 0.7}]
+        h.write_text(json.dumps({"atoms": atoms}))
+        code, stdout, _ = run_cli(["edge", "--h-file", str(h), "--n-over-p", "2"], capsys)
+        assert code == 0
+        assert json.loads(stdout)["mu"] == pytest.approx((1 + np.sqrt(0.35)) ** 2, rel=1e-12)
+
+    def test_point_mass_at_zero_exit_2(self, tmp_path, capsys):
+        h = tmp_path / "h.json"
+        h.write_text(json.dumps({"atoms": [{"value": 0.0, "weight": 1.0}]}))
+        code, _, stderr = run_cli(["edge", "--h-file", str(h), "--n-over-p", "2"], capsys)
+        assert code == 2
+        assert "(0, inf)" in json.loads(stderr)["message"]
 
     def test_no_interior_solution_exit_3(self, unit_h, capsys):
         code, _, stderr = run_cli(

@@ -1,20 +1,18 @@
 """Golden outputs of both law pipelines, pinned byte for byte.
 
-Default-grid solve-mp and solve-elliptical run the 200-point probe that
-places the 400-point grid, then the solve whose summary and CSV are
-written; the experiments solve on a padded grid around the simulated
-spectrum and compare. These values are the program's current output and
-must not move under a refactor. The law values were last re-pinned when
-the grid solve dropped its continuation from heights 1, 0.1 and 0.01 and
-solved each grid directly at v_eps: its solutions differ from the
-continuation's by at most 5e-12 in density, so the residuals, the density
-CSV hashes and the KS values moved in their last digits, while the
-support estimates stayed put (test_law_reference.py bounds the density
-change by 1e-9). They include a known defect: for
-H = {1, 10} at rho = 0.1 the upper bulk stays below the 10 * v_eps support
-threshold, so the default grid ends near x = 1.86 with the CDF at 0.4955
-(ROADMAP item 3). Mending that defect re-pins these values. `simulate` is
-pinned by the sha256 of its .meta.json and .eigs.csv.
+Default-grid solve-mp solves once, on the 400-point grid that spans the
+covariance law's exact support hull (mp_solver.support_hull) GRID_PAD
+wider on each side. Default-grid solve-elliptical first runs a 200-point
+probe whose density above 10 * v_eps places its 400-point grid; the
+experiments solve on a padded grid around the simulated spectrum and
+compare. These values are the program's current output and must not move
+under a refactor. The solve-mp values were last re-pinned when the hull
+replaced the probe: for H = {1, 10} at rho = 0.1 the probe missed the
+upper bulk, whose density stays below the threshold, so the grid ended
+near x = 1.86 with the CDF at 0.4955; the hull's grid reaches 15.53 and
+the CDF ends at 0.99723. The elliptical case still carries that defect:
+its probe drops the upper bulk and its CDF ends at 0.4916 (ROADMAP item
+A). `simulate` is pinned by the sha256 of its .meta.json and .eigs.csv.
 """
 
 import hashlib
@@ -46,20 +44,20 @@ SOLVE_CASES = {
         "solve-mp",
         _atoms([1.0, 10.0], [0.5, 0.5]),
         ["--rho", "0.1"],
-        '{"atom0_mass": 0, "max_residual": 9.9960996563440807e-13, '
+        '{"atom0_mass": 0, "max_residual": 9.1858808685354071e-13, '
         '"rho": 0.10000000000000001, '
-        '"support_estimate": [0.55657115952362157, 1.4145272260733532], '
+        '"support_estimate": [0.56479239516749713, 1.3787759754156359], '
         '"v_eps": 0.010999999999999999}\n',
-        "86dddacba2780ef07c59254b551d7ac927fb670c4b08c02bc0c009cdefcf5e74",
+        "2b77052bf142b9279edd72c01a67b7ccae7867ea6b84879d3b66c66cdce4a260",
     ),
     "mp_atom_at_zero": (
         "solve-mp",
         _atoms([1.0], [1.0]),
         ["--rho", "2"],
-        '{"atom0_mass": 0.5, "max_residual": 9.8741204208451556e-13, "rho": 2, '
-        '"support_estimate": [0.17901934666123825, 4.6161417246219294], '
+        '{"atom0_mass": 0.5, "max_residual": 9.6437323246206225e-13, "rho": 2, '
+        '"support_estimate": [0.17446791571981982, 4.6154694067697788], '
         '"v_eps": 0.0040000000000000001}\n',
-        "4bd897f7127194123a2eed9dca9cbbc94bcecdbab7308cd1e21f49a2fa873588",
+        "0c9445a7c9dd43f495fce36e33a846b57ef28bd421659815b6b8d7d9b2fa3e51",
     ),
     "elliptical_two_atom_nu": (
         "solve-elliptical",

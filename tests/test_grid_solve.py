@@ -83,11 +83,23 @@ class TestEvaluationBudget:
         assert evals / points <= 12.0
 
     def test_default_grid_command_solves_each_grid_once(self, monkeypatch, tmp_path):
-        # The probe grid and the written grid: two grids, two kernel calls.
+        # The grid comes from the law's exact support hull: one grid, one
+        # kernel call.
         source = tmp_path / "h.json"
         source.write_text('{"atoms": [{"value": 1.0, "weight": 1.0}]}')
         calls = spy_calls(monkeypatch, mp_solver, "mp_companion_solve")
         argv = ["solve-mp", "--h-file", str(source), "--rho", "0.5"]
+        assert cli.main([*argv, "--out", str(tmp_path / "law"), "--quiet"]) == 0
+        assert [points for points, _ in calls] == [cli.DEFAULT_GRID_COUNT]
+
+    def test_default_grid_elliptical_command_probes_first(self, monkeypatch, tmp_path):
+        # The elliptical law still places its grid from a probe solve: the
+        # probe grid and the written grid, two kernel calls.
+        source = tmp_path / "params.json"
+        unit = '{"atoms": [{"value": 1.0, "weight": 1.0}]}'
+        source.write_text(f'{{"H": {unit}, "nu": {unit}, "theta": 1.0, "rho": 0.5}}')
+        calls = spy_calls(monkeypatch, elliptical_solver, "elliptical_solve")
+        argv = ["solve-elliptical", "--params", str(source)]
         assert cli.main([*argv, "--out", str(tmp_path / "law"), "--quiet"]) == 0
         assert [points for points, _ in calls] == [200, cli.DEFAULT_GRID_COUNT]
 

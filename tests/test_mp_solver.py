@@ -17,6 +17,7 @@ from rmtlaw.mp_solver import (
     estimate_support,
     mp_companion_solve,
     solve_edge,
+    support_hull,
 )
 from strategies import populations
 
@@ -468,6 +469,20 @@ class TestEdge:
         with pytest.raises(ValueError, match=r"\(0, inf\)"):
             edge_c0_solve(delta(0.0), 1.0)
 
+    def test_atoms_at_zero_add_nothing(self):
+        # H = 0.3 delta_0 + 0.7 delta_1 has the edge equation 0.7 g_1(c) = n/p
+        # of delta_1 at n/p / 0.7, and mu = (1/c0)(1 + 0.7 (p/n) c0/(1 - c0)).
+        H = DiscreteMeasure(np.array([0.0, 1.0]), np.array([0.3, 0.7]))
+        res = solve_edge(H, 2.0)
+        q = 2.0 / 0.7
+        assert res.c0 == pytest.approx(np.sqrt(q) / (1 + np.sqrt(q)), rel=1e-12)
+        assert res.mu == pytest.approx((1 + np.sqrt(0.5 * 0.7)) ** 2, rel=1e-12)
+
+    def test_rejects_negative_atoms(self):
+        H = DiscreteMeasure(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
+        with pytest.raises(ValueError, match=r"\[0, inf\)"):
+            solve_edge(H, 1.0)
+
     def test_rejects_nonpositive_ratio(self):
         with pytest.raises(ValueError, match="n_over_p"):
             edge_c0_solve(UNIT, 0.0)
@@ -484,3 +499,44 @@ class TestEdge:
     def test_edge_result_rho(self):
         res = solve_edge(UNIT, 4.0)
         assert res.rho == pytest.approx(0.25)
+
+
+class TestSupportHull:
+    @pytest.mark.parametrize("rho", [0.25, 2.0])
+    def test_unit_population_closed_form(self, rho):
+        a, b = support_hull(UNIT, rho)
+        assert a == pytest.approx((1 - np.sqrt(rho)) ** 2, rel=1e-12, abs=0)
+        assert b == pytest.approx((1 + np.sqrt(rho)) ** 2, rel=1e-12, abs=0)
+
+    def test_square_case_has_hard_edge(self):
+        assert support_hull(UNIT, 1.0) == (0.0, pytest.approx(4.0, rel=1e-12))
+
+    def test_two_atom_population(self):
+        # The bulks are [0.5609, 1.4273] and [6.0853, 15.0266]; the hull
+        # spans both.
+        H = DiscreteMeasure(np.array([1.0, 10.0]), np.array([0.5, 0.5]))
+        a, b = support_hull(H, 0.1)
+        assert a == pytest.approx(0.5608978, abs=1e-7)
+        assert b == pytest.approx(15.0265858, abs=1e-7)
+
+    @pytest.mark.parametrize("rho", [0.5, 2.0])
+    def test_atom_at_zero_scales_rho(self, rho):
+        # 0.3 delta_0 + 0.7 delta_1 at rho has the bulk of delta_1 at 0.7 rho.
+        H = DiscreteMeasure(np.array([0.0, 1.0]), np.array([0.3, 0.7]))
+        a, b = support_hull(H, rho)
+        assert a == pytest.approx((1 - np.sqrt(0.7 * rho)) ** 2, rel=1e-12)
+        assert b == pytest.approx((1 + np.sqrt(0.7 * rho)) ** 2, rel=1e-12)
+
+    def test_point_mass_at_zero(self):
+        assert support_hull(delta(0.0), 0.5) == (0.0, 0.0)
+
+    def test_rejects_nonpositive_rho(self):
+        with pytest.raises(ValueError, match="rho"):
+            support_hull(UNIT, 0.0)
+
+    @settings(max_examples=50, deadline=None)
+    @given(H=populations(), rho=st.floats(0.05, 4.0))
+    def test_right_edge_is_the_largest_eigenvalue_limit(self, H, rho):
+        a, b = support_hull(H, rho)
+        assert b == solve_edge(H, 1.0 / rho).mu
+        assert 0.0 <= a <= b
