@@ -37,8 +37,7 @@ from .experiments import (
     ComparisonResult,
     ExperimentSpec,
     ks_distance,
-    run_correlation_experiment,
-    run_elliptical_experiment,
+    run_experiment,
 )
 from .linalg import (
     as_sym_matrix,

@@ -193,7 +193,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     elif args.matrix == "covariance":
         mat = sample_covariance(Y)
     else:
-        mat = scaled_gram(Y, Y.shape[1], model.p, model.n)
+        mat = scaled_gram(Y, model.p)
     eigs = sym_eigenvalues(mat)
     write_spectrum_csv(f"{args.out}.eigs.csv", eigs)
     meta = {

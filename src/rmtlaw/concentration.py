@@ -193,6 +193,9 @@ def population_covariance(model: PopulationModel) -> NDArray[np.float64]:
         return as_sym_matrix(second_moment * (gamma @ gamma.T), "Sigma")
     if model.family == "gaussian_copula":
         return copula_cov(model.shape)
+    if model.family == "bounded_iid":
+        # uniform on [-bound, bound] has variance bound^2 / 3
+        return (float(model.bound) ** 2 / 3.0) * np.eye(model.p)
     raise ValueError(f"no population covariance available for family {model.family!r}")
 
 

@@ -12,7 +12,6 @@ densities, with the built-in identity 1 + z*m = w*b as a consistency check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from numpy.typing import NDArray
@@ -57,18 +56,16 @@ _MOMENT_BOUND = 1e6
 
 @dataclass(frozen=True)
 class EllipticalParams:
-    """Limit parameters (H, nu, theta, rho) with xi = theta^2 * rho.
+    """Limit parameters (H, nu, theta, rho), from which xi = theta^2 * rho follows.
 
     H is the spectral law of Gamma Sigma Gamma', nu the law of the mixing
-    scalars; a user-supplied xi is validated against theta^2 * rho, never
-    trusted.
+    scalars.
     """
 
     H: DiscreteMeasure
     nu: DiscreteMeasure
     theta: float
     rho: float
-    xi: Optional[float] = None
 
     def __post_init__(self) -> None:
         if not (self.theta > 0):
@@ -86,12 +83,11 @@ class EllipticalParams:
                 f"first moment of H is {self.H.mean!r}, above {_MOMENT_BOUND:g}; "
                 "the solver requires a bounded first moment"
             )
-        xi_exact = self.theta**2 * self.rho
-        if self.xi is not None and abs(self.xi - xi_exact) > _XI_RTOL * xi_exact:
-            raise ValueError(
-                f"xi={self.xi!r} is inconsistent with theta^2*rho={xi_exact!r}"
-            )
-        object.__setattr__(self, "xi", xi_exact)
+
+    @property
+    def xi(self) -> float:
+        """theta^2 * rho, the scale of the mixing integral's poles."""
+        return self.theta**2 * self.rho
 
 
 def mixing_integral(w, nu: DiscreteMeasure, theta: float, xi: float):
@@ -126,7 +122,6 @@ def elliptical_solve(
     z, scalar = _as_points(z)
     cfg = cfg or SolverConfig()
     H, nu, theta, xi = params.H, params.nu, params.theta, params.xi
-    assert xi is not None
     tau, lam2 = H.values, nu.values**2
     q1 = nu.weights * lam2
     h1 = H.weights * tau
@@ -172,7 +167,6 @@ def elliptical_density_grid_detailed(
 
     atom0 = max(0.0, 1.0 - 1.0 / (params.theta * params.rho))
     xs, density, cdf, result, stats = _density_on_grid(solve_at, xs, v, atom0)
-    assert params.xi is not None
     b = mixing_integral(result.w, params.nu, params.theta, params.xi)
     stats["max_consistency_residual"] = float(
         np.max(np.abs(1.0 + result.z * result.m - result.w * b))
@@ -194,11 +188,12 @@ def elliptical_density_grid(
     return elliptical_density_grid_detailed(params, xs, cfg)[:3]
 
 
-def scaled_gram(X, d: int, p: int, n: int) -> NDArray[np.float64]:
-    """(d/p) * X'X / n for an n x d data matrix; d x d and PSD."""
+def scaled_gram(X, p: int) -> NDArray[np.float64]:
+    """(d/p) * X'X / n for an n x d data matrix X; d x d and PSD."""
     X = np.asarray(X, dtype=np.float64)
-    if X.shape != (n, d):
-        raise ValueError(f"X must be {n}x{d}, got {X.shape}")
+    if X.ndim != 2:
+        raise ValueError(f"X must be a 2-d n x d matrix, got shape {X.shape}")
+    n, d = X.shape
     if not np.all(np.isfinite(X)):
         raise ValueError("X must be finite")
     if p < 1:
@@ -210,8 +205,9 @@ def scaled_gram(X, d: int, p: int, n: int) -> NDArray[np.float64]:
 def params_from_json_dict(obj) -> EllipticalParams:
     """Parse a params JSON object {"H":..., "nu":..., "theta":..., "rho":...}.
 
-    An optional "xi" is validated against theta^2*rho. An optional "G"
-    measure is accepted and validated but plays no role in the solve.
+    An optional "xi" must agree with theta^2*rho to a relative _XI_RTOL.
+    An optional "G" measure is accepted and validated but plays no role in
+    the solve.
     """
     if not isinstance(obj, dict):
         raise ValueError("params JSON must be an object")
@@ -220,13 +216,17 @@ def params_from_json_dict(obj) -> EllipticalParams:
             raise ValueError(f'params JSON needs "{key}"')
     if obj.get("G") is not None:
         measure_from_json_dict(obj["G"])
-    return EllipticalParams(
+    params = EllipticalParams(
         H=measure_from_json_dict(obj["H"]),
         nu=measure_from_json_dict(obj["nu"]),
         theta=float(obj["theta"]),
         rho=float(obj["rho"]),
-        xi=float(obj["xi"]) if obj.get("xi") is not None else None,
     )
+    if obj.get("xi") is not None:
+        xi = float(obj["xi"])
+        if not abs(xi - params.xi) <= _XI_RTOL * params.xi:
+            raise ValueError(f"xi={xi!r} is inconsistent with theta^2*rho={params.xi!r}")
+    return params
 
 
 def params_to_json_dict(params: EllipticalParams) -> dict:

@@ -11,7 +11,7 @@ CDF linearly interpolated on its grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -42,26 +42,24 @@ __all__ = [
     "ExperimentSpec",
     "ComparisonResult",
     "ks_distance",
-    "run_correlation_experiment",
-    "run_elliptical_experiment",
+    "run_experiment",
     "comparison_to_json_dict",
 ]
-
-_MP_FAMILIES = ("gaussian",)
-_ELLIPTICAL_FAMILIES = ("sphere_elliptical", "gaussian_copula")
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One simulate-solve-compare run.
 
-    h_override replaces the population-matrix spectrum as the solver's H
-    when a specific limit law is wanted; by default H is the empirical
-    spectrum of the finite population matrix.
+    The model's family picks the law: gaussian is compared with the
+    covariance law of its population correlation, sphere_elliptical and
+    gaussian_copula with the elliptical scaled-Gram law. h_override
+    replaces the population-matrix spectrum as the solver's H when a
+    specific limit law is wanted; by default H is the empirical spectrum
+    of the finite population matrix.
     """
 
     model: PopulationModel
-    law: str
     grid_count: int = DEFAULT_GRID_COUNT
     replicates: int = 1
     seed: int = 0
@@ -70,17 +68,8 @@ class ExperimentSpec:
     cfg: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self) -> None:
-        if self.law not in ("mp", "elliptical"):
-            raise ValueError('law must be "mp" or "elliptical"')
-        if self.law == "mp" and self.model.family not in _MP_FAMILIES:
-            raise ValueError(
-                f"law 'mp' needs a covariance-model family, got {self.model.family!r}"
-            )
-        if self.law == "elliptical" and self.model.family not in _ELLIPTICAL_FAMILIES:
-            raise ValueError(
-                f"law 'elliptical' needs one of {_ELLIPTICAL_FAMILIES}, "
-                f"got {self.model.family!r}"
-            )
+        if self.model.family not in _EXPERIMENTS:
+            raise ValueError(f"no limit law for family {self.model.family!r}")
         if self.grid_count < 2:
             raise ValueError("grid_count must be >= 2")
         if self.replicates < 1:
@@ -210,7 +199,7 @@ def _compare(
     )
 
 
-def run_correlation_experiment(spec: ExperimentSpec) -> ComparisonResult:
+def _correlation_experiment(spec: ExperimentSpec) -> ComparisonResult:
     """Sample-correlation spectrum vs the solver law driven by corr(Sigma).
 
     Sampling uses the population correlation Gamma_p in place of Sigma:
@@ -218,18 +207,9 @@ def run_correlation_experiment(spec: ExperimentSpec) -> ComparisonResult:
     rescaling of the columns, so this loses no generality and makes runs
     with diagonally rescaled Sigma identical at matched seeds.
     """
-    if spec.law != "mp":
-        raise ValueError('run_correlation_experiment needs law "mp"')
     model = spec.model
     gamma = corr_from_cov(model.shape)
-    norm_model = PopulationModel(
-        family="gaussian",
-        n=model.n,
-        p=model.p,
-        shape=gamma,
-        location=model.location,
-        entry_family=model.entry_family,
-    )
+    norm_model = replace(model, shape=gamma)
     if spec.h_override is not None:
         H = spec.h_override
     else:
@@ -266,43 +246,30 @@ def run_correlation_experiment(spec: ExperimentSpec) -> ComparisonResult:
     )
 
 
-def _population_gram_law(model: PopulationModel) -> tuple[EllipticalParams, int]:
+def _population_gram_law(model: PopulationModel) -> EllipticalParams:
     """Limit parameters (H, nu, theta, rho) implied by the model's population."""
-    p = model.p
     if model.family == "sphere_elliptical":
         gamma = np.asarray(model.shape)
         T = as_sym_matrix(gamma @ gamma.T, "T")
         nu = model.mixing
-        d = model.d
-    elif model.family == "gaussian_copula":
+    else:
         T = copula_cov(model.shape)
         nu = delta(1.0)
-        d = p
-    else:
-        raise ValueError(
-            f"no population Gram law available for family {model.family!r}"
-        )
-    assert nu is not None and d is not None
     H = measure_from_eigenvalues(np.maximum(sym_eigenvalues(T), 0.0))
-    params = EllipticalParams(H=H, nu=nu, theta=d / p, rho=p / model.n)
-    return params, d
+    return EllipticalParams(H=H, nu=nu, theta=model.d / model.p, rho=model.p / model.n)
 
 
-def run_elliptical_experiment(spec: ExperimentSpec) -> ComparisonResult:
+def _elliptical_experiment(spec: ExperimentSpec) -> ComparisonResult:
     """Scaled-Gram spectrum of elliptical-type rows vs the coupled-system law."""
-    if spec.law != "elliptical":
-        raise ValueError('run_elliptical_experiment needs law "elliptical"')
     model = spec.model
-    params, d = _population_gram_law(model)
+    params = _population_gram_law(model)
     if spec.h_override is not None:
-        params = EllipticalParams(
-            H=spec.h_override, nu=params.nu, theta=params.theta, rho=params.rho
-        )
+        params = replace(params, H=spec.h_override)
 
     eig_sets: list[NDArray[np.float64]] = []
     for replicate in range(spec.replicates):
         X = sample_model(model, spec.seed, replicate)
-        B = scaled_gram(X, d, model.p, model.n)
+        B = scaled_gram(X, model.p)
         eig_sets.append(sym_eigenvalues(B))
 
     return _compare(
@@ -312,3 +279,16 @@ def run_elliptical_experiment(spec: ExperimentSpec) -> ComparisonResult:
         max(float(e[-1]) for e in eig_sets),
         {"theta": params.theta, "rho": params.rho, "xi": params.xi},
     )
+
+
+# The law each model family is compared with.
+_EXPERIMENTS: dict[str, Callable[[ExperimentSpec], ComparisonResult]] = {
+    "gaussian": _correlation_experiment,
+    "sphere_elliptical": _elliptical_experiment,
+    "gaussian_copula": _elliptical_experiment,
+}
+
+
+def run_experiment(spec: ExperimentSpec) -> ComparisonResult:
+    """Simulate the spec's model, solve the law its family picks, and compare."""
+    return _EXPERIMENTS[spec.model.family](spec)

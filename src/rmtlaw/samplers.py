@@ -368,15 +368,15 @@ class PopulationModel:
     shape is the family's matrix parameter: Sigma for gaussian, Gamma (d x p)
     for sphere_elliptical, correlation R for gaussian_copula; unused for
     lb_ball / bounded_iid. The three families that use shape keep their own
-    read-only copy of it. mixing is the atomic law of the elliptical scaling scalars;
-    mixing_schedule=True replaces i.i.d. draws with the deterministic
-    quantile schedule at probabilities (i - 1/2)/n.
+    read-only copy of it. The row dimension d is Gamma's row count for
+    sphere_elliptical and p otherwise. mixing is the atomic law of the
+    elliptical scaling scalars; mixing_schedule=True replaces i.i.d. draws
+    with the deterministic quantile schedule at probabilities (i - 1/2)/n.
     """
 
     family: str
     n: int
     p: int
-    d: Optional[int] = None
     shape: Optional[NDArray[np.float64]] = None
     mixing: Optional[DiscreteMeasure] = None
     b_exponent: Optional[float] = None
@@ -400,15 +400,11 @@ class PopulationModel:
                 raise ValueError(f"Sigma must be {self.p}x{self.p}")
             object.__setattr__(self, "shape", _read_only(shape))
         elif self.family == "sphere_elliptical":
-            d = self.d if self.d is not None else self.p
-            object.__setattr__(self, "d", int(d))
             if self.shape is None:
-                if d != self.p:
-                    raise ValueError("Gamma is required when d != p")
                 object.__setattr__(self, "shape", np.eye(self.p))
             gamma = np.array(self.shape, dtype=np.float64)
-            if gamma.shape != (self.d, self.p):
-                raise ValueError(f"Gamma must be {self.d}x{self.p}, got {gamma.shape}")
+            if gamma.ndim != 2 or gamma.shape[1] != self.p:
+                raise ValueError(f"Gamma must be d x {self.p}, got {gamma.shape}")
             if not np.all(np.isfinite(gamma)):
                 raise ValueError("Gamma must be finite")
             object.__setattr__(self, "shape", _read_only(gamma))
@@ -427,17 +423,19 @@ class PopulationModel:
         elif self.family == "bounded_iid":
             if self.bound is None or float(self.bound) < 0:
                 raise ValueError("bound must be >= 0")
-        if self.d is None:
-            object.__setattr__(self, "d", self.p)
         mu = np.asarray(self.location, dtype=np.float64)
         if mu.ndim not in (0, 1):
             raise ValueError("location must be a scalar or a vector")
-        row_dim = self.d if self.family == "sphere_elliptical" else self.p
-        if mu.ndim == 1 and mu.size != row_dim:
-            raise ValueError(f"location vector must have length {row_dim}")
+        if mu.ndim == 1 and mu.size != self.d:
+            raise ValueError(f"location vector must have length {self.d}")
         if not np.all(np.isfinite(mu)):
             raise ValueError("location must be finite")
         object.__setattr__(self, "location", mu if mu.ndim else float(mu))
+
+    @property
+    def d(self) -> int:
+        """Row dimension of the data: Gamma's row count for sphere_elliptical, else p."""
+        return self.shape.shape[0] if self.family == "sphere_elliptical" else self.p
 
     @cached_property
     def _shape_root(self) -> Optional[NDArray[np.float64]]:
@@ -608,14 +606,14 @@ def sample_model(model: PopulationModel, seed: int, replicate: int = 0) -> NDArr
     raise ValueError(f"unknown family {model.family!r}")
 
 
-def _shape_from_json(spec, p: int, rows: int | None = None):
+def _shape_from_json(spec, p: int):
     if spec is None:
         return None
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValueError('shape spec must be an object with a "kind"')
     kind = spec["kind"]
     if kind == "identity":
-        return np.eye(p if rows is None else rows)
+        return np.eye(p)
     if kind == "dense":
         if "entries" not in spec:
             raise ValueError('dense shape needs "entries"')
@@ -632,7 +630,11 @@ def _shape_from_json(spec, p: int, rows: int | None = None):
 
 
 def model_from_json_dict(obj) -> PopulationModel:
-    """Parse a model JSON object into a PopulationModel."""
+    """Parse a model JSON object into a PopulationModel.
+
+    An optional "d" is checked against the model's row dimension, which
+    Gamma fixes for sphere_elliptical and p fixes for the other families.
+    """
     if not isinstance(obj, dict):
         raise ValueError("model JSON must be an object")
     for key in ("family", "n", "p"):
@@ -641,17 +643,14 @@ def model_from_json_dict(obj) -> PopulationModel:
     family = obj["family"]
     n = int(obj["n"])
     p = int(obj["p"])
-    d = int(obj["d"]) if "d" in obj and obj["d"] is not None else None
-    rows = d if family == "sphere_elliptical" else None
-    shape = _shape_from_json(obj.get("shape"), p, rows)
+    shape = _shape_from_json(obj.get("shape"), p)
     mixing = measure_from_json_dict(obj["mixing"]) if obj.get("mixing") else None
     mu = obj.get("mu", 0.0)
     mu = np.asarray(mu, dtype=np.float64) if isinstance(mu, (list, np.ndarray)) else float(mu)
-    return PopulationModel(
+    model = PopulationModel(
         family=family,
         n=n,
         p=p,
-        d=d,
         shape=shape,
         mixing=mixing,
         b_exponent=float(obj["b"]) if obj.get("b") is not None else None,
@@ -660,6 +659,9 @@ def model_from_json_dict(obj) -> PopulationModel:
         mixing_schedule=bool(obj.get("mixing_schedule", False)),
         entry_family=obj.get("entry_family", "gaussian"),
     )
+    if obj.get("d") is not None and int(obj["d"]) != model.d:
+        raise ValueError(f"d={int(obj['d'])} disagrees with the model's row dimension {model.d}")
+    return model
 
 
 def model_to_json_dict(model: PopulationModel) -> dict:

@@ -36,8 +36,7 @@ from rmtlaw.elliptical_solver import (
 )
 from rmtlaw.experiments import (
     ExperimentSpec,
-    run_correlation_experiment,
-    run_elliptical_experiment,
+    run_experiment,
 )
 from rmtlaw.linalg import (
     sample_correlation,
@@ -98,10 +97,9 @@ def test_criterion_01_null_correlation_law(monkeypatch):
     start = time.perf_counter()
     spec = ExperimentSpec(
         model=PopulationModel(family="gaussian", n=1000, p=500),
-        law="mp",
         seed=0,
     )
-    result = run_correlation_experiment(spec)
+    result = run_experiment(spec)
     elapsed = time.perf_counter() - start
     ks_ok = result.ks_distance <= 0.05
     time_ok = elapsed <= 60.0
@@ -120,10 +118,9 @@ def test_criterion_02_toeplitz_correlation_law():
         model=PopulationModel(
             family="gaussian", n=800, p=400, shape=toeplitz_corr(400, 0.5)
         ),
-        law="mp",
         seed=0,
     )
-    result = run_correlation_experiment(spec)
+    result = run_experiment(spec)
     ks_ok = result.ks_distance <= 0.06
     diag_ok = result.lemma5_stat <= 0.05
     _report(
@@ -210,7 +207,7 @@ def test_criterion_06_reduction_to_companion_solver():
     max_dm = 0.0
     max_resid = 0.0
     for rho in (0.25, 0.5, 1.0, 2.0):
-        params = EllipticalParams(H=UNIT, nu=UNIT, theta=1.0, rho=rho, xi=rho)
+        params = EllipticalParams(H=UNIT, nu=UNIT, theta=1.0, rho=rho)
         for z in zs:
             ell = elliptical_solve(z, params)
             mp = mp_companion_solve(z, UNIT, rho)
@@ -236,15 +233,15 @@ def test_criterion_07_elliptical_monte_carlo():
     base_model = PopulationModel(
         family="sphere_elliptical", n=600, p=300, mixing=_two_atom_mixing()
     )
-    result_a = run_elliptical_experiment(
-        ExperimentSpec(model=base_model, law="elliptical", grid_count=2000, seed=0)
+    result_a = run_experiment(
+        ExperimentSpec(model=base_model, grid_count=2000, seed=0)
     )
 
     copula_model = PopulationModel(
         family="gaussian_copula", n=600, p=200, shape=toeplitz_corr(200, 0.3)
     )
-    result_b = run_elliptical_experiment(
-        ExperimentSpec(model=copula_model, law="elliptical", seed=0)
+    result_b = run_experiment(
+        ExperimentSpec(model=copula_model, seed=0)
     )
 
     shifted_model = PopulationModel(
@@ -254,8 +251,8 @@ def test_criterion_07_elliptical_monte_carlo():
         mixing=_two_atom_mixing(),
         location=0.5,
     )
-    result_c = run_elliptical_experiment(
-        ExperimentSpec(model=shifted_model, law="elliptical", grid_count=2000, seed=0)
+    result_c = run_experiment(
+        ExperimentSpec(model=shifted_model, grid_count=2000, seed=0)
     )
     shift_change = abs(result_c.ks_distance - result_a.ks_distance)
 

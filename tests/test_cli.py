@@ -404,6 +404,17 @@ class TestSimulate:
         assert code == 2
         assert json.loads(stderr)["error"] == "ValueError"
 
+    def test_disagreeing_d_exit_2(self, tmp_path, capsys):
+        # gaussian rows have p entries, so "d": 7 cannot describe them.
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"family": "gaussian", "n": 80, "p": 20, "d": 7}))
+        code, _, stderr = run_cli(
+            ["simulate", "--model", str(path), "--out", str(tmp_path / "x")], capsys
+        )
+        assert code == 2
+        assert "d=7 disagrees" in json.loads(stderr)["message"]
+        assert not (tmp_path / "x.meta.json").exists()
+
 
 class TestDiagnose:
     def test_model_mode_contract(self, tmp_path, capsys):
@@ -423,6 +434,27 @@ class TestDiagnose:
         assert len(out["angle"]["histogram"]) == 50
         assert sum(out["angle"]["histogram"]) == 100 * 99 // 2
         assert isinstance(out["concentrated"], bool)
+
+    def test_bounded_iid_target_is_model_variance(self, tmp_path, capsys):
+        # trace(Sigma)/p is bound^2/3; against 1 the norms read 0.927 off.
+        path = tmp_path / "model.json"
+        path.write_text(
+            json.dumps({"family": "bounded_iid", "n": 400, "p": 400, "bound": 0.5})
+        )
+        code, stdout, _ = run_cli(["diagnose", "--model", str(path)], capsys)
+        assert code == 0
+        out = json.loads(stdout)
+        assert out["norm"]["target"] == 0.08333333333333331
+        assert out["norm"]["max_deviation"] == pytest.approx(0.0122, abs=1e-4)
+        assert out["concentrated"] is True
+
+    def test_lb_ball_falls_back_to_unit_target(self, tmp_path, capsys):
+        # No population covariance is known for lb_ball rows.
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"family": "lb_ball", "n": 100, "p": 50, "b": 1.5}))
+        code, stdout, _ = run_cli(["diagnose", "--model", str(path)], capsys)
+        assert code == 0
+        assert json.loads(stdout)["norm"]["target"] == 1.0
 
     def test_sphere_rows_norm_exact(self, tmp_path, capsys):
         path = tmp_path / "model.json"

@@ -242,6 +242,10 @@ class TestPopulationCovariance:
         model = PopulationModel(family="gaussian_copula", n=5, p=3, shape=R)
         assert np.allclose(population_covariance(model), copula_cov(R))
 
+    def test_bounded_iid_variance(self):
+        model = PopulationModel(family="bounded_iid", n=5, p=3, bound=0.6)
+        assert np.allclose(population_covariance(model), 0.12 * np.eye(3))
+
     def test_unavailable_family(self):
         model = PopulationModel(family="lb_ball", n=5, p=3, b_exponent=1.5)
         with pytest.raises(ValueError, match="no population covariance"):

@@ -75,15 +75,21 @@ class TestParamsValidation:
         params = EllipticalParams(H=UNIT, nu=UNIT, theta=2.0, rho=0.5)
         assert params.xi == 2.0
 
+    # xi is derived; only a params JSON can supply one, and it is checked.
+    JSON = {
+        "H": {"atoms": [{"value": 1.0, "weight": 1.0}]},
+        "nu": {"atoms": [{"value": 1.0, "weight": 1.0}]},
+        "theta": 2.0,
+        "rho": 0.5,
+    }
+
     def test_xi_close_accepted(self):
-        params = EllipticalParams(
-            H=UNIT, nu=UNIT, theta=2.0, rho=0.5, xi=2.0 * (1 + 1e-14)
-        )
+        params = params_from_json_dict({**self.JSON, "xi": 2.0 * (1 + 1e-14)})
         assert params.xi == 2.0
 
     def test_xi_inconsistent_rejected(self):
         with pytest.raises(ValueError, match="inconsistent"):
-            EllipticalParams(H=UNIT, nu=UNIT, theta=2.0, rho=0.5, xi=2.1)
+            params_from_json_dict({**self.JSON, "xi": 2.1})
 
     def test_h_moment_guard(self):
         H = delta(1e7)
@@ -262,28 +268,29 @@ class TestEllipticalDensity:
 
 class TestScaledGram:
     def test_zero_matrix(self):
-        B = scaled_gram(np.zeros((4, 3)), d=3, p=2, n=4)
+        B = scaled_gram(np.zeros((4, 3)), p=2)
         assert np.array_equal(B, np.zeros((3, 3)))
 
     def test_identity_columns(self):
         X = np.vstack([np.eye(3), np.eye(3)])  # 6 x 3
-        B = scaled_gram(X, d=3, p=3, n=6)
+        B = scaled_gram(X, p=3)
         assert np.allclose(B, np.eye(3) / 3.0)
 
     def test_hand_value(self):
         X = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-        B = scaled_gram(X, d=2, p=5, n=3)
+        B = scaled_gram(X, p=5)
         assert np.allclose(B, (2.0 / 5.0) * (X.T @ X) / 3.0)
 
     def test_shape_checked(self):
-        with pytest.raises(ValueError, match="must be"):
-            scaled_gram(np.zeros((4, 3)), d=2, p=2, n=4)
+        # n and d come from X, so X must be an n x d matrix.
+        with pytest.raises(ValueError, match="2-d"):
+            scaled_gram(np.zeros(4), p=2)
 
     def test_finite_checked(self):
         X = np.zeros((2, 2))
         X[0, 0] = np.nan
         with pytest.raises(ValueError, match="finite"):
-            scaled_gram(X, d=2, p=2, n=2)
+            scaled_gram(X, p=2)
 
 
 class TestParamsJson:

@@ -9,8 +9,7 @@ from rmtlaw.experiments import (
     ExperimentSpec,
     comparison_to_json_dict,
     ks_distance,
-    run_correlation_experiment,
-    run_elliptical_experiment,
+    run_experiment,
 )
 from rmtlaw.measures import DiscreteMeasure, delta
 from rmtlaw.mp_solver import solve_edge
@@ -89,29 +88,31 @@ class TestKsAgainstLaw:
 
 class TestSpecValidation:
     def test_mp_needs_covariance_family(self):
-        model = PopulationModel(family="sphere_elliptical", n=10, p=5)
-        with pytest.raises(ValueError, match="law 'mp'"):
-            ExperimentSpec(model=model, law="mp")
+        # lb_ball rows have no covariance or Gram law to compare with.
+        model = PopulationModel(family="lb_ball", n=10, p=5, b_exponent=1.5)
+        with pytest.raises(ValueError, match="no limit law for family 'lb_ball'"):
+            ExperimentSpec(model=model)
 
     def test_elliptical_needs_gram_family(self):
-        model = PopulationModel(family="gaussian", n=10, p=5)
-        with pytest.raises(ValueError, match="law 'elliptical'"):
-            ExperimentSpec(model=model, law="elliptical")
+        model = PopulationModel(family="bounded_iid", n=10, p=5, bound=1.0)
+        with pytest.raises(ValueError, match="no limit law for family 'bounded_iid'"):
+            ExperimentSpec(model=model)
 
     def test_unknown_law(self):
+        # The family picks the law; there is no law to set.
         model = PopulationModel(family="gaussian", n=10, p=5)
-        with pytest.raises(ValueError, match="law must be"):
-            ExperimentSpec(model=model, law="wigner")
+        with pytest.raises(TypeError, match="law"):
+            ExperimentSpec(model=model, law="mp")
 
     def test_grid_count_floor(self):
         model = PopulationModel(family="gaussian", n=10, p=5)
         with pytest.raises(ValueError, match="grid_count"):
-            ExperimentSpec(model=model, law="mp", grid_count=1)
+            ExperimentSpec(model=model, grid_count=1)
 
     def test_replicates_floor(self):
         model = PopulationModel(family="gaussian", n=10, p=5)
         with pytest.raises(ValueError, match="replicates"):
-            ExperimentSpec(model=model, law="mp", replicates=0)
+            ExperimentSpec(model=model, replicates=0)
 
     def test_result_ks_range_checked(self):
         with pytest.raises(ValueError, match="ks_distance"):
@@ -126,8 +127,8 @@ class TestSpecValidation:
 class TestCorrelationExperiment:
     def test_null_identity_close(self):
         model = PopulationModel(family="gaussian", n=300, p=150)
-        spec = ExperimentSpec(model=model, law="mp", seed=0, grid_count=300)
-        result = run_correlation_experiment(spec)
+        spec = ExperimentSpec(model=model, seed=0, grid_count=300)
+        result = run_experiment(spec)
         assert result.ks_distance < 0.1
         assert result.sample_count == 150
         lo, hi = result.support_empirical
@@ -143,18 +144,16 @@ class TestCorrelationExperiment:
         rescaled = D @ sigma @ D
         base = ExperimentSpec(
             model=PopulationModel(family="gaussian", n=40, p=3, shape=sigma),
-            law="mp",
             seed=3,
             grid_count=100,
         )
         other = ExperimentSpec(
             model=PopulationModel(family="gaussian", n=40, p=3, shape=rescaled),
-            law="mp",
             seed=3,
             grid_count=100,
         )
-        r1 = run_correlation_experiment(base)
-        r2 = run_correlation_experiment(other)
+        r1 = run_experiment(base)
+        r2 = run_experiment(other)
         # equality up to the ulp-level rounding of corr_from_cov
         assert r1.ks_distance == pytest.approx(r2.ks_distance, rel=1e-12)
         assert r1.support_empirical == pytest.approx(r2.support_empirical, rel=1e-12)
@@ -163,26 +162,24 @@ class TestCorrelationExperiment:
     def test_mean_shift_invariant(self):
         base = ExperimentSpec(
             model=PopulationModel(family="gaussian", n=60, p=10),
-            law="mp",
             seed=1,
             grid_count=100,
         )
         shifted = ExperimentSpec(
             model=PopulationModel(family="gaussian", n=60, p=10, location=5.0),
-            law="mp",
             seed=1,
             grid_count=100,
         )
-        r1 = run_correlation_experiment(base)
-        r2 = run_correlation_experiment(shifted)
+        r1 = run_experiment(base)
+        r2 = run_experiment(shifted)
         assert r1.ks_distance == r2.ks_distance
 
     def test_edge_prediction(self):
         model = PopulationModel(family="gaussian", n=300, p=150)
         spec = ExperimentSpec(
-            model=model, law="mp", seed=0, check_edge=True, grid_count=300
+            model=model, seed=0, check_edge=True, grid_count=300
         )
-        result = run_correlation_experiment(spec)
+        result = run_experiment(spec)
         expected = solve_edge(delta(1.0), 2.0).mu
         assert result.mu_prediction == pytest.approx(expected, rel=1e-10)
         assert abs(result.largest_eigenvalue - expected) / expected < 0.15
@@ -190,9 +187,9 @@ class TestCorrelationExperiment:
     def test_replicates_average(self):
         model = PopulationModel(family="gaussian", n=100, p=50)
         spec = ExperimentSpec(
-            model=model, law="mp", seed=0, replicates=3, grid_count=150
+            model=model, seed=0, replicates=3, grid_count=150
         )
-        result = run_correlation_experiment(spec)
+        result = run_experiment(spec)
         ks_values = result.details["ks_values"]
         assert len(ks_values) == 3
         assert result.ks_distance == pytest.approx(np.mean(ks_values))
@@ -200,12 +197,12 @@ class TestCorrelationExperiment:
 
     def test_h_override_matches_identity_default(self):
         model = PopulationModel(family="gaussian", n=100, p=50)
-        plain = ExperimentSpec(model=model, law="mp", seed=0, grid_count=150)
+        plain = ExperimentSpec(model=model, seed=0, grid_count=150)
         forced = ExperimentSpec(
-            model=model, law="mp", seed=0, grid_count=150, h_override=delta(1.0)
+            model=model, seed=0, grid_count=150, h_override=delta(1.0)
         )
-        r1 = run_correlation_experiment(plain)
-        r2 = run_correlation_experiment(forced)
+        r1 = run_experiment(plain)
+        r2 = run_experiment(forced)
         assert r1.ks_distance == pytest.approx(r2.ks_distance, rel=1e-12)
 
     def test_convergence_direction(self):
@@ -215,27 +212,29 @@ class TestCorrelationExperiment:
             for seed in range(5):
                 spec = ExperimentSpec(
                     model=PopulationModel(family="gaussian", n=n, p=p),
-                    law="mp",
                     seed=seed,
                     grid_count=150,
                 )
-                values.append(run_correlation_experiment(spec).ks_distance)
+                values.append(run_experiment(spec).ks_distance)
             return float(np.mean(values))
 
         assert mean_ks(320, 160) <= mean_ks(80, 40) + 0.02
 
     def test_law_routing_enforced(self):
-        model = PopulationModel(family="sphere_elliptical", n=20, p=10)
-        spec = ExperimentSpec(model=model, law="elliptical", grid_count=50)
-        with pytest.raises(ValueError, match='law "mp"'):
-            run_correlation_experiment(spec)
+        # A gaussian model is compared with the covariance law, which
+        # reports Lemma 5's statistic and no elliptical parameters.
+        model = PopulationModel(family="gaussian", n=20, p=10)
+        result = run_experiment(ExperimentSpec(model=model, grid_count=50))
+        assert result.lemma5_stat is not None
+        assert result.details["rho"] == 0.5
+        assert "theta" not in result.details and "xi" not in result.details
 
 
 class TestEllipticalExperiment:
     def test_sphere_null_close(self):
         model = PopulationModel(family="sphere_elliptical", n=300, p=150)
-        spec = ExperimentSpec(model=model, law="elliptical", seed=0, grid_count=300)
-        result = run_elliptical_experiment(spec)
+        spec = ExperimentSpec(model=model, seed=0, grid_count=300)
+        result = run_experiment(spec)
         assert result.ks_distance < 0.1
         assert result.details["theta"] == pytest.approx(1.0)
         assert result.details["rho"] == pytest.approx(0.5)
@@ -243,28 +242,43 @@ class TestEllipticalExperiment:
 
     def test_copula_family(self):
         model = PopulationModel(family="gaussian_copula", n=300, p=100)
-        spec = ExperimentSpec(model=model, law="elliptical", seed=0, grid_count=300)
-        result = run_elliptical_experiment(spec)
+        spec = ExperimentSpec(model=model, seed=0, grid_count=300)
+        result = run_experiment(spec)
         assert result.ks_distance < 0.12
         assert result.sample_count == 100
 
     def test_projected_gram_dimensions(self):
         rng = np.random.Generator(np.random.Philox(5))
         gamma = rng.normal(size=(30, 20)) / np.sqrt(20)
-        model = PopulationModel(
-            family="sphere_elliptical", n=120, p=20, d=30, shape=gamma
-        )
-        spec = ExperimentSpec(model=model, law="elliptical", seed=0, grid_count=200)
-        result = run_elliptical_experiment(spec)
+        model = PopulationModel(family="sphere_elliptical", n=120, p=20, shape=gamma)
+        spec = ExperimentSpec(model=model, seed=0, grid_count=200)
+        result = run_experiment(spec)
         # B is d x d, so the compared spectrum has d eigenvalues
         assert result.sample_count == 30
         assert result.details["theta"] == pytest.approx(1.5)
 
     def test_law_routing_enforced(self):
-        model = PopulationModel(family="gaussian", n=20, p=10)
-        spec = ExperimentSpec(model=model, law="mp", grid_count=50)
-        with pytest.raises(ValueError, match='law "elliptical"'):
-            run_elliptical_experiment(spec)
+        # Both Gram families are compared with the elliptical law, which
+        # reports theta, rho and xi and no Lemma 5 statistic.
+        for family in ("sphere_elliptical", "gaussian_copula"):
+            model = PopulationModel(family=family, n=20, p=10)
+            result = run_experiment(ExperimentSpec(model=model, grid_count=50))
+            assert result.lemma5_stat is None
+            assert result.details["theta"] == 1.0
+            assert result.details["xi"] == 0.5
+
+    def test_h_override_replaces_population_spectrum(self):
+        model = PopulationModel(family="sphere_elliptical", n=200, p=100)
+        plain = run_experiment(ExperimentSpec(model=model, grid_count=200))
+        same = run_experiment(
+            ExperimentSpec(model=model, grid_count=200, h_override=delta(1.0))
+        )
+        scaled = run_experiment(
+            ExperimentSpec(model=model, grid_count=200, h_override=delta(4.0))
+        )
+        assert same.ks_distance == pytest.approx(plain.ks_distance, rel=1e-12)
+        # The data keep H = delta(1), so a law four times wider misses them.
+        assert scaled.ks_distance > 0.3
 
     def test_eigenvalue_below_first_grid_point_above_atom_cutoff(self):
         # rho = 1.5 puts an atom at 0; the cutoff is 10 * v_eps = 0.03 and
@@ -272,10 +286,8 @@ class TestEllipticalExperiment:
         # eigenvalue at 0.03108 between the two.
         mixing = DiscreteMeasure(np.array([0.5, 1.5]), np.array([0.5, 0.5]))
         model = PopulationModel(family="sphere_elliptical", n=40, p=60, mixing=mixing)
-        spec = ExperimentSpec(
-            model=model, law="elliptical", grid_count=200, replicates=2, seed=4
-        )
-        result = run_elliptical_experiment(spec)
+        spec = ExperimentSpec(model=model, grid_count=200, replicates=2, seed=4)
+        result = run_experiment(spec)
         assert result.details["v_eps"] == 0.003
         assert result.details["ks_values"] == pytest.approx(
             [0.10854236515179702, 0.12380467518429569], abs=1e-12

@@ -26,8 +26,7 @@ from rmtlaw._serialize import json_dumps
 from rmtlaw.experiments import (
     ExperimentSpec,
     comparison_to_json_dict,
-    run_correlation_experiment,
-    run_elliptical_experiment,
+    run_experiment,
 )
 from rmtlaw.linalg import toeplitz_corr
 from rmtlaw.measures import DiscreteMeasure
@@ -94,13 +93,12 @@ def test_default_grid_solve_pinned(tmp_path, capsys, name):
 def test_correlation_experiment_pinned():
     spec = ExperimentSpec(
         model=PopulationModel(family="gaussian", n=60, p=30, shape=toeplitz_corr(30, 0.3)),
-        law="mp",
         grid_count=200,
         replicates=2,
         seed=3,
         check_edge=True,
     )
-    assert comparison_to_json_dict(run_correlation_experiment(spec)) == {
+    assert comparison_to_json_dict(run_experiment(spec)) == {
         "details": {
             "ks_values": [0.05040897334437877, 0.06410604787858298],
             "largest_eigenvalues": [3.6545505643299983, 2.7606535327505375],
@@ -122,12 +120,11 @@ def test_elliptical_experiment_pinned():
     mixing = DiscreteMeasure(np.array([0.5, 1.5]), np.array([0.5, 0.5]))
     spec = ExperimentSpec(
         model=PopulationModel(family="sphere_elliptical", n=60, p=40, mixing=mixing),
-        law="elliptical",
         grid_count=200,
         replicates=2,
         seed=4,
     )
-    assert comparison_to_json_dict(run_elliptical_experiment(spec)) == {
+    assert comparison_to_json_dict(run_experiment(spec)) == {
         "details": {
             "ks_values": [0.06870678528785357, 0.054675340549790646],
             "rho": 0.6666666666666666,

@@ -310,10 +310,9 @@ class TestEllipticalMixing:
 
     def test_gamma_projection(self):
         gamma = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        model = PopulationModel(
-            family="sphere_elliptical", n=10, p=2, d=3, shape=gamma
-        )
+        model = PopulationModel(family="sphere_elliptical", n=10, p=2, shape=gamma)
         Y = sample_model(model, seed=1)
+        assert model.d == 3
         assert Y.shape == (10, 3)
         # third column is the sum of the first two by construction
         assert np.allclose(Y[:, 2], Y[:, 0] + Y[:, 1], atol=1e-12)
@@ -386,6 +385,12 @@ class TestBoundedIid:
     def test_zero_bound(self):
         assert np.array_equal(sample_bounded_iid(3, 2, 0.0, seed=0), np.zeros((3, 2)))
 
+    def test_model_draw_is_shifted_sampler_draw(self):
+        mu = np.array([0.5, -1.0, 2.0])
+        model = PopulationModel(family="bounded_iid", n=7, p=3, bound=0.8, location=mu)
+        expected = sample_bounded_iid(7, 3, 0.8, seed=9, replicate=2) + mu
+        assert sample_model(model, seed=9, replicate=2).tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("n, p", [(0, 3), (3, 0), (-2, 3)])
     def test_dimensions_checked(self, n, p):
         with pytest.raises(ValueError, match="n and p must be >= 1"):
@@ -434,14 +439,24 @@ class TestModelValidation:
             PopulationModel(family="gaussian", n=5, p=3, shape=np.eye(2))
 
     def test_gamma_shape_checked(self):
-        with pytest.raises(ValueError, match="Gamma"):
-            PopulationModel(
-                family="sphere_elliptical", n=5, p=3, d=4, shape=np.eye(3)
-            )
+        # Gamma is d x p for any d; its columns must match p.
+        for gamma in (np.eye(4), np.ones(3)):
+            with pytest.raises(ValueError, match="Gamma must be d x 3"):
+                PopulationModel(family="sphere_elliptical", n=5, p=3, shape=gamma)
 
     def test_gamma_required_when_d_differs(self):
-        with pytest.raises(ValueError, match="Gamma is required"):
-            PopulationModel(family="sphere_elliptical", n=5, p=3, d=4)
+        # Without Gamma the row dimension is p, so a JSON d != p is rejected.
+        obj = {"family": "sphere_elliptical", "n": 5, "p": 3, "d": 4}
+        with pytest.raises(ValueError, match="d=4 disagrees"):
+            model_from_json_dict(obj)
+        gamma = {"kind": "dense", "entries": np.ones((4, 3)).tolist()}
+        assert model_from_json_dict({**obj, "shape": gamma}).d == 4
+
+    def test_json_d_checked_for_every_family(self):
+        # Rows of the other families have p entries, whatever "d" says.
+        with pytest.raises(ValueError, match="d=7 disagrees"):
+            model_from_json_dict({"family": "gaussian", "n": 40, "p": 20, "d": 7})
+        assert model_from_json_dict({"family": "gaussian", "n": 40, "p": 20, "d": 20}).d == 20
 
     def test_copula_diagonal_checked(self):
         R = np.eye(3)
@@ -472,7 +487,6 @@ class TestModelJson:
             family="sphere_elliptical",
             n=8,
             p=3,
-            d=5,
             shape=np.arange(15.0).reshape(5, 3),
             mixing=nu,
             mixing_schedule=True,
