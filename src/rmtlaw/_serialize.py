@@ -110,6 +110,19 @@ def load_json(path, what: str):
             raise ValueError(f"invalid {what} JSON in {path}: {exc}") from exc
 
 
+def check_keys(obj, what: str, required: tuple, optional: tuple) -> None:
+    """Raise ValueError unless obj is a JSON object that holds every key of
+    required and no key outside required and optional, naming the key."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} JSON must be an object")
+    for key in required:
+        if key not in obj:
+            raise ValueError(f'{what} JSON needs "{key}"')
+    for key in obj:
+        if key not in required and key not in optional:
+            raise ValueError(f'{what} JSON has unknown key "{key}"')
+
+
 def _write_lines(path, lines) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(line + "\n" for line in lines)

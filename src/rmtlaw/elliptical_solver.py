@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from ._serialize import load_json
+from ._serialize import check_keys, load_json
 from .errors import NumericalError
 from .linalg import as_sym_matrix
 from .measures import DiscreteMeasure, measure_from_json_dict, measure_to_json_dict
@@ -49,8 +49,8 @@ __all__ = [
 # Relative tolerance for a user-supplied xi against theta^2 * rho.
 _XI_RTOL = 1e-12
 
-# First-moment guard: the large-z initialization needs int tau dH finite
-# and of sane magnitude.
+# First-moment guard: the solver's start needs int tau dH finite and of
+# sane magnitude.
 _MOMENT_BOUND = 1e6
 
 
@@ -117,7 +117,8 @@ def elliptical_solve(
     m = int dH / (tau*b(w) - z); the identity 1 + z*m = w*b(w) is checked
     after convergence, to 100*max(1, |b|) times the residual bound
     max(tol, 16*eps*|w|). z (and w0) may be a scalar or a 1-d array, as
-    in mp_companion_solve.
+    in mp_companion_solve. The default w0 is the exact w for one-atom H
+    and nu with the mean of H and the second moment of nu.
     """
     z, scalar = _as_points(z)
     cfg = cfg or SolverConfig()
@@ -131,7 +132,11 @@ def elliptical_solve(
         s1, s2 = _pole_sums(-z[idx], theta * sb, tau, h1, h1 * tau)
         return s1, theta * xi * sdb * s2
 
-    w, residual, evals = _newton_fixed_point(step, _start(w0, -H.mean / z), cfg)
+    # H = delta_s and nu = delta_lam with lam^2 = l2 = int lam^2 dnu give
+    # z*xi*l2*w^2 + (z + s*xi*l2 - s*theta*l2)*w + s = 0, s = mean(H).
+    s, l2 = H.mean, float(q1.sum())
+    w0 = _start(w0, z, z * xi * l2, z + s * xi * l2 - s * theta * l2, s)
+    w, residual, evals = _newton_fixed_point(step, w0, cfg)
     b = mixing_integral(w, nu, theta, xi)
     m, _ = _pole_sums(-z, b, tau, H.weights)
     _check_upper_half_plane(z, w, m)
@@ -207,13 +212,9 @@ def params_from_json_dict(obj) -> EllipticalParams:
 
     An optional "xi" must agree with theta^2*rho to a relative _XI_RTOL.
     An optional "G" measure is accepted and validated but plays no role in
-    the solve.
+    the solve. Any other key is rejected.
     """
-    if not isinstance(obj, dict):
-        raise ValueError("params JSON must be an object")
-    for key in ("H", "nu", "theta", "rho"):
-        if key not in obj:
-            raise ValueError(f'params JSON needs "{key}"')
+    check_keys(obj, "params", ("H", "nu", "theta", "rho"), ("xi", "G"))
     if obj.get("G") is not None:
         measure_from_json_dict(obj["G"])
     params = EllipticalParams(

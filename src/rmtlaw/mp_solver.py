@@ -260,10 +260,26 @@ def _as_points(z) -> tuple[NDArray[np.complex128], bool]:
     return points, z_arr.ndim == 0
 
 
-def _start(w0, default: NDArray[np.complex128]) -> NDArray[np.complex128]:
-    if w0 is None:
-        return default
-    return np.broadcast_to(np.asarray(w0, dtype=np.complex128), default.shape).copy()
+def _start(w0, z: NDArray[np.complex128], a, b, c) -> NDArray[np.complex128]:
+    """w0 broadcast to z or, when w0 is None, the one-atom start.
+
+    That start is the C+ root of a*w^2 + b*w + c = 0, the law's fixed-point
+    equation for a one-atom population, and so exact there; elsewhere it
+    is close in scale. The root comes from the cancellation-free quadratic
+    formula: q = -(b + d)/2 with d = +-sqrt(b^2 - 4ac) signed so that
+    Re(conj(b) d) >= 0, and the roots q/a and c/q (at a = 0, c/q = -c/b is
+    the only root). Where no root is finite and strictly in C+, the start
+    is the large-z value -c/z.
+    """
+    if w0 is not None:
+        return np.broadcast_to(np.asarray(w0, dtype=np.complex128), z.shape).copy()
+    with np.errstate(all="ignore"):
+        d = np.sqrt(b * b - 4.0 * a * c)
+        d = np.where((np.conj(b) * d).real < 0, -d, d)
+        q = -0.5 * (b + d)
+        r1, r2 = q / a, c / q
+        root = np.where(r1.imag >= r2.imag, r1, r2)
+        return np.where(np.isfinite(root) & (root.imag > 0), root, -c / z)
 
 
 def _transform_result(z, w, m, residual, evals, scalar: bool) -> TransformResult:
@@ -310,7 +326,8 @@ def mp_companion_solve(
     H is the population spectral law (support in [0, inf)), rho = p/n.
     The returned m satisfies w = -(1 - rho)/z + rho*m. z (and w0) may be
     a scalar or a 1-d array; an array is solved at once and gives array
-    z, w and m, the largest residual and the summed evaluation count.
+    z, w and m, the largest residual and the summed evaluation count. The
+    default w0 is the exact w for H = delta_s, s = mean(H).
     """
     z, scalar = _as_points(z)
     if not (rho > 0):
@@ -327,7 +344,11 @@ def mp_companion_solve(
         t = -1.0 / (z[idx] - rho * s1)
         return t, rho * s2 * t * t
 
-    w, residual, evals = _newton_fixed_point(step, _start(w0, -1.0 / z), cfg)
+    # H = delta_s gives s*z*w^2 + (z + s*(1 - rho))*w + 1 = 0, s = mean(H);
+    # at s = 0 its one root is -1/z, exact for H = delta_0.
+    s = H.mean
+    w0 = _start(w0, z, s * z, z + s * (1.0 - rho), 1.0)
+    w, residual, evals = _newton_fixed_point(step, w0, cfg)
     m = mp_m_from_w(z, w, rho)
     _check_upper_half_plane(z, w, m)
     return _transform_result(z, w, m, residual, evals, scalar)

@@ -36,7 +36,7 @@ from typing import Callable, Optional, Sequence, TypeVar
 import numpy as np
 from numpy.typing import NDArray
 
-from ._serialize import load_json
+from ._serialize import check_keys, load_json
 from .linalg import as_corr_matrix, as_sym_matrix, load_matrix_csv, matrix_sqrt_psd, toeplitz_corr
 from .measures import DiscreteMeasure, delta, measure_from_json_dict, measure_to_json_dict
 
@@ -629,17 +629,19 @@ def _shape_from_json(spec, p: int):
     raise ValueError(f"unknown shape kind {kind!r}")
 
 
+_MODEL_OPTIONAL_KEYS = (
+    "d", "shape", "mixing", "b", "bound", "mu", "mixing_schedule", "entry_family"
+)
+
+
 def model_from_json_dict(obj) -> PopulationModel:
     """Parse a model JSON object into a PopulationModel.
 
     An optional "d" is checked against the model's row dimension, which
     Gamma fixes for sphere_elliptical and p fixes for the other families.
+    A key outside the ones model_to_json_dict writes is rejected.
     """
-    if not isinstance(obj, dict):
-        raise ValueError("model JSON must be an object")
-    for key in ("family", "n", "p"):
-        if key not in obj:
-            raise ValueError(f'model JSON needs "{key}"')
+    check_keys(obj, "model", ("family", "n", "p"), _MODEL_OPTIONAL_KEYS)
     family = obj["family"]
     n = int(obj["n"])
     p = int(obj["p"])

@@ -29,6 +29,14 @@ def unit_h(tmp_path):
 
 
 @pytest.fixture
+def two_atom_h(tmp_path):
+    path = tmp_path / "h2.json"
+    atoms = [{"value": 1.0, "weight": 0.5}, {"value": 10.0, "weight": 0.5}]
+    path.write_text(json.dumps({"atoms": atoms}))
+    return str(path)
+
+
+@pytest.fixture
 def unit_params(tmp_path):
     path = tmp_path / "params.json"
     path.write_text(
@@ -173,11 +181,12 @@ class TestSolveMp:
         assert code == 2
         assert json.loads(stderr)["error"] in ("FileNotFoundError", "OSError")
 
-    def test_convergence_failure_exit_3_with_fields(self, tmp_path, unit_h, capsys):
-        # Two evaluations per point do not reach tol; the error keeps its
-        # class and says where the worst grid point is and how close it got.
+    def test_convergence_failure_exit_3_with_fields(self, tmp_path, two_atom_h, capsys):
+        # Two evaluations per point do not reach tol (one-atom laws start
+        # exact, so H has two); the error keeps its class and says where the
+        # worst grid point is and how close it got.
         code, _, stderr = run_cli(
-            ["solve-mp", "--h-file", unit_h, "--rho", "0.5", "--grid", "0,3,50",
+            ["solve-mp", "--h-file", two_atom_h, "--rho", "0.5", "--grid", "0,3,50",
              "--max-iters", "2", "--out", str(tmp_path / "x")],
             capsys,
         )
@@ -185,13 +194,13 @@ class TestSolveMp:
         err = json.loads(stderr)
         assert err["error"] == "ConvergenceError"
         assert err["message"] == (
-            "density grid failed at x=0.7959183673469388: fixed-point iteration "
-            "did not converge (residual=8.643e+01 after 2 iterations)"
+            "density grid failed at x=0.24489795918367346: fixed-point iteration "
+            "did not converge (residual=6.025e+00 after 2 iterations)"
         )
-        assert err["index"] == 13
-        assert err["x"] == np.linspace(0.0, 3.0, 50)[13]
+        assert err["index"] == 4
+        assert err["x"] == np.linspace(0.0, 3.0, 50)[4]
         assert err["iterations"] == 2
-        assert f"{err['residual']:.3e}" == "8.643e+01"
+        assert f"{err['residual']:.3e}" == "6.025e+00"
         assert not (tmp_path / "x.density.csv").exists()
 
     def test_rerun_byte_identical(self, tmp_path, unit_h, capsys):
@@ -278,6 +287,17 @@ class TestSolveElliptical:
         )
         assert code == 2
         assert "inconsistent" in json.loads(stderr)["message"]
+
+    def test_unknown_params_key_exit_2(self, tmp_path, capsys):
+        unit = {"atoms": [{"value": 1.0, "weight": 1.0}]}
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps({"H": unit, "nu": unit, "theta": 1.0, "rho": 0.5, "Theta": 2}))
+        code, _, stderr = run_cli(
+            ["solve-elliptical", "--params", str(path), "--out", str(tmp_path / "x")],
+            capsys,
+        )
+        assert code == 2
+        assert json.loads(stderr)["message"] == 'params JSON has unknown key "Theta"'
 
 
 class TestEdge:
@@ -413,6 +433,17 @@ class TestSimulate:
         )
         assert code == 2
         assert "d=7 disagrees" in json.loads(stderr)["message"]
+        assert not (tmp_path / "x.meta.json").exists()
+
+    def test_unknown_model_key_exit_2(self, tmp_path, capsys):
+        # A misspelt "mu" is named, not dropped for a zero mean shift.
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"family": "gaussian", "n": 80, "p": 20, "location": 5.0}))
+        code, _, stderr = run_cli(
+            ["simulate", "--model", str(path), "--out", str(tmp_path / "x")], capsys
+        )
+        assert code == 2
+        assert json.loads(stderr)["message"] == 'model JSON has unknown key "location"'
         assert not (tmp_path / "x.meta.json").exists()
 
 

@@ -310,6 +310,12 @@ class TestParamsJson:
                 {"H": {"atoms": [{"value": 1.0, "weight": 1.0}]}, "theta": 1, "rho": 1}
             )
 
+    def test_unknown_key_rejected(self):
+        unit = {"atoms": [{"value": 1.0, "weight": 1.0}]}
+        obj = {"H": unit, "nu": unit, "theta": 1.0, "rho": 1.0, "mixing": unit}
+        with pytest.raises(ValueError, match='unknown key "mixing"'):
+            params_from_json_dict(obj)
+
     def test_g_key_accepted_and_ignored(self):
         obj = {
             "H": {"atoms": [{"value": 1.0, "weight": 1.0}]},

@@ -22,12 +22,18 @@ from rmtlaw.mp_solver import (
 from strategies import populations
 
 
+def one_atom_companion(z: complex, s: float, rho: float) -> complex:
+    """Upper-half-plane root of s z w^2 + (z + s (1 - rho)) w + 1 = 0, the
+    companion transform for H = delta_s."""
+    b = z + s * (1.0 - rho)
+    disc = np.sqrt(complex(b * b - 4.0 * s * z))
+    roots = [(-b + disc) / (2 * s * z), (-b - disc) / (2 * s * z)]
+    return max(roots, key=lambda w: w.imag)
+
+
 def null_companion_closed_form(z: complex, rho: float) -> complex:
     """Upper-half-plane root of z w^2 + (z + 1 - rho) w + 1 = 0."""
-    b = z + 1.0 - rho
-    disc = np.sqrt(complex(b * b - 4.0 * z))
-    roots = [(-b + disc) / (2 * z), (-b - disc) / (2 * z)]
-    return max(roots, key=lambda w: w.imag)
+    return one_atom_companion(z, 1.0, rho)
 
 
 def mp_density_closed_form(x, rho: float):
@@ -42,6 +48,9 @@ def mp_density_closed_form(x, rho: float):
 
 
 UNIT = delta(1.0)
+# Two atoms: the default start is not exact, so a solve needs several
+# evaluations and a low max_iters makes it fail.
+TWO = DiscreteMeasure(np.array([1.0, 10.0]), np.array([0.5, 0.5]))
 
 
 def companion_map(z, w, H: DiscreteMeasure, rho: float) -> complex:
@@ -50,10 +59,11 @@ def companion_map(z, w, H: DiscreteMeasure, rho: float) -> complex:
 
 
 def start_residuals(zs, H: DiscreteMeasure, rho: float):
-    """|T(w0) - w0| at the default start w0 = -1/z, one point at a time."""
+    """|T(w0) - w0| at the default start, one point at a time: w0 is the
+    companion transform for delta_s, s = mean(H)."""
     out = []
     for z in zs:
-        w0 = -1.0 / z
+        w0 = one_atom_companion(z, H.mean, rho)
         out.append(abs(companion_map(z, w0, H, rho) - w0))
     return np.array(out)
 
@@ -77,6 +87,7 @@ class TestCompanionClosedForm:
         res = mp_companion_solve(z, delta(0.0), 1.5)
         assert res.w == pytest.approx(-1.0 / z, abs=1e-14)
         assert res.m == pytest.approx(-1.0 / z, abs=1e-14)
+        assert res.iterations == 1  # the default start is delta_0's -1/z
 
     def test_large_z_decay(self):
         z = complex(1e8, 1.0)
@@ -136,22 +147,22 @@ class TestSolverInvariants:
     def test_array_convergence_error_names_worst_point(self):
         zs = np.array([-1e8, 0.5, 1.0, 3.0, 1e8]) + 1.0j
         with pytest.raises(ConvergenceError) as excinfo:
-            mp_companion_solve(zs, UNIT, 0.5, cfg=SolverConfig(max_iters=1))
-        residuals = start_residuals(zs, UNIT, 0.5)
-        assert excinfo.value.index == int(np.argmax(residuals))
+            mp_companion_solve(zs, TWO, 0.5, cfg=SolverConfig(max_iters=1))
+        residuals = start_residuals(zs, TWO, 0.5)
+        assert excinfo.value.index == int(np.argmax(residuals)) == 2
         assert excinfo.value.iterations == 1
         assert excinfo.value.residual == pytest.approx(residuals.max(), rel=1e-12)
 
     @pytest.mark.parametrize("max_iters", [1, 3, 7])
     def test_evaluations_never_exceed_max_iters(self, max_iters):
         with pytest.raises(ConvergenceError) as excinfo:
-            mp_companion_solve(complex(1.0, 1e-6), UNIT, 1.0, cfg=SolverConfig(max_iters=max_iters))
+            mp_companion_solve(complex(2.0, 1e-6), TWO, 0.5, cfg=SolverConfig(max_iters=max_iters))
         assert excinfo.value.iterations == max_iters
 
     def test_convergence_error_fields(self):
         cfg = SolverConfig(max_iters=2)
         with pytest.raises(ConvergenceError) as excinfo:
-            mp_companion_solve(complex(1.0, 1e-6), UNIT, 1.0, cfg=cfg)
+            mp_companion_solve(complex(2.0, 1e-6), TWO, 0.5, cfg=cfg)
         assert excinfo.value.iterations == 2
         assert excinfo.value.residual > 0
         assert "residual=" in str(excinfo.value)
@@ -212,11 +223,16 @@ class TestGridClosedForm:
 
     @staticmethod
     def m_errors(rho, v):
-        """Grid xs and |m - closed form| of one array solve for H = delta_1."""
+        """Grid xs and |m - closed form| of one array solve for H = delta_1.
+
+        The solve starts from the large-z value -1/z: the default start is
+        delta_1's exact root, which would leave the kernel nothing to do.
+        """
         xs = np.linspace(0.0, (1 + np.sqrt(rho)) ** 2 + 1.0, 150)
-        res = mp_companion_solve(xs + 1j * v, UNIT, rho)
-        w = np.array([null_companion_closed_form(z, rho) for z in xs + 1j * v])
-        m = (w + (1.0 - rho) / (xs + 1j * v)) / rho
+        zs = xs + 1j * v
+        res = mp_companion_solve(zs, UNIT, rho, w0=-1.0 / zs)
+        w = np.array([null_companion_closed_form(z, rho) for z in zs])
+        m = (w + (1.0 - rho) / zs) / rho
         return xs, np.abs(res.m - m)
 
     @settings(max_examples=30, deadline=None)
@@ -392,7 +408,7 @@ class TestDensityGrid:
     def test_failure_names_grid_point(self):
         cfg = SolverConfig(max_iters=1)
         with pytest.raises(NumericalError, match="density grid failed at x="):
-            density_grid(UNIT, 1.0, np.linspace(0.5, 2.0, 10), cfg=cfg)
+            density_grid(TWO, 1.0, np.linspace(0.5, 2.0, 10), cfg=cfg)
 
     def test_failure_names_worst_grid_point(self):
         # The grid solve at height v_eps fails after one evaluation at
@@ -400,16 +416,20 @@ class TestDensityGrid:
         # whose start residual is largest (x = 0.6), not the first that
         # failed.
         xs = np.array([-1e8, -2.0, -1.0, -0.5, 0.6, 2.0, 1e8])
-        v = default_v_eps(UNIT, 0.5)
-        worst = int(np.argmax(start_residuals(xs + 1j * v, UNIT, 0.5)))
+        v = default_v_eps(TWO, 0.5)
+        residuals = start_residuals(xs + 1j * v, TWO, 0.5)
+        worst = int(np.argmax(residuals))
         assert worst == 4
         with pytest.raises(ConvergenceError) as excinfo:
-            density_grid(UNIT, 0.5, xs, cfg=SolverConfig(max_iters=1))
-        assert str(excinfo.value).startswith("density grid failed at x=0.6: ")
+            density_grid(TWO, 0.5, xs, cfg=SolverConfig(max_iters=1))
+        assert str(excinfo.value) == (
+            "density grid failed at x=0.6: fixed-point iteration did not converge "
+            "(residual=7.284e-01 after 1 iterations)"
+        )
         assert excinfo.value.index == worst
         assert excinfo.value.x == 0.6
         assert excinfo.value.iterations == 1
-        assert excinfo.value.residual > 0
+        assert excinfo.value.residual == pytest.approx(residuals[worst], rel=1e-12)
 
     def test_max_residual_reported(self):
         xs = np.linspace(0.0, 4.0, 100)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaincinv, ndtr, ndtri
 
+from rmtlaw._serialize import json_dumps
 from rmtlaw.linalg import matrix_sqrt_psd, sample_covariance, toeplitz_corr
 from rmtlaw.measures import DiscreteMeasure, delta
 from rmtlaw import samplers
@@ -501,6 +502,25 @@ class TestModelJson:
         model = PopulationModel(family="lb_ball", n=6, p=4, b_exponent=1.25)
         back = model_from_json_dict(model_to_json_dict(model))
         assert back.b_exponent == 1.25
+
+    def test_unknown_key_rejected(self):
+        obj = {"family": "gaussian", "n": 5, "p": 3, "location": 5.0}
+        with pytest.raises(ValueError, match='unknown key "location"'):
+            model_from_json_dict(obj)
+
+    def test_every_written_key_read(self):
+        # The reader accepts each key the writer puts out, for every family.
+        kwargs = {
+            "gaussian": {"location": np.arange(3.0)},
+            "sphere_elliptical": {"mixing": delta(2.0), "mixing_schedule": True},
+            "gaussian_copula": {},
+            "lb_ball": {"b_exponent": 1.5, "entry_family": "bounded"},
+            "bounded_iid": {"bound": 1.0},
+        }
+        for family in FAMILIES:
+            model = PopulationModel(family=family, n=4, p=3, **kwargs[family])
+            text = json_dumps(model_to_json_dict(model))
+            assert json_dumps(model_to_json_dict(model_from_json_dict(json.loads(text)))) == text
 
     def test_shape_kind_identity(self):
         model = model_from_json_dict(
