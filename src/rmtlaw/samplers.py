@@ -1,16 +1,16 @@
 """Seed-deterministic samplers for every data family used in the experiments.
 
-All randomness flows through counter-based Philox streams split from
-(seed, replicate, kind, index), so results are reproducible bit-for-bit
-under any parallel schedule. A block of rows draws its streams at once:
-numpy's SeedSequence hash runs on arrays over the row index to give every
-row's Philox key in one pass. Rows shorter than 32 columns are then
-computed together, Philox4x64-10 running on uint64 arrays in chunks of
-8192 four-word blocks; longer rows are drawn one at a time by one reused
-Philox, which is faster there (the timings are at _VECTOR_COLS). Either
-way a row holds the same bytes as rng_stream(seed, replicate, kind, i)
-gives. gaussian and gaussian_copula models check and root their shape
-once, on their first draw.
+All randomness flows through counter-based Philox streams, one per (seed,
+replicate, kind) (rng_stream; Salmon, Moraes, Dror & Shaw, SC 2011). Rows
+draw from kind 0: in an n x cols block, row i takes the B = ceil(cols/4)
+four-word Philox blocks from block i*B on, so the whole block is one
+advance and one random_raw call, reshaped to (n, 4B) and cut to cols. A
+row is a pure function of (seed, replicate, kind, i, cols): any run of
+rows, or one row alone (sample_sphere's row argument), is drawn on its own
+from its first row's block, shrinking n keeps a prefix of the rows, and a
+row's words change with cols, since cols sets where the row starts. The
+elliptical mixing scalars come from kind 1. gaussian and gaussian_copula
+models check and root their shape once, on their first draw.
 Uniforms are mapped through inverse CDFs (normal via ndtri, gamma
 magnitudes via gammaincinv) rather than rejection methods, keeping every
 draw a pure function of its stream. Those come from scipy.special, which
@@ -150,7 +150,7 @@ def rng_stream(seed: int, *path: int) -> np.random.Generator:
 def uniform_open(rng: np.random.Generator | _RowStreams, size) -> NDArray[np.float64]:
     """Uniforms strictly inside (0, 1): (k + 1/2)/2^53 over 53-bit integers.
 
-    rng is a Generator, or a _RowStreams block of one stream per row.
+    rng is a Generator, or a _RowStreams block of rows.
     """
     k = rng.integers(0, 1 << 53, size=size, dtype=np.uint64)
     return (k.astype(np.float64) + 0.5) * 2.0**-53
@@ -164,197 +164,37 @@ def standard_normal(rng: np.random.Generator | _RowStreams, size) -> NDArray[np.
     return _map_rows(ndtri, u, out=u)
 
 
-# Constants of numpy's SeedSequence hash (numpy/random/bit_generator.pyx).
-_POOL_SIZE = 4
-_INIT_A = 0x43B0D7E5
-_MULT_A = 0x931E8875
-_INIT_B = 0x8B51F9DD
-_MULT_B = 0x58F38DED
-_MIX_MULT_L = 0xCA01F9DD
-_MIX_MULT_R = 0x4973F715
-_MASK32 = 0xFFFFFFFF
-
-
-def _uint32_words(value: int) -> list[int]:
-    """Little-endian 32-bit words of a nonnegative integer, as SeedSequence splits it."""
-    value = int(value)
-    if value < 0:
-        raise ValueError("expected non-negative integer")
-    words = [value & _MASK32]
-    value >>= 32
-    while value:
-        words.append(value & _MASK32)
-        value >>= 32
-    return words
-
-
-def _hasher(init: int, mult: int):
-    """SeedSequence's hashmix with its running constant.
-
-    value is a Python int below 2**32 or a uint32 array; both wrap modulo
-    2**32 (an array's uint32 product wraps without a warning).
-    """
-    const = init
-
-    def hashmix(value):
-        nonlocal const
-        value = value ^ const
-        const = (const * mult) & _MASK32
-        value = (value * const) & _MASK32
-        return value ^ (value >> 16)
-
-    return hashmix
-
-
-def _mix(x: int, y):
-    """SeedSequence's mix of a pool word x (an int) with y (an int or a uint32 array)."""
-    result = (((_MIX_MULT_L * x) & _MASK32) - ((_MIX_MULT_R * y) & _MASK32)) & _MASK32
-    return result ^ (result >> 16)
-
-
-def _stream_keys(seed: int, path: tuple[int, ...], n: int) -> NDArray[np.uint64]:
-    """Philox keys of SeedSequence(seed, spawn_key=(*path, i)) for i < n, shape (n, 2).
-
-    numpy's mix_entropy and generate_state(2, uint64). Every word but the
-    last, the row index i, is the same for every row, so their part of the
-    hash runs once on Python ints; the rest runs on arrays over i.
-    """
-    run = _uint32_words(seed)
-    # With a spawn key present, SeedSequence zero-pads the run entropy to the pool size.
-    run += [0] * (_POOL_SIZE - len(run))
-    entropy = run + [word for key in path for word in _uint32_words(key)]
-
-    hashmix = _hasher(_INIT_A, _MULT_A)
-    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
-    for i_src in range(_POOL_SIZE):
-        for i_dst in range(_POOL_SIZE):
-            if i_src != i_dst:
-                pool[i_dst] = _mix(pool[i_dst], hashmix(pool[i_src]))
-    for word in entropy[_POOL_SIZE:]:
-        for i_dst in range(_POOL_SIZE):
-            pool[i_dst] = _mix(pool[i_dst], hashmix(word))
-    rows = np.arange(n, dtype=np.uint32)
-    pool = [_mix(word, hashmix(rows)) for word in pool]
-
-    generate = _hasher(_INIT_B, _MULT_B)
-    state = [generate(word).astype(np.uint64) for word in pool]
-    keys = np.empty((n, 2), dtype=np.uint64)
-    keys[:, 0] = state[0] | (state[1] << np.uint64(32))
-    keys[:, 1] = state[2] | (state[3] << np.uint64(32))
-    return keys
-
-
-# Philox4x64-10 (Salmon, Moraes, Dror & Shaw, SC 2011) as numpy's Philox runs
-# it: the round multipliers and the key's Weyl increments, each pair stacked
-# on axis 0 to act on the counter words (c0, c2) at once.
-_PHILOX_M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], dtype=np.uint64).reshape(2, 1, 1)
-_PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64).reshape(2, 1, 1)
-_PHILOX_M_LO = _PHILOX_M & np.uint64(_MASK32)
-_PHILOX_M_HI = _PHILOX_M >> np.uint64(32)
-_PHILOX_ROUNDS = 10
-_LO32 = np.uint64(_MASK32)
-_SHIFT32 = np.uint64(32)
-# Rows with fewer columns than this draw through _philox_words, longer rows
-# through one reused Philox each. Vector against loop, best of interleaved
-# runs (2-core VM, numpy 2.4.6): 100000x4 20 ms against 382, 20000x31 34
-# against 94, 400x31 0.86 against 1.00, 100x31 0.56 against 0.49, 50x31 0.46
-# against 0.27. The vector path's ten rounds of array calls cost about 0.2 ms
-# per call, so it loses on a few dozen rows, and on long rows the loop's
-# per-row cost is small beside the words: 50x50 0.44 against 0.23, 200x200
-# 2.5 against 1.1. At 20000 rows it still won at 64 columns (71 against 108).
-_VECTOR_COLS = 32
-# Philox blocks (4 words) per _philox_words call: 8192 rows of 4 columns,
-# 1024 of 32, so its seven (2, rows, blocks) temporaries take about 1 MB.
-# 100000x4 took 21 ms at 8192 blocks a call, 55 at 1024, 19 at 16384 and 34
-# in one call; 20000x31 took 35, 88, 26 and 55.
-_CHUNK_BLOCKS = 8192
-
-
-def _philox_words(keys: NDArray[np.uint64], cols: int) -> NDArray[np.uint64]:
-    """The first cols words of Philox4x64-10 under each row's key, shape (len(keys), cols).
-
-    Block j of every row is the bijection of counter (j + 1, 0, 0, 0), the
-    block numpy's Philox draws j-th after a reset to counter 0. The four
-    counter words are held as two stacked pairs, even = (c0, c2) and odd =
-    (c1, c3), so a round's two products M0 c0 and M1 c2 are one array
-    product. numpy has no 128-bit integer, so the high word of each product
-    is summed from the products of 32-bit halves.
-    """
-    m, blocks = len(keys), -(-cols // 4)
-    shape = (2, m, blocks)
-    even = np.zeros(shape, dtype=np.uint64)
-    even[0] = np.arange(1, blocks + 1, dtype=np.uint64)
-    odd = np.zeros(shape, dtype=np.uint64)
-    key = keys.T.reshape(2, m, 1).copy()
-    x_lo, x_hi, mid, cross, hi = (np.empty(shape, dtype=np.uint64) for _ in range(5))
-    for r in range(_PHILOX_ROUNDS):
-        if r:
-            key += _PHILOX_W
-        np.bitwise_and(even, _LO32, out=x_lo)
-        np.right_shift(even, _SHIFT32, out=x_hi)
-        np.multiply(_PHILOX_M_LO, x_lo, out=mid)
-        mid >>= _SHIFT32
-        np.multiply(_PHILOX_M_HI, x_hi, out=hi)
-        for m_half, x_half in ((_PHILOX_M_HI, x_lo), (_PHILOX_M_LO, x_hi)):
-            np.multiply(m_half, x_half, out=cross)
-            np.right_shift(cross, _SHIFT32, out=x_half)
-            hi += x_half
-            cross &= _LO32
-            mid += cross
-        mid >>= _SHIFT32
-        hi += mid
-        # (c0, c1, c2, c3) <- (hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0)
-        hi ^= key[::-1]
-        even *= _PHILOX_M
-        odd ^= hi[::-1]
-        even, odd = odd, even[::-1]
-    words = np.empty((m, blocks, 4), dtype=np.uint64)
-    words[:, :, 0::2] = even.transpose(1, 2, 0)
-    words[:, :, 1::2] = odd.transpose(1, 2, 0)
-    return words.reshape(m, 4 * blocks)[:, :cols]
-
-
 class _RowStreams:
-    """The streams rng_stream(seed, replicate, kind, i), one per row i.
+    """Rows start, start + 1, ... of the stream rng_stream(seed, replicate, kind).
 
-    integers(0, 2**53, (n, cols), uint64) fills row i with the first cols
-    draws of stream i, byte for byte, from the keys _stream_keys gives. Rows
-    shorter than _VECTOR_COLS are computed together by _philox_words, in
-    chunks of _CHUNK_BLOCKS Philox blocks; longer rows are drawn one at a
-    time by one Philox, reset to counter 0 for each row. Lemire's map with a
+    integers(0, 2**53, (n, cols), uint64) gives row i the B = ceil(cols/4)
+    Philox blocks from block (start + i)·B on: one advance and one random_raw
+    of n·4B words, reshaped to (n, 4B) and cut to cols. Lemire's map with a
     power-of-two range never rejects and reduces to a shift, so the raw
     words >> 11 are what Generator.integers returns. uniform_open and
     standard_normal then map the whole block in one call.
     """
 
-    def __init__(self, seed: int, replicate: int, kind: int = _KIND_ROW) -> None:
+    def __init__(self, seed: int, replicate: int, kind: int = _KIND_ROW, start: int = 0) -> None:
         self.seed = seed
         self.path = (int(replicate), int(kind))
+        self.start = int(start)
 
     def integers(self, low, high, size, dtype) -> NDArray[np.uint64]:
         if (low, high, dtype) != (0, 1 << 53, np.uint64):
             raise ValueError("row streams draw only 53-bit integers")
         n, cols = size
-        keys = _stream_keys(self.seed, self.path, n)
-        bits = np.empty((n, cols), dtype=np.uint64)
-        if cols < _VECTOR_COLS:
-            step = _CHUNK_BLOCKS // max(1, -(-cols // 4))
-            for start in range(0, n, step):
-                bits[start : start + step] = _philox_words(keys[start : start + step], cols)
-        else:
-            philox = np.random.Philox(0)
-            state = philox.state
-            for i in range(n):
-                state["state"]["key"] = keys[i]
-                philox.state = state
-                bits[i] = philox.random_raw(cols)
-        bits >>= np.uint64(11)
-        return bits
+        blocks = -(-cols // 4)
+        philox = rng_stream(self.seed, *self.path).bit_generator
+        philox.advance(self.start * blocks)
+        words = philox.random_raw(4 * blocks * n).reshape(n, 4 * blocks)
+        words >>= np.uint64(11)
+        return words[:, :cols]
 
 
-def _row_normals(seed: int, replicate: int, n: int, p: int) -> NDArray[np.float64]:
-    """n x p standard normals, one independent stream per row."""
-    return standard_normal(_RowStreams(seed, replicate), (n, p))
+def _row_normals(seed: int, replicate: int, n: int, p: int, start: int = 0) -> NDArray[np.float64]:
+    """Rows start, ..., start + n - 1 of standard normals, p to a row."""
+    return standard_normal(_RowStreams(seed, replicate, start=start), (n, p))
 
 
 def _row_uniforms(seed: int, replicate: int, n: int, cols: int) -> NDArray[np.float64]:
@@ -469,18 +309,17 @@ def sample_gaussian(n: int, sigma, seed: int, replicate: int = 0) -> NDArray[np.
     return sample_covariance_model(n, sigma, seed, replicate)
 
 
-def _sphere_rows(seed: int, replicate: int, n: int, p: int) -> NDArray[np.float64]:
-    G = _row_normals(seed, replicate, n, p)
+def _sphere_rows(seed: int, replicate: int, n: int, p: int, start: int = 0) -> NDArray[np.float64]:
+    G = _row_normals(seed, replicate, n, p, start)
     norms = np.linalg.norm(G, axis=1, keepdims=True)
     return np.sqrt(p) * (G / norms)
 
 
 def sample_sphere(p: int, seed: int, replicate: int = 0, row: int = 0) -> NDArray[np.float64]:
-    """One uniform direction on the sphere of radius sqrt(p)."""
+    """One uniform direction on the sphere of radius sqrt(p): row `row` of _sphere_rows."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    g = standard_normal(rng_stream(seed, replicate, _KIND_ROW, row), p)
-    return np.sqrt(p) * (g / np.linalg.norm(g))
+    return _sphere_rows(seed, replicate, 1, p, start=row)[0]
 
 
 def _mixing_values(model: PopulationModel, seed: int, replicate: int) -> NDArray[np.float64]:
@@ -489,7 +328,7 @@ def _mixing_values(model: PopulationModel, seed: int, replicate: int) -> NDArray
     if model.mixing_schedule:
         probs = (np.arange(model.n) + 0.5) / model.n
     else:
-        rng = rng_stream(seed, replicate, _KIND_MIXING, 0)
+        rng = rng_stream(seed, replicate, _KIND_MIXING)
         probs = uniform_open(rng, model.n)
     cum = np.cumsum(nu.weights)
     idx = np.searchsorted(cum, probs, side="left")

@@ -476,7 +476,7 @@ class TestDiagnose:
         assert code == 0
         out = json.loads(stdout)
         assert out["norm"]["target"] == 0.08333333333333331
-        assert out["norm"]["max_deviation"] == pytest.approx(0.0122, abs=1e-4)
+        assert out["norm"]["max_deviation"] == pytest.approx(0.01123, abs=1e-5)
         assert out["concentrated"] is True
 
     def test_lb_ball_falls_back_to_unit_target(self, tmp_path, capsys):

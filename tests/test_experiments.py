@@ -11,9 +11,11 @@ from rmtlaw.experiments import (
     ks_distance,
     run_experiment,
 )
+from rmtlaw.elliptical_solver import scaled_gram
+from rmtlaw.linalg import sym_eigenvalues
 from rmtlaw.measures import DiscreteMeasure, delta
-from rmtlaw.mp_solver import solve_edge
-from rmtlaw.samplers import PopulationModel
+from rmtlaw.mp_solver import GRID_PAD, SUPPORT_THRESHOLD_V_EPS, solve_edge
+from rmtlaw.samplers import PopulationModel, sample_model
 
 
 class TestKsDistance:
@@ -160,19 +162,37 @@ class TestCorrelationExperiment:
         assert r1.lemma5_stat == pytest.approx(r2.lemma5_stat, rel=1e-12)
 
     def test_mean_shift_invariant(self):
+        # Centering cancels the shift mu exactly, but Y + mu rounds, so the KS
+        # agrees only up to a bound of order eps * |mu|. fl(Y + mu) moves an
+        # entry by at most eps/2 * (|mu| + max|Y|), and the column mean carries
+        # that and its summation error, so a centered entry moves by delta <=
+        # 8 eps (|mu| + max|Y|). A sample correlation is the cosine of two
+        # centered columns of sample sd at least s, so it moves by at most
+        # 4 delta / s, and by Weyl an eigenvalue by eta <= p * 4 delta / s. The
+        # grid ends a pad above the largest eigenvalue, so it moves by eta too.
+        # The KS is a maximum of CDF values at eigenvalues and of ECDF values
+        # at grid points; the CDF's slope is below 1 (the law is MP at rho =
+        # 1/6, whose density peaks at 0.94), so unless an eigenvalue crosses a
+        # grid point the KS moves by at most 2 eta.
+        n, p, mu = 60, 10, 5.0
         base = ExperimentSpec(
-            model=PopulationModel(family="gaussian", n=60, p=10),
+            model=PopulationModel(family="gaussian", n=n, p=p),
             seed=1,
             grid_count=100,
         )
         shifted = ExperimentSpec(
-            model=PopulationModel(family="gaussian", n=60, p=10, location=5.0),
+            model=PopulationModel(family="gaussian", n=n, p=p, location=mu),
             seed=1,
             grid_count=100,
         )
         r1 = run_experiment(base)
         r2 = run_experiment(shifted)
-        assert r1.ks_distance == r2.ks_distance
+        Y = sample_model(base.model, 1)
+        y_max, s_min = 4.0, 0.7
+        assert np.abs(Y).max() < y_max and Y.std(axis=0).min() > s_min
+        delta = 8 * np.finfo(np.float64).eps * (mu + y_max)
+        eta = p * 4 * delta / s_min
+        assert abs(r1.ks_distance - r2.ks_distance) <= 2 * eta
 
     def test_edge_prediction(self):
         model = PopulationModel(family="gaussian", n=300, p=150)
@@ -282,15 +302,26 @@ class TestEllipticalExperiment:
 
     def test_eigenvalue_below_first_grid_point_above_atom_cutoff(self):
         # rho = 1.5 puts an atom at 0; the cutoff is 10 * v_eps = 0.03 and
-        # the first grid point above it 0.04167, while replicate 0 has an
-        # eigenvalue at 0.03108 between the two.
+        # the first grid point above it 0.03967, while replicate 1 has
+        # eigenvalues at 0.03384 and 0.03444 between the two.
         mixing = DiscreteMeasure(np.array([0.5, 1.5]), np.array([0.5, 0.5]))
         model = PopulationModel(family="sphere_elliptical", n=40, p=60, mixing=mixing)
         spec = ExperimentSpec(model=model, grid_count=200, replicates=2, seed=4)
         result = run_experiment(spec)
         assert result.details["v_eps"] == 0.003
+        # The case itself, rebuilt as run_experiment builds it, so that new
+        # draws cannot drop it silently.
+        eigs = [
+            sym_eigenvalues(scaled_gram(sample_model(model, 4, replicate), model.p))
+            for replicate in range(2)
+        ]
+        lo, top = min(0.0, eigs[0][0], eigs[1][0]), max(eigs[0][-1], eigs[1][-1])
+        xs = np.linspace(lo, top + GRID_PAD, 200)
+        cutoff = SUPPORT_THRESHOLD_V_EPS * 0.003
+        first = xs[xs > cutoff][0]
+        assert np.any((eigs[1] > cutoff) & (eigs[1] < first))
         assert result.details["ks_values"] == pytest.approx(
-            [0.10854236515179702, 0.12380467518429569], abs=1e-12
+            [0.14025278495469265, 0.11698602719066392], abs=1e-12
         )
 
 

@@ -16,7 +16,10 @@ A). All solve values and the experiments' KS values were re-pinned again
 when both solves began from the law's one-atom fixed point instead of its
 large-z value: w moved by at most 2.6e-11 relative, m by at most 1.2e-11
 absolute, both within the solver's tolerance. `simulate` is pinned by the
-sha256 of its .meta.json and .eigs.csv.
+sha256 of its .meta.json and .eigs.csv. Every seeded value (the
+experiments and the .eigs.csv digests) was re-pinned when the rows began
+to draw from one Philox stream per (seed, replicate, kind) in place of one
+stream per row; the .meta.json digests hold no draw and did not move.
 """
 
 import hashlib
@@ -104,19 +107,19 @@ def test_correlation_experiment_pinned():
     )
     assert comparison_to_json_dict(run_experiment(spec)) == {
         "details": {
-            "ks_values": [0.050408973344376884, 0.06410604787858842],
-            "largest_eigenvalues": [3.6545505643299983, 2.7606535327505375],
-            "lemma5_stats": [0.21791091137888552, 0.22930191814125267],
+            "ks_values": [0.061584509876675075, 0.05576588545911865],
+            "largest_eigenvalues": [3.292067982435816, 3.1480931438143176],
+            "lemma5_stats": [0.19061899749475597, 0.32763758347983307],
             "rho": 0.5,
             "v_eps": 0.002846157150645584,
         },
-        "ks_distance": 0.057257510611482654,
-        "largest_eigenvalue": 3.6545505643299983,
-        "lemma5_stat": 0.21791091137888552,
+        "ks_distance": 0.05867519766789686,
+        "largest_eigenvalue": 3.292067982435816,
+        "lemma5_stat": 0.19061899749475597,
         "mu_prediction": 3.5721108000117745,
         "sample_count": 30,
-        "support_empirical": [0.1057105359306299, 3.6545505643299983],
-        "support_theoretical": [0.06263141554266329, 3.465604993360702],
+        "support_empirical": [0.09738016700844915, 3.292067982435816],
+        "support_theoretical": [0.06138860502530313, 3.4786876181005106],
     }
 
 
@@ -130,19 +133,19 @@ def test_elliptical_experiment_pinned():
     )
     assert comparison_to_json_dict(run_experiment(spec)) == {
         "details": {
-            "ks_values": [0.0687067852878614, 0.05467534054979076],
+            "ks_values": [0.06455465492666423, 0.039685150391190804],
             "rho": 0.6666666666666666,
             "theta": 1.0,
             "v_eps": 0.002,
             "xi": 0.6666666666666666,
         },
-        "ks_distance": 0.061691062918826076,
-        "largest_eigenvalue": 4.405899219379062,
+        "ks_distance": 0.05211990265892752,
+        "largest_eigenvalue": 4.608539338573374,
         "lemma5_stat": None,
         "mu_prediction": None,
         "sample_count": 40,
-        "support_empirical": [0.021007536728472075, 4.405899219379062],
-        "support_theoretical": [0.0, 4.905899219379062],
+        "support_empirical": [0.02746161953405679, 4.608539338573374],
+        "support_theoretical": [0.0, 5.155272433104764],
     }
 
 
@@ -159,7 +162,7 @@ SIMULATE_CASES = {
         },
         "covariance",
         "30e64324c0c5977f9144370735b63898754abf1dac2e4150823182830c435693",
-        "65038f7c9e77bacf2234967486ed7c929209e0d26c223b7c08d4e0ced3948b8e",
+        "29d86997eb44277e46454c41a6dcc3b8efbdf3b57c27fa0fa7a39ea46d50a1c3",
     ),
     "sphere_identity": (
         {
@@ -171,7 +174,7 @@ SIMULATE_CASES = {
         },
         "gram",
         "c0349efc5331791ccda9c94bbd847f61bd66117539292ac892ada2a2dd65baa2",
-        "42acac28e36a36539980026723a335d92d28d87a53c38c69d8e8bb48c22a72cf",
+        "58e9c11448b956bad0ffb20fa777defd3abbda70a7d619c7af7de1f09fc829f1",
     ),
     "copula_toeplitz": (
         {
@@ -182,7 +185,7 @@ SIMULATE_CASES = {
         },
         "correlation",
         "898e715cb2897d21fa541955d10210930bbaf5445892f4f3627a52644feafe8f",
-        "f5e67ebadd90bee1475089c0bb3f773c8e20dfc4c84b21566a54a68b6b061554",
+        "e0c65ba0bf22572b352515d41b0beff0cfd16b24d34542d7bd802f6e821847eb",
     ),
 }
 

@@ -12,8 +12,6 @@ from rmtlaw.linalg import matrix_sqrt_psd, sample_covariance, toeplitz_corr
 from rmtlaw.measures import DiscreteMeasure, delta
 from rmtlaw import samplers
 from rmtlaw.samplers import (
-    _CHUNK_BLOCKS,
-    _VECTOR_COLS,
     FAMILIES,
     PopulationModel,
     _RowStreams,
@@ -79,11 +77,23 @@ class TestStreams:
         assert z == ndtri(uniform_open(rng_stream(0, 0), size)) == 0.5864003712044271
 
 
+def _stream_words(seed, replicate, kind, i, cols):
+    """Row i of a block: words 4B·i, ..., 4B·i + cols - 1 of the one stream
+    rng_stream(seed, replicate, kind), B = ceil(cols/4), cut to 53 bits."""
+    width = 4 * -(-cols // 4)
+    words = rng_stream(seed, replicate, kind).bit_generator.random_raw(width * (i + 1))
+    return words[width * i : width * i + cols] >> np.uint64(11)
+
+
+def _row_uniform(seed, replicate, i, cols, kind=0):
+    return (_stream_words(seed, replicate, kind, i, cols).astype(np.float64) + 0.5) * 2.0**-53
+
+
 def _lb_ball_reference(n, p, b, seed, replicate):
-    """sample_lb_ball one row stream at a time, as it was first written."""
+    """sample_lb_ball one row at a time, each row read from the stream on its own."""
     out = np.empty((n, p))
     for i in range(n):
-        u = uniform_open(rng_stream(seed, replicate, 0, i), 2 * p + 1)
+        u = _row_uniform(seed, replicate, i, 2 * p + 1)
         gamma_draws = gammaincinv(1.0 / b, u[:p])
         magnitudes = gamma_draws ** (1.0 / b)
         signs = np.where(u[p : 2 * p] < 0.5, -1.0, 1.0)
@@ -94,7 +104,7 @@ def _lb_ball_reference(n, p, b, seed, replicate):
 
 
 class TestRowStreams:
-    """Row blocks are byte-identical to numpy's own per-row streams."""
+    """Row i of a block holds the stream's words from block i·ceil(cols/4) on."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2**32 + 3, 2**70 + 11])
     @pytest.mark.parametrize("replicate", [0, 3, 2**33])
@@ -104,10 +114,9 @@ class TestRowStreams:
             U = uniform_open(_RowStreams(seed, replicate, kind), (4, cols))
             G = standard_normal(_RowStreams(seed, replicate, kind), (4, cols))
             for i in range(4):
-                rng = rng_stream(seed, replicate, kind, i)
-                assert U[i].tobytes() == uniform_open(rng, cols).tobytes()
-                rng = rng_stream(seed, replicate, kind, i)
-                assert G[i].tobytes() == standard_normal(rng, cols).tobytes()
+                u = _row_uniform(seed, replicate, i, cols, kind)
+                assert U[i].tobytes() == u.tobytes()
+                assert G[i].tobytes() == ndtri(u).tobytes()
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -121,16 +130,32 @@ class TestRowStreams:
         G = _row_normals(seed, replicate, n, cols)
         assert U.shape == G.shape == (n, cols)
         for i in range(n):
-            ref = uniform_open(rng_stream(seed, replicate, 0, i), cols)
-            assert U[i].tobytes() == ref.tobytes()
-            ref = standard_normal(rng_stream(seed, replicate, 0, i), cols)
-            assert G[i].tobytes() == ref.tobytes()
+            u = _row_uniform(seed, replicate, i, cols)
+            assert U[i].tobytes() == u.tobytes()
+            assert G[i].tobytes() == ndtri(u).tobytes()
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**70),
+        replicate=st.integers(0, 2**40),
+        kind=st.integers(0, 1),
+        cols=st.integers(1, 40),
+        bounds=st.lists(st.integers(0, 30), min_size=2, max_size=2, unique=True).map(sorted),
+    )
+    def test_block_from_start_is_slice(self, threads, seed, replicate, kind, cols, bounds):
+        r0, r1 = bounds
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("RMT_THREADS", threads)
+            full = standard_normal(_RowStreams(seed, replicate, kind), (r1, cols))
+            block = standard_normal(_RowStreams(seed, replicate, kind, start=r0), (r1 - r0, cols))
+        assert block.tobytes() == full[r0:r1].tobytes()
 
     @pytest.mark.parametrize("path", [(-1, 0, 0), (0, -1, 0)])
     def test_negative_entropy_raises_like_seed_sequence(self, path):
-        seed, replicate, _ = path
+        seed, replicate, kind = path
         with pytest.raises(ValueError, match="non-negative") as expected:
-            np.random.SeedSequence(seed, spawn_key=(replicate, 0, 0))
+            np.random.SeedSequence(seed, spawn_key=(replicate, kind))
         with pytest.raises(ValueError, match=str(expected.value)):
             _row_uniforms(seed, replicate, 2, 3)
 
@@ -149,7 +174,7 @@ class TestRowStreams:
     def test_bounded_iid_equals_per_row_reference(self, seed):
         got = sample_bounded_iid(30, 9, 1.5, seed, replicate=2)
         for i in range(30):
-            u = uniform_open(rng_stream(seed, 2, 0, i), 9)
+            u = _row_uniform(seed, 2, i, 9)
             assert got[i].tobytes() == (1.5 * (2.0 * u - 1.0)).tobytes()
 
     @pytest.mark.parametrize("p", [4, 37, 200])
@@ -164,28 +189,26 @@ class TestRowStreams:
 
 
 class TestShortRows:
-    """Rows shorter than _VECTOR_COLS are computed together by the vectorized
-    Philox, _CHUNK_BLOCKS blocks a call; each row is still its own stream."""
+    """A row of cols < 4k columns still takes k whole Philox blocks; the
+    unused words at its end are skipped, not handed to the next row. A
+    block drawn in two chunks, the second from start=chunk, equals the
+    block drawn at once, at every thread count."""
 
-    @pytest.mark.parametrize("cols", [1, 4, _VECTOR_COLS - 1, _VECTOR_COLS])
+    @pytest.mark.parametrize("cols", [1, 4, 31, 32])
     @pytest.mark.parametrize("seed, replicate", [(0, 0), (2**70 + 11, 2**33)])
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_chunk_edges_equal_row_streams(self, monkeypatch, cols, seed, replicate, threads):
         monkeypatch.setenv("RMT_THREADS", threads)
-        calls = []
-        words = samplers._philox_words
-        monkeypatch.setattr(samplers, "_philox_words", lambda *a: calls.append(1) or words(*a))
-        chunk = _CHUNK_BLOCKS // -(-cols // 4)
-        n = chunk + 1
+        n, chunk = 301, 150
         U = uniform_open(_RowStreams(seed, replicate), (n, cols))
         G = standard_normal(_RowStreams(seed, replicate), (n, cols))
-        # Two chunks each below the cutoff, none at it.
-        assert len(calls) == (4 if cols < _VECTOR_COLS else 0)
+        tail = standard_normal(_RowStreams(seed, replicate, start=chunk), (n - chunk, cols))
+        head = standard_normal(_RowStreams(seed, replicate), (chunk, cols))
+        assert np.vstack([head, tail]).tobytes() == G.tobytes()
         for i in (0, chunk - 1, chunk, n - 1):  # the first and last row of each chunk
-            rng = rng_stream(seed, replicate, 0, i)
-            assert U[i].tobytes() == uniform_open(rng, cols).tobytes()
-            rng = rng_stream(seed, replicate, 0, i)
-            assert G[i].tobytes() == standard_normal(rng, cols).tobytes()
+            u = _row_uniform(seed, replicate, i, cols)
+            assert U[i].tobytes() == u.tobytes()
+            assert G[i].tobytes() == ndtri(u).tobytes()
 
 
 class TestShapeRoot:
@@ -230,7 +253,7 @@ class TestRowBlocks:
             assert sample_lb_ball(self.N, self.P, 1.5, 11, replicate=2).tobytes() == expected
 
     def test_gaussian_and_copula(self, monkeypatch):
-        rows = [standard_normal(rng_stream(11, 2, 0, i), self.P) for i in range(self.N)]
+        rows = [ndtri(_row_uniform(11, 2, i, self.P)) for i in range(self.N)]
         gaussian = np.array(rows).tobytes()
         copula = np.array([np.clip(ndtr(g), 2.0**-55, 1.0 - 2.0**-53) - 0.5 for g in rows]).tobytes()
         eye = np.eye(self.P)
@@ -271,6 +294,12 @@ class TestSphere:
     def test_single_direction(self):
         v = sample_sphere(10, seed=2)
         assert np.linalg.norm(v) == pytest.approx(np.sqrt(10), abs=1e-12)
+
+    @pytest.mark.parametrize("p", [1, 3, 4, 9])
+    def test_direction_is_row_of_block(self, p):
+        rows = samplers._sphere_rows(13, 2, 12, p)
+        for row in range(12):
+            assert sample_sphere(p, 13, 2, row).tobytes() == rows[row].tobytes()
 
     def test_coordinate_second_moment(self):
         # E y_1^2 = 1 on the sqrt(p)-sphere.
