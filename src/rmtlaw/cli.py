@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 from numpy.typing import NDArray
 
-from ._serialize import _write_lines, json_dumps, write_density_csv, write_spectrum_csv
+from ._serialize import _write_lines, json_dumps, load_json, write_density_csv, write_spectrum_csv
 from .concentration import (
     ANGLE_THRESHOLD,
     NORM_THRESHOLD,
@@ -61,7 +61,7 @@ from .mp_solver import (
     solve_edge,
     support_hull,
 )
-from .samplers import load_model_json, model_to_json_dict, sample_model
+from .samplers import load_model_json, model_from_json_dict, sample_model
 
 _PROBE_COUNT = 200
 # Where a numerical failure happened and how close it got, when known.
@@ -186,7 +186,8 @@ def cmd_edge(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    model = load_model_json(args.model)
+    obj = load_json(args.model, "model")
+    model = model_from_json_dict(obj)
     Y = sample_model(model, args.seed, 0)
     if args.matrix == "correlation":
         mat = sample_correlation(Y)
@@ -197,7 +198,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     eigs = sym_eigenvalues(mat)
     write_spectrum_csv(f"{args.out}.eigs.csv", eigs)
     meta = {
-        "model": model_to_json_dict(model),
+        "model": obj,  # the model JSON as given
         "seed": args.seed,
         "dims": {"n": model.n, "p": model.p, "d": model.d},
         "matrix": args.matrix,

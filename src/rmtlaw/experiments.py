@@ -119,7 +119,11 @@ def ks_distance(eigs, xs, cdf) -> float:
     if eigs.size == 0:
         raise ValueError("eigs must be nonempty")
     xs = np.asarray(xs, dtype=np.float64)
-    F = np.clip(np.asarray(cdf, dtype=np.float64), 0.0, 1.0)
+    F = np.asarray(cdf, dtype=np.float64)
+    for name, a in (("eigs", eigs), ("xs", xs), ("cdf", F)):
+        if not np.all(np.isfinite(a)):
+            raise ValueError(f"{name} must be finite")
+    F = np.clip(F, 0.0, 1.0)
     if xs.ndim != 1 or xs.size != F.size or xs.size < 2:
         raise ValueError("xs and cdf must be matching 1-d arrays of length >= 2")
     if np.any(np.diff(xs) <= 0):

@@ -38,7 +38,7 @@ from numpy.typing import NDArray
 
 from ._serialize import check_keys, load_json
 from .linalg import as_corr_matrix, as_sym_matrix, load_matrix_csv, matrix_sqrt_psd, toeplitz_corr
-from .measures import DiscreteMeasure, delta, measure_from_json_dict, measure_to_json_dict
+from .measures import DiscreteMeasure, delta, measure_from_json_dict
 
 __all__ = [
     "PopulationModel",
@@ -54,7 +54,6 @@ __all__ = [
     "sample_covariance_model",
     "sample_model",
     "model_from_json_dict",
-    "model_to_json_dict",
     "load_model_json",
 ]
 
@@ -261,8 +260,8 @@ class PopulationModel:
             if self.b_exponent is None or not (1.0 <= float(self.b_exponent) <= 2.0):
                 raise ValueError("b_exponent must be in [1, 2]")
         elif self.family == "bounded_iid":
-            if self.bound is None or float(self.bound) < 0:
-                raise ValueError("bound must be >= 0")
+            if self.bound is None or not (0 <= float(self.bound) < np.inf):
+                raise ValueError("bound must be finite and >= 0")
         mu = np.asarray(self.location, dtype=np.float64)
         if mu.ndim not in (0, 1):
             raise ValueError("location must be a scalar or a vector")
@@ -319,6 +318,8 @@ def sample_sphere(p: int, seed: int, replicate: int = 0, row: int = 0) -> NDArra
     """One uniform direction on the sphere of radius sqrt(p): row `row` of _sphere_rows."""
     if p < 1:
         raise ValueError("p must be >= 1")
+    if row < 0:
+        raise ValueError("row must be >= 0")
     return _sphere_rows(seed, replicate, 1, p, start=row)[0]
 
 
@@ -396,8 +397,8 @@ def sample_lb_ball(n: int, p: int, b: float, seed: int, replicate: int = 0) -> N
 def sample_bounded_iid(n: int, p: int, bound: float, seed: int, replicate: int = 0) -> NDArray[np.float64]:
     """i.i.d. entries uniform on [-bound, bound]."""
     bound = float(bound)
-    if bound < 0:
-        raise ValueError("bound must be >= 0")
+    if not (0 <= bound < np.inf):
+        raise ValueError("bound must be finite and >= 0")
     if n < 1 or p < 1:
         raise ValueError("n and p must be >= 1")
     U = _row_uniforms(seed, replicate, n, p)
@@ -445,27 +446,33 @@ def sample_model(model: PopulationModel, seed: int, replicate: int = 0) -> NDArr
     raise ValueError(f"unknown family {model.family!r}")
 
 
+_SHAPE_KEYS = {"identity": (), "dense": ("entries",), "toeplitz": ("r",), "file": ("path",)}
+
+
 def _shape_from_json(spec, p: int):
     if spec is None:
         return None
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValueError('shape spec must be an object with a "kind"')
     kind = spec["kind"]
+    if not isinstance(kind, str) or kind not in _SHAPE_KEYS:
+        raise ValueError(f"unknown shape kind {kind!r}")
+    check_keys(spec, f"{kind} shape", ("kind", *_SHAPE_KEYS[kind]), ())
     if kind == "identity":
         return np.eye(p)
     if kind == "dense":
-        if "entries" not in spec:
-            raise ValueError('dense shape needs "entries"')
         return np.asarray(spec["entries"], dtype=np.float64)
     if kind == "toeplitz":
-        if "r" not in spec:
-            raise ValueError('toeplitz shape needs "r"')
         return toeplitz_corr(p, float(spec["r"]))
-    if kind == "file":
-        if "path" not in spec:
-            raise ValueError('file shape needs "path"')
-        return load_matrix_csv(spec["path"])
-    raise ValueError(f"unknown shape kind {kind!r}")
+    return load_matrix_csv(spec["path"])
+
+
+def _json_typed(obj: dict, key: str, typ: type, what: str, default=None):
+    """obj[key], or default when absent, of type typ exactly: JSON true is no integer."""
+    value = obj.get(key, default)
+    if type(value) is not typ:
+        raise ValueError(f'model JSON "{key}" must be {what}, got {value!r}')
+    return value
 
 
 _MODEL_OPTIONAL_KEYS = (
@@ -476,20 +483,19 @@ _MODEL_OPTIONAL_KEYS = (
 def model_from_json_dict(obj) -> PopulationModel:
     """Parse a model JSON object into a PopulationModel.
 
-    An optional "d" is checked against the model's row dimension, which
-    Gamma fixes for sphere_elliptical and p fixes for the other families.
-    A key outside the ones model_to_json_dict writes is rejected.
+    simulate records obj as given, so each value must read as written: no
+    unknown key, JSON integers for n, p and d, a JSON boolean for
+    mixing_schedule, and only its kind's keys in a shape object. A "d" must
+    equal the row dimension: Gamma's row count for sphere_elliptical, else p.
     """
     check_keys(obj, "model", ("family", "n", "p"), _MODEL_OPTIONAL_KEYS)
-    family = obj["family"]
-    n = int(obj["n"])
-    p = int(obj["p"])
+    n, p = (_json_typed(obj, key, int, "an integer") for key in ("n", "p"))
     shape = _shape_from_json(obj.get("shape"), p)
     mixing = measure_from_json_dict(obj["mixing"]) if obj.get("mixing") else None
     mu = obj.get("mu", 0.0)
     mu = np.asarray(mu, dtype=np.float64) if isinstance(mu, (list, np.ndarray)) else float(mu)
     model = PopulationModel(
-        family=family,
+        family=obj["family"],
         n=n,
         p=p,
         shape=shape,
@@ -497,28 +503,13 @@ def model_from_json_dict(obj) -> PopulationModel:
         b_exponent=float(obj["b"]) if obj.get("b") is not None else None,
         bound=float(obj["bound"]) if obj.get("bound") is not None else None,
         location=mu,
-        mixing_schedule=bool(obj.get("mixing_schedule", False)),
+        mixing_schedule=_json_typed(obj, "mixing_schedule", bool, "a boolean", False),
         entry_family=obj.get("entry_family", "gaussian"),
     )
-    if obj.get("d") is not None and int(obj["d"]) != model.d:
-        raise ValueError(f"d={int(obj['d'])} disagrees with the model's row dimension {model.d}")
+    d = obj.get("d")
+    if d is not None and _json_typed(obj, "d", int, "an integer") != model.d:
+        raise ValueError(f"d={d} disagrees with the model's row dimension {model.d}")
     return model
-
-
-def model_to_json_dict(model: PopulationModel) -> dict:
-    out: dict = {"family": model.family, "n": model.n, "p": model.p, "d": model.d}
-    if model.shape is not None:
-        out["shape"] = {"kind": "dense", "entries": model.shape}
-    if model.mixing is not None:
-        out["mixing"] = measure_to_json_dict(model.mixing)
-    if model.b_exponent is not None:
-        out["b"] = model.b_exponent
-    if model.bound is not None:
-        out["bound"] = model.bound
-    out["mu"] = model.location
-    out["mixing_schedule"] = model.mixing_schedule
-    out["entry_family"] = model.entry_family
-    return out
 
 
 def load_model_json(path) -> PopulationModel:

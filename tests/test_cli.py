@@ -446,6 +446,63 @@ class TestSimulate:
         assert json.loads(stderr)["message"] == 'model JSON has unknown key "location"'
         assert not (tmp_path / "x.meta.json").exists()
 
+    @pytest.mark.parametrize(
+        "shape",
+        [{"kind": "toeplitz", "r": 0.45}, {"kind": "identity"}, {"kind": "file", "path": None}],
+        ids=["toeplitz", "identity", "file"],
+    )
+    def test_meta_records_model_as_given(self, tmp_path, shape, capsys):
+        # The model JSON is recorded key for key; a file shape by its path.
+        if shape["kind"] == "file":
+            sigma = tmp_path / "sigma.csv"
+            sigma.write_text("1,0.2,0\n0.2,1,0.2\n0,0.2,1\n")
+            shape = {**shape, "path": str(sigma)}
+        obj = {"family": "gaussian", "n": 12, "p": 3, "d": 3, "shape": shape, "mu": [0.5, 0, -2]}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(obj))
+        code, stdout, _ = run_cli(
+            ["simulate", "--model", str(path), "--out", str(tmp_path / "sim")], capsys
+        )
+        assert code == 0
+        assert json.loads(stdout)["model"] == obj
+        assert json.loads((tmp_path / "sim.meta.json").read_text())["model"] == obj
+
+    @pytest.mark.parametrize(
+        "key, value, named",
+        [
+            ("n", 2.7, "n"),
+            ("n", True, "n"),
+            ("n", float("inf"), "n"),
+            ("mixing_schedule", "false", "mixing_schedule"),
+            ("shape", {"kind": "identity", "r": 0.5}, "r"),
+        ],
+        ids=["n-float", "n-bool", "n-infinity", "schedule-string", "identity-r"],
+    )
+    def test_value_not_read_as_written_exit_2(self, tmp_path, key, value, named, capsys):
+        # The meta records the JSON as given, so a value the model would read
+        # otherwise (n = 2, n = 1, a schedule switched on, a dropped key) exits 2.
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"family": "sphere_elliptical", "n": 20, "p": 5, key: value}))
+        code, _, stderr = run_cli(
+            ["simulate", "--model", str(path), "--out", str(tmp_path / "x")], capsys
+        )
+        assert code == 2
+        error = json.loads(stderr)
+        assert error["error"] == "ValueError"
+        assert f'"{named}"' in error["message"]
+        assert not (tmp_path / "x.meta.json").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "diagnose"])
+    @pytest.mark.parametrize("bound", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_bound_not_finite_exit_2(self, tmp_path, command, bound, capsys):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"family": "bounded_iid", "n": 20, "p": 5, "bound": bound}))
+        code, _, stderr = run_cli(
+            [command, "--model", str(path), "--out", str(tmp_path / "x")], capsys
+        )
+        assert code == 2
+        assert json.loads(stderr)["message"] == "bound must be finite and >= 0"
+
 
 class TestDiagnose:
     def test_model_mode_contract(self, tmp_path, capsys):
@@ -651,6 +708,18 @@ class TestCompare:
         )
         assert code == 2
         assert "does not cover" in json.loads(stderr)["message"]
+
+    def test_nan_law_row_exit_2(self, tmp_path, capsys):
+        # A nan CDF is named, not carried into a KS of nan.
+        eigs = tmp_path / "eigs.csv"
+        eigs.write_text("0.5\n")
+        law = tmp_path / "law.csv"
+        law.write_text("x,density,cdf\n0,1,0\n0.5,nan,nan\n1,1,1\n")
+        code, _, stderr = run_cli(
+            ["compare", "--eigs", str(eigs), "--law", str(law)], capsys
+        )
+        assert code == 2
+        assert json.loads(stderr)["message"] == "cdf must be finite"
 
     def test_malformed_law_exit_2(self, tmp_path, capsys):
         eigs = tmp_path / "eigs.csv"

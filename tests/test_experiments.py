@@ -57,6 +57,15 @@ class TestKsDistance:
         with pytest.raises(ValueError, match="ascending"):
             ks_distance(np.array([0.5]), np.array([1.0, 0.0]), np.array([0.0, 1.0]))
 
+    @pytest.mark.parametrize("name", ["eigs", "xs", "cdf"])
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_non_finite_rejected(self, name, index):
+        # A nan in the CDF made the KS nan; a nan at the first grid point was skipped.
+        arrays = {"eigs": [0.2, 0.5], "xs": [0.0, 0.5, 1.0], "cdf": [0.0, 0.5, 1.0]}
+        arrays[name][index] = np.nan
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            ks_distance(*(np.array(arrays[k]) for k in ("eigs", "xs", "cdf")))
+
     def test_empty_eigs(self):
         with pytest.raises(ValueError, match="nonempty"):
             ks_distance(np.array([]), np.array([0.0, 1.0]), np.array([0.0, 1.0]))

@@ -20,6 +20,9 @@ sha256 of its .meta.json and .eigs.csv. Every seeded value (the
 experiments and the .eigs.csv digests) was re-pinned when the rows began
 to draw from one Philox stream per (seed, replicate, kind) in place of one
 stream per row; the .meta.json digests hold no draw and did not move.
+The .meta.json digests alone were re-pinned when the meta began to record
+the model JSON as given in place of an echo of the dense shape; the
+.eigs.csv digests did not move.
 """
 
 import hashlib
@@ -37,7 +40,7 @@ from rmtlaw.experiments import (
 )
 from rmtlaw.linalg import toeplitz_corr
 from rmtlaw.measures import DiscreteMeasure
-from rmtlaw.samplers import PopulationModel, model_from_json_dict, model_to_json_dict
+from rmtlaw.samplers import PopulationModel, model_from_json_dict, sample_model
 
 
 def _atoms(values, weights):
@@ -150,7 +153,7 @@ def test_elliptical_experiment_pinned():
 
 
 # name -> (model JSON, --matrix, .meta.json sha256, .eigs.csv sha256). The
-# meta JSON echoes each model's dense shape in 17 significant digits.
+# meta JSON records each model JSON as given.
 SIMULATE_CASES = {
     "gaussian_toeplitz": (
         {
@@ -161,7 +164,7 @@ SIMULATE_CASES = {
             "mu": [i / 7.0 for i in range(40)],
         },
         "covariance",
-        "30e64324c0c5977f9144370735b63898754abf1dac2e4150823182830c435693",
+        "a340f253dbc20cb3c77a5c201155a99b8b2586f00f66ab9161517c125a9e74c5",
         "29d86997eb44277e46454c41a6dcc3b8efbdf3b57c27fa0fa7a39ea46d50a1c3",
     ),
     "sphere_identity": (
@@ -173,7 +176,7 @@ SIMULATE_CASES = {
             "mixing": _atoms([0.5, 1.5], [0.5, 0.5]),
         },
         "gram",
-        "c0349efc5331791ccda9c94bbd847f61bd66117539292ac892ada2a2dd65baa2",
+        "0a292552bf65b1c8c85c85f11d9d016dc7b15298c5eac7cc332063bdec415960",
         "58e9c11448b956bad0ffb20fa777defd3abbda70a7d619c7af7de1f09fc829f1",
     ),
     "copula_toeplitz": (
@@ -184,7 +187,7 @@ SIMULATE_CASES = {
             "shape": {"kind": "toeplitz", "r": 0.3},
         },
         "correlation",
-        "898e715cb2897d21fa541955d10210930bbaf5445892f4f3627a52644feafe8f",
+        "6b40b3a420f13696b58f693886025c63cbfee9fabaa3fb28ab7ec816abc67a1b",
         "e0c65ba0bf22572b352515d41b0beff0cfd16b24d34542d7bd802f6e821847eb",
     ),
 }
@@ -203,16 +206,20 @@ def test_simulate_pinned(tmp_path, capsys, name):
     argv = ["simulate", "--model", str(source), "--matrix", matrix, "--seed", "5"]
     assert cli.main([*argv, "--out", str(out), "--quiet"]) == 0
     assert capsys.readouterr().out == ""
+    assert json.loads((tmp_path / "sim.meta.json").read_text())["model"] == model
     assert _sha256(tmp_path / "sim.meta.json") == meta_sha
     assert _sha256(tmp_path / "sim.eigs.csv") == eigs_sha
 
 
 @pytest.mark.parametrize("name", sorted(SIMULATE_CASES))
 def test_model_json_round_trip_bit_identical(name):
+    # A dense shape and a mu vector in json_dumps's 17 significant digits
+    # read back to the same bytes, and so to the same draw.
     model = model_from_json_dict(SIMULATE_CASES[name][0])
-    text = json_dumps(model_to_json_dict(model))
+    dense = {"kind": "dense", "entries": model.shape}
+    text = json_dumps({**SIMULATE_CASES[name][0], "shape": dense, "mu": model.location})
     back = model_from_json_dict(json.loads(text))
     assert back.shape.dtype == np.float64
     assert back.shape.tobytes() == model.shape.tobytes()
     assert np.asarray(back.location).tobytes() == np.asarray(model.location).tobytes()
-    assert json_dumps(model_to_json_dict(back)) == text
+    assert sample_model(back, 5).tobytes() == sample_model(model, 5).tobytes()

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from scipy.special import gammaincinv, ndtr, ndtri
 
-from rmtlaw._serialize import json_dumps
 from rmtlaw.linalg import matrix_sqrt_psd, sample_covariance, toeplitz_corr
 from rmtlaw.measures import DiscreteMeasure, delta
 from rmtlaw import samplers
@@ -19,7 +18,6 @@ from rmtlaw.samplers import (
     _row_uniforms,
     load_model_json,
     model_from_json_dict,
-    model_to_json_dict,
     rng_stream,
     sample_bounded_iid,
     sample_covariance_model,
@@ -301,6 +299,11 @@ class TestSphere:
         for row in range(12):
             assert sample_sphere(p, 13, 2, row).tobytes() == rows[row].tobytes()
 
+    def test_negative_row_rejected(self):
+        # A negative row would wrap the Philox counter to a valid-looking direction.
+        with pytest.raises(ValueError, match="row must be >= 0"):
+            sample_sphere(4, 0, 0, -1)
+
     def test_coordinate_second_moment(self):
         # E y_1^2 = 1 on the sqrt(p)-sphere.
         rows = np.array([sample_sphere(8, seed=0, row=i) for i in range(4000)])
@@ -426,6 +429,13 @@ class TestBoundedIid:
         with pytest.raises(ValueError, match="n and p must be >= 1"):
             sample_bounded_iid(n, p, 1.0, seed=0)
 
+    @pytest.mark.parametrize("bound", [-0.5, float("nan"), float("inf")])
+    def test_bound_finite_and_nonnegative(self, bound):
+        with pytest.raises(ValueError, match="bound must be finite and >= 0"):
+            sample_bounded_iid(3, 2, bound, seed=0)
+        with pytest.raises(ValueError, match="bound must be finite and >= 0"):
+            PopulationModel(family="bounded_iid", n=3, p=2, bound=bound)
+
 
 class TestLocation:
     def test_scalar_shift(self):
@@ -500,37 +510,53 @@ class TestModelValidation:
 
 
 class TestModelJson:
+    # Hand-written model JSON per family: the parsed fields, and a draw
+    # byte-equal to that of the PopulationModel built directly.
     def test_round_trip_gaussian(self):
+        obj = {
+            "family": "gaussian",
+            "n": 10,
+            "p": 3,
+            "shape": {"kind": "toeplitz", "r": 0.4},
+            "mu": 1.5,
+        }
         model = PopulationModel(
             family="gaussian", n=10, p=3, shape=toeplitz_corr(3, 0.4), location=1.5
         )
-        back = model_from_json_dict(model_to_json_dict(model))
-        assert back.family == model.family
-        assert back.n == model.n and back.p == model.p
-        assert np.allclose(back.shape, model.shape)
+        back = model_from_json_dict(obj)
+        assert back.family == "gaussian"
+        assert back.n == 10 and back.p == 3 and back.d == 3
+        assert back.shape.tobytes() == model.shape.tobytes()
         assert back.location == 1.5
-        assert np.array_equal(sample_model(back, seed=0), sample_model(model, seed=0))
+        assert sample_model(back, seed=0).tobytes() == sample_model(model, seed=0).tobytes()
 
     def test_round_trip_elliptical(self):
+        gamma = np.arange(15.0).reshape(5, 3)
+        obj = {
+            "family": "sphere_elliptical",
+            "n": 8,
+            "p": 3,
+            "d": 5,
+            "shape": {"kind": "dense", "entries": gamma.tolist()},
+            "mixing": {"atoms": [{"value": 0.5, "weight": 0.3}, {"value": 2.0, "weight": 0.7}]},
+            "mixing_schedule": True,
+        }
         nu = DiscreteMeasure(np.array([0.5, 2.0]), np.array([0.3, 0.7]))
         model = PopulationModel(
-            family="sphere_elliptical",
-            n=8,
-            p=3,
-            shape=np.arange(15.0).reshape(5, 3),
-            mixing=nu,
-            mixing_schedule=True,
+            family="sphere_elliptical", n=8, p=3, shape=gamma, mixing=nu, mixing_schedule=True
         )
-        back = model_from_json_dict(model_to_json_dict(model))
+        back = model_from_json_dict(obj)
         assert back.d == 5
         assert back.mixing_schedule is True
-        assert np.allclose(back.mixing.values, nu.values)
-        assert np.array_equal(sample_model(back, seed=3), sample_model(model, seed=3))
+        assert back.mixing.values.tobytes() == nu.values.tobytes()
+        assert back.mixing.weights.tobytes() == nu.weights.tobytes()
+        assert sample_model(back, seed=3).tobytes() == sample_model(model, seed=3).tobytes()
 
     def test_round_trip_lb_ball(self):
+        back = model_from_json_dict({"family": "lb_ball", "n": 6, "p": 4, "b": 1.25})
         model = PopulationModel(family="lb_ball", n=6, p=4, b_exponent=1.25)
-        back = model_from_json_dict(model_to_json_dict(model))
         assert back.b_exponent == 1.25
+        assert sample_model(back, seed=1).tobytes() == sample_model(model, seed=1).tobytes()
 
     def test_unknown_key_rejected(self):
         obj = {"family": "gaussian", "n": 5, "p": 3, "location": 5.0}
@@ -538,18 +564,44 @@ class TestModelJson:
             model_from_json_dict(obj)
 
     def test_every_written_key_read(self):
-        # The reader accepts each key the writer puts out, for every family.
+        # Every key a model JSON may hold is read, for every family.
+        objs = {
+            "gaussian": {"mu": [0.0, 1.0, 2.0], "d": 3, "shape": {"kind": "identity"}},
+            "sphere_elliptical": {"mixing": {"atoms": [{"value": 2.0, "weight": 1.0}]},
+                                  "mixing_schedule": True},
+            "gaussian_copula": {"shape": {"kind": "toeplitz", "r": 0.2}, "mu": -1.0},
+            "lb_ball": {"b": 1.5, "entry_family": "bounded"},
+            "bounded_iid": {"bound": 1.0},
+        }
         kwargs = {
             "gaussian": {"location": np.arange(3.0)},
             "sphere_elliptical": {"mixing": delta(2.0), "mixing_schedule": True},
-            "gaussian_copula": {},
+            "gaussian_copula": {"shape": toeplitz_corr(3, 0.2), "location": -1.0},
             "lb_ball": {"b_exponent": 1.5, "entry_family": "bounded"},
             "bounded_iid": {"bound": 1.0},
         }
+        keys = {key for obj in objs.values() for key in obj}
+        assert keys == set(samplers._MODEL_OPTIONAL_KEYS)
         for family in FAMILIES:
+            back = model_from_json_dict({"family": family, "n": 4, "p": 3, **objs[family]})
             model = PopulationModel(family=family, n=4, p=3, **kwargs[family])
-            text = json_dumps(model_to_json_dict(model))
-            assert json_dumps(model_to_json_dict(model_from_json_dict(json.loads(text)))) == text
+            assert sample_model(back, seed=2).tobytes() == sample_model(model, seed=2).tobytes()
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("p", float("inf"), '"p" must be an integer'),
+            ("d", 3.0, '"d" must be an integer'),
+            ("shape", {"kind": "toeplitz", "r": 0.5, "entries": []}, 'unknown key "entries"'),
+            ("shape", {"kind": "dense"}, 'dense shape JSON needs "entries"'),
+        ],
+    )
+    def test_value_read_as_written(self, key, value, message):
+        # Beside the CLI's cases (tests/test_cli.py): a value the model would
+        # read differently from how it is written is rejected.
+        obj = {"family": "gaussian", "n": 5, "p": 3, key: value}
+        with pytest.raises(ValueError, match=message):
+            model_from_json_dict(obj)
 
     def test_shape_kind_identity(self):
         model = model_from_json_dict(
