@@ -111,16 +111,53 @@ def load_json(path, what: str):
 
 
 def check_keys(obj, what: str, required: tuple, optional: tuple) -> None:
-    """Raise ValueError unless obj is a JSON object that holds every key of
-    required and no key outside required and optional, naming the key."""
+    """Raise ValueError unless obj is a JSON object that holds no key outside
+    required and optional and every key of required, naming the key; an
+    unknown key is named first, as a misspelt key is also a missing one."""
     if not isinstance(obj, dict):
         raise ValueError(f"{what} JSON must be an object")
-    for key in required:
-        if key not in obj:
-            raise ValueError(f'{what} JSON needs "{key}"')
     for key in obj:
         if key not in required and key not in optional:
             raise ValueError(f'{what} JSON has unknown key "{key}"')
+    for key in required:
+        if key not in obj:
+            raise ValueError(f'{what} JSON needs "{key}"')
+
+
+# The Python types json.load gives for each kind of JSON value a reader
+# asks for. type() tells true and false (bool) apart from int, so a JSON
+# boolean is no number.
+_JSON_KINDS = {
+    "a number": (int, float),
+    "an integer": (int,),
+    "a boolean": (bool,),
+    "a string": (str,),
+    "an object": (dict,),
+}
+
+
+def _json_typed(obj: dict, what: str, key: str, kind: str, default=None):
+    """obj[key], or default when the key is absent, which must be of kind
+    (a key of _JSON_KINDS); raise ValueError naming what and key."""
+    if key not in obj:
+        return default
+    value = obj[key]
+    if type(value) not in _JSON_KINDS[kind]:
+        raise ValueError(f'{what} JSON "{key}" must be {kind}, got {value!r}')
+    return value
+
+
+def _json_numbers(obj: dict, what: str, key: str) -> np.ndarray:
+    """obj[key], a JSON number or nested arrays of numbers, as float64."""
+
+    def numbers(value) -> bool:
+        if type(value) is list:
+            return all(map(numbers, value))
+        return type(value) in _JSON_KINDS["a number"]
+
+    if not numbers(obj[key]):
+        raise ValueError(f'{what} JSON "{key}" must be a number or an array of numbers')
+    return np.asarray(obj[key], dtype=np.float64)
 
 
 def _write_lines(path, lines) -> None:

@@ -57,13 +57,13 @@ from .mp_solver import (
     DEFAULT_GRID_COUNT,
     GRID_PAD,
     SolverConfig,
+    _check_ratio,
     density_grid_detailed,
     solve_edge,
     support_hull,
 )
 from .samplers import load_model_json, model_from_json_dict, sample_model
 
-_PROBE_COUNT = 200
 # Where a numerical failure happened and how close it got, when known.
 _ERROR_FIELDS = ("index", "x", "residual", "iterations")
 
@@ -127,39 +127,34 @@ def _print_json(args: argparse.Namespace, obj, path: Optional[str]) -> None:
         _write_lines(path, [text])
 
 
-def _probe_hi(scale: float, ratio: float) -> float:
-    # The covariance law's bulk lies in [0, max(H) * (1 + sqrt(rho))^2].
-    return scale * (1.0 + np.sqrt(ratio)) ** 2 * 1.5 + 1.0
-
-
 def _mp_law(args: argparse.Namespace):
-    """(span(cfg), solve(xs, cfg)) for solve-mp: the covariance law of H at
+    """(span(), solve(xs, cfg)) for solve-mp: the covariance law of H at
     rho, whose span is its exact support hull."""
     H = load_measure_json(args.h_file)
     rho = args.rho
-    if not (rho > 0):
-        raise ValueError("--rho must be positive")
+    _check_ratio(rho, "--rho")
     return (
-        lambda cfg: support_hull(H, rho),
+        lambda: support_hull(H, rho),
         lambda xs, cfg: density_grid_detailed(H, rho, xs, cfg),
     )
 
 
 def _elliptical_law(args: argparse.Namespace):
-    """(span(cfg), solve(xs, cfg)) for solve-elliptical: the scaled-Gram
-    law, whose span is the support a probe solve detects."""
+    """(span(), solve(xs, cfg)) for solve-elliptical: the scaled-Gram law.
+
+    Its matrices lie between theta*min(nu^2)*S and theta*max(nu^2)*S in
+    the Loewner order, S the sample covariance of H at ratio theta*rho, so
+    the span scales that covariance law's exact hull; with one mixing atom
+    the law is theta*lam^2 times it and the span is exact.
+    """
     params = load_params_json(args.params)
-    scale = params.theta * float(np.max(params.nu.values**2)) * params.H.support_max
-    probe_hi = _probe_hi(scale, params.theta * params.rho)
+    lam2 = params.nu.values**2
 
-    def solve(xs, cfg):
-        return elliptical_density_grid_detailed(params, xs, cfg)
+    def span():
+        a, b = support_hull(params.H, params.theta * params.rho)
+        return params.theta * lam2.min() * a, params.theta * lam2.max() * b
 
-    def span(cfg):
-        support = solve(np.linspace(0.0, probe_hi, _PROBE_COUNT), cfg)[3]["support_estimate"]
-        return support if support is not None else (0.0, probe_hi)
-
-    return span, solve
+    return span, lambda xs, cfg: elliptical_density_grid_detailed(params, xs, cfg)
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -170,7 +165,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         xs = _parse_grid(args.grid)
     else:
         # The law's span, GRID_PAD wider on each side.
-        a, b = span(cfg)
+        a, b = span()
         xs = np.linspace(max(0.0, a - GRID_PAD), b + GRID_PAD, DEFAULT_GRID_COUNT)
     xs, density, cdf, stats = solve(xs, cfg)
     write_density_csv(f"{args.out}.density.csv", xs, density, cdf)
@@ -367,6 +362,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ValueError, OSError) as exc:
         _emit_error(type(exc).__name__, str(exc))
         return 2
+    except ArithmeticError as exc:
+        _emit_error(type(exc).__name__, str(exc))
+        return 3
     except NumericalError as exc:
         fields = {k: v for k in _ERROR_FIELDS if (v := getattr(exc, k, None)) is not None}
         _emit_error(type(exc).__name__, str(exc), **fields)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from ._serialize import check_keys, load_json
+from ._serialize import _json_typed, check_keys, load_json
 from .errors import NumericalError
 from .linalg import as_sym_matrix
 from .measures import DiscreteMeasure, measure_from_json_dict, measure_to_json_dict
@@ -24,6 +24,7 @@ from .mp_solver import (
     SolverConfig,
     TransformResult,
     _as_points,
+    _check_ratio,
     _check_upper_half_plane,
     _density_on_grid,
     _newton_fixed_point,
@@ -68,10 +69,8 @@ class EllipticalParams:
     rho: float
 
     def __post_init__(self) -> None:
-        if not (self.theta > 0):
-            raise ValueError("theta must be positive")
-        if not (self.rho > 0):
-            raise ValueError("rho must be positive")
+        _check_ratio(self.theta, "theta")
+        _check_ratio(self.rho, "rho")
         if self.H.support_min < 0:
             raise ValueError("H must be supported on [0, inf)")
         if self.H.support_max <= 0:
@@ -170,7 +169,10 @@ def elliptical_density_grid_detailed(
     def solve_at(z) -> TransformResult:
         return elliptical_solve(z, params, cfg)
 
-    atom0 = max(0.0, 1.0 - 1.0 / (params.theta * params.rho))
+    # rank B = min(n * nu(lam != 0), d * H((0, inf))) with d/n = theta*rho:
+    # the rest of the d eigenvalues are 0.
+    nu0 = float(params.nu.weights[params.nu.values == 0].sum())
+    atom0 = max(1.0 - (1.0 - nu0) / (params.theta * params.rho), params.H.cdf(0.0))
     xs, density, cdf, result, stats = _density_on_grid(solve_at, xs, v, atom0)
     b = mixing_integral(result.w, params.nu, params.theta, params.xi)
     stats["max_consistency_residual"] = float(
@@ -187,8 +189,9 @@ def elliptical_density_grid(
 ) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
     """Density and CDF of the limiting law of B_n on a real grid.
 
-    Returns (xs, density, cdf). B_n is d x d with rank at most n, so the
-    CDF includes a point mass max(0, 1 - 1/(theta*rho)) at 0.
+    Returns (xs, density, cdf). B_n is d x d with rank at most
+    min(n * nu(lam != 0), d * H((0, inf))), so the CDF includes a point
+    mass max(1 - (1 - nu({0}))/(theta*rho), H({0})) at 0.
     """
     return elliptical_density_grid_detailed(params, xs, cfg)[:3]
 
@@ -210,21 +213,23 @@ def scaled_gram(X, p: int) -> NDArray[np.float64]:
 def params_from_json_dict(obj) -> EllipticalParams:
     """Parse a params JSON object {"H":..., "nu":..., "theta":..., "rho":...}.
 
-    An optional "xi" must agree with theta^2*rho to a relative _XI_RTOL.
-    An optional "G" measure is accepted and validated but plays no role in
-    the solve. Any other key is rejected.
+    theta, rho and an optional "xi" are JSON numbers, and "xi" must agree
+    with theta^2*rho to a relative _XI_RTOL. H, nu and an optional "G" are
+    measure objects; G is validated but plays no role in the solve. Any
+    other key is rejected.
     """
     check_keys(obj, "params", ("H", "nu", "theta", "rho"), ("xi", "G"))
-    if obj.get("G") is not None:
-        measure_from_json_dict(obj["G"])
+    H, nu, G = (_json_typed(obj, "params", key, "an object") for key in ("H", "nu", "G"))
+    if G is not None:
+        measure_from_json_dict(G)
     params = EllipticalParams(
-        H=measure_from_json_dict(obj["H"]),
-        nu=measure_from_json_dict(obj["nu"]),
-        theta=float(obj["theta"]),
-        rho=float(obj["rho"]),
+        H=measure_from_json_dict(H),
+        nu=measure_from_json_dict(nu),
+        theta=float(_json_typed(obj, "params", "theta", "a number")),
+        rho=float(_json_typed(obj, "params", "rho", "a number")),
     )
-    if obj.get("xi") is not None:
-        xi = float(obj["xi"])
+    xi = _json_typed(obj, "params", "xi", "a number")
+    if xi is not None:
         if not abs(xi - params.xi) <= _XI_RTOL * params.xi:
             raise ValueError(f"xi={xi!r} is inconsistent with theta^2*rho={params.xi!r}")
     return params

@@ -13,7 +13,7 @@ from typing import Callable
 import numpy as np
 from numpy.typing import NDArray
 
-from ._serialize import _write_lines, json_dumps, load_json
+from ._serialize import _json_typed, _write_lines, check_keys, json_dumps, load_json
 
 __all__ = [
     "DiscreteMeasure",
@@ -167,19 +167,21 @@ def from_quantiles(quantile: Callable[[np.ndarray], np.ndarray], count: int = 51
 
 
 def measure_from_json_dict(obj) -> DiscreteMeasure:
-    """Parse {"atoms": [{"value": v, "weight": w}, ...]} and validate."""
-    if not isinstance(obj, dict) or "atoms" not in obj:
-        raise ValueError('measure JSON must be an object with an "atoms" list')
+    """Parse {"atoms": [{"value": v, "weight": w}, ...]} and validate.
+
+    Values and weights are JSON numbers, and neither the measure nor an
+    atom may hold another key.
+    """
+    check_keys(obj, "measure", ("atoms",), ())
     atoms = obj["atoms"]
     if not isinstance(atoms, list) or not atoms:
         raise ValueError('measure JSON "atoms" must be a nonempty list')
     values = []
     weights = []
     for atom in atoms:
-        if not isinstance(atom, dict) or "value" not in atom or "weight" not in atom:
-            raise ValueError('each atom must be an object with "value" and "weight"')
-        values.append(float(atom["value"]))
-        weights.append(float(atom["weight"]))
+        check_keys(atom, "measure atom", ("value", "weight"), ())
+        values.append(_json_typed(atom, "measure atom", "value", "a number"))
+        weights.append(_json_typed(atom, "measure atom", "weight", "a number"))
     return _build(values, weights)
 
 

@@ -126,6 +126,13 @@ _Step = Callable[
 ]
 
 
+def _check_ratio(x: float, name: str) -> None:
+    """Raise ValueError unless x is positive and finite: an aspect ratio or
+    a scale, where inf would only fail later as a numerical error."""
+    if not (0.0 < x < math.inf):
+        raise ValueError(f"{name} must be positive and finite")
+
+
 def default_v_eps(H: DiscreteMeasure, rho: float) -> float:
     """Imaginary offset matched to the spectral scale of (H, rho)."""
     return 1e-3 * (1.0 + H.support_max) * max(1.0, float(rho))
@@ -330,8 +337,7 @@ def mp_companion_solve(
     default w0 is the exact w for H = delta_s, s = mean(H).
     """
     z, scalar = _as_points(z)
-    if not (rho > 0):
-        raise ValueError("rho must be positive")
+    _check_ratio(rho, "rho")
     if H.support_min < 0:
         raise ValueError("H must be supported on [0, inf)")
     cfg = cfg or SolverConfig()
@@ -425,8 +431,7 @@ def density_grid_detailed(
 
     stats: {rho, atom0_mass, max_residual, v_eps, support_estimate}.
     """
-    if not (rho > 0):
-        raise ValueError("rho must be positive")
+    _check_ratio(rho, "rho")
     cfg = cfg or SolverConfig()
     v = cfg.v_eps if cfg.v_eps is not None else default_v_eps(H, rho)
 
@@ -502,8 +507,7 @@ def edge_c0_solve(H: DiscreteMeasure, n_over_p: float) -> float:
     The integrand is strictly increasing in c on the interval, so bisection
     converges unconditionally; resolved to 1e-12 relative width.
     """
-    if not (n_over_p > 0):
-        raise ValueError("n_over_p must be positive")
+    _check_ratio(n_over_p, "n_over_p")
     _check_edge_population(H)
     lam_max = H.support_max
     g = _edge_equation(H)
@@ -521,8 +525,7 @@ def edge_mu(H: DiscreteMeasure, p_over_n: float, c0: float) -> float:
     _check_edge_population(H)
     if not (0 < c0 < 1.0 / H.support_max):
         raise ValueError("c0 must lie in (0, 1/max(H))")
-    if not (p_over_n > 0):
-        raise ValueError("p_over_n must be positive")
+    _check_ratio(p_over_n, "p_over_n")
     return _edge_x(H, p_over_n, c0)
 
 
@@ -546,8 +549,7 @@ def support_hull(H: DiscreteMeasure, rho: float) -> tuple[float, float]:
     negative root when it exceeds 1, and 0 when it is 1. H = delta_0
     gives [0, 0].
     """
-    if not (rho > 0):
-        raise ValueError("rho must be positive")
+    _check_ratio(rho, "rho")
     if H.support_max == 0:
         return 0.0, 0.0
     n_over_p = 1.0 / rho

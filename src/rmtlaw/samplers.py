@@ -36,7 +36,7 @@ from typing import Callable, Optional, Sequence, TypeVar
 import numpy as np
 from numpy.typing import NDArray
 
-from ._serialize import check_keys, load_json
+from ._serialize import _json_numbers, _json_typed, check_keys, load_json
 from .linalg import as_corr_matrix, as_sym_matrix, load_matrix_csv, matrix_sqrt_psd, toeplitz_corr
 from .measures import DiscreteMeasure, delta, measure_from_json_dict
 
@@ -461,18 +461,10 @@ def _shape_from_json(spec, p: int):
     if kind == "identity":
         return np.eye(p)
     if kind == "dense":
-        return np.asarray(spec["entries"], dtype=np.float64)
+        return _json_numbers(spec, "dense shape", "entries")
     if kind == "toeplitz":
-        return toeplitz_corr(p, float(spec["r"]))
-    return load_matrix_csv(spec["path"])
-
-
-def _json_typed(obj: dict, key: str, typ: type, what: str, default=None):
-    """obj[key], or default when absent, of type typ exactly: JSON true is no integer."""
-    value = obj.get(key, default)
-    if type(value) is not typ:
-        raise ValueError(f'model JSON "{key}" must be {what}, got {value!r}')
-    return value
+        return toeplitz_corr(p, _json_typed(spec, "toeplitz shape", "r", "a number"))
+    return load_matrix_csv(_json_typed(spec, "file shape", "path", "a string"))
 
 
 _MODEL_OPTIONAL_KEYS = (
@@ -484,30 +476,30 @@ def model_from_json_dict(obj) -> PopulationModel:
     """Parse a model JSON object into a PopulationModel.
 
     simulate records obj as given, so each value must read as written: no
-    unknown key, JSON integers for n, p and d, a JSON boolean for
-    mixing_schedule, and only its kind's keys in a shape object. A "d" must
-    equal the row dimension: Gamma's row count for sphere_elliptical, else p.
+    unknown key, JSON integers for n, p and d, JSON numbers (never true or
+    false) for b, bound and mu and in a shape, a JSON boolean for
+    mixing_schedule, an object for mixing, and only its kind's keys in a
+    shape object. A "d" must equal the row dimension: Gamma's row count for
+    sphere_elliptical, else p.
     """
     check_keys(obj, "model", ("family", "n", "p"), _MODEL_OPTIONAL_KEYS)
-    n, p = (_json_typed(obj, key, int, "an integer") for key in ("n", "p"))
+    n, p = (_json_typed(obj, "model", key, "an integer") for key in ("n", "p"))
     shape = _shape_from_json(obj.get("shape"), p)
-    mixing = measure_from_json_dict(obj["mixing"]) if obj.get("mixing") else None
-    mu = obj.get("mu", 0.0)
-    mu = np.asarray(mu, dtype=np.float64) if isinstance(mu, (list, np.ndarray)) else float(mu)
+    mixing = _json_typed(obj, "model", "mixing", "an object")
     model = PopulationModel(
         family=obj["family"],
         n=n,
         p=p,
         shape=shape,
-        mixing=mixing,
-        b_exponent=float(obj["b"]) if obj.get("b") is not None else None,
-        bound=float(obj["bound"]) if obj.get("bound") is not None else None,
-        location=mu,
-        mixing_schedule=_json_typed(obj, "mixing_schedule", bool, "a boolean", False),
+        mixing=None if mixing is None else measure_from_json_dict(mixing),
+        b_exponent=_json_typed(obj, "model", "b", "a number"),
+        bound=_json_typed(obj, "model", "bound", "a number"),
+        location=_json_numbers(obj, "model", "mu") if "mu" in obj else 0.0,
+        mixing_schedule=_json_typed(obj, "model", "mixing_schedule", "a boolean", False),
         entry_family=obj.get("entry_family", "gaussian"),
     )
-    d = obj.get("d")
-    if d is not None and _json_typed(obj, "d", int, "an integer") != model.d:
+    d = _json_typed(obj, "model", "d", "an integer")
+    if d is not None and d != model.d:
         raise ValueError(f"d={d} disagrees with the model's row dimension {model.d}")
     return model
 

@@ -147,6 +147,45 @@ class TestSolveMp:
         assert err["error"] == "ValueError"
         assert "--rho" in err["message"]
 
+    @pytest.mark.parametrize("grid", [[], ["--grid", "0,3,10"]], ids=["default", "explicit"])
+    def test_infinite_rho_exit_2(self, tmp_path, unit_h, grid, capsys):
+        code, _, stderr = run_cli(
+            ["solve-mp", "--h-file", unit_h, "--rho", "inf", *grid, "--out", str(tmp_path / "x")],
+            capsys,
+        )
+        assert code == 2
+        assert json.loads(stderr)["message"] == "--rho must be positive and finite"
+
+    def test_overflow_exit_3(self, tmp_path, unit_h, capsys):
+        # rho = 1e308 is finite, but the solve overflows: a numerical failure.
+        argv = ["solve-mp", "--h-file", unit_h, "--rho", "1e308", "--grid", "0,3,10"]
+        code, _, stderr = run_cli([*argv, "--out", str(tmp_path / "x")], capsys)
+        assert code == 3
+        assert json.loads(stderr)["error"] == "OverflowError"
+        assert not (tmp_path / "x.density.csv").exists()
+
+    @pytest.mark.parametrize(
+        "measure, named",
+        [
+            ({"atoms": [{"value": "1.0", "weight": 1.0}]}, "value"),
+            ({"atoms": [{"value": 1.0, "weight": True}]}, "weight"),
+            ({"atoms": [{"value": 1.0, "wieght": 1.0}]}, "wieght"),
+            ({"atoms": [{"value": 1.0, "weight": 1.0}], "atom": []}, "atom"),
+        ],
+        ids=["value-string", "weight-bool", "misspelt-weight", "unknown-atom"],
+    )
+    def test_measure_value_not_read_as_written_exit_2(self, tmp_path, measure, named, capsys):
+        h = tmp_path / "h.json"
+        h.write_text(json.dumps(measure))
+        code, _, stderr = run_cli(
+            ["solve-mp", "--h-file", str(h), "--rho", "0.5", "--out", str(tmp_path / "x")],
+            capsys,
+        )
+        assert code == 2
+        error = json.loads(stderr)
+        assert error["error"] == "ValueError"
+        assert f'"{named}"' in error["message"]
+
     def test_bad_grid_exit_2(self, tmp_path, unit_h, capsys):
         code, _, stderr = run_cli(
             [
@@ -218,6 +257,38 @@ class TestSolveMp:
         ).read_bytes()
 
 
+# The 24 parameter files of the CI step "Default-grid solve-elliptical
+# raises no numpy warning". At theta * rho = 1 the law has a hard edge at 0,
+# where the trapezoid sum loses mass (ROADMAP item B); the final CDF
+# measured there is in each reason.
+CI_ATOMS = {
+    "unit": [(1.0, 1.0)],
+    "two_h": [(1.0, 0.5), (10.0, 0.5)],
+    "two_nu": [(1.0, 0.5), (2.0, 0.5)],
+}
+HARD_EDGE_CDF = {
+    ("unit", "unit"): 0.9583,
+    ("unit", "two_nu"): 0.9665,
+    ("two_h", "unit"): 0.9314,
+    ("two_h", "two_nu"): 0.9493,
+}
+CI_PARAMS = [
+    pytest.param(
+        h, nu, theta, rho,
+        marks=pytest.mark.xfail(
+            strict=True,
+            reason=f"theta*rho = 1: CDF ends at {HARD_EDGE_CDF[h, nu]} (hard edge at 0)",
+        ),
+    )
+    if theta * rho == 1
+    else (h, nu, theta, rho)
+    for h in ("unit", "two_h")
+    for nu in ("unit", "two_nu")
+    for theta in (0.5, 1.0)
+    for rho in (0.1, 0.5, 2.0)
+]
+
+
 class TestSolveElliptical:
     def test_end_to_end(self, tmp_path, unit_params, capsys):
         out = str(tmp_path / "ell")
@@ -268,6 +339,22 @@ class TestSolveElliptical:
         v_eps = 1e-3 * 2.0  # default for H = d_1, rho = 0.5
         assert np.max(np.abs(mp - ell)) < 1e-6 + 5 * v_eps
 
+    @pytest.mark.parametrize("h, nu, theta, rho", CI_PARAMS)
+    def test_default_grid_holds_the_mass(self, tmp_path, h, nu, theta, rho, capsys):
+        # The grid spans the law's support, so no bulk is dropped.
+        def measure(name):
+            return {"atoms": [{"value": v, "weight": w} for v, w in CI_ATOMS[name]]}
+
+        path = tmp_path / "params.json"
+        obj = {"H": measure(h), "nu": measure(nu), "theta": theta, "rho": rho}
+        path.write_text(json.dumps(obj))
+        code, _, _ = run_cli(
+            ["solve-elliptical", "--params", str(path), "--out", str(tmp_path / "ell")], capsys
+        )
+        assert code == 0
+        table = np.loadtxt(tmp_path / "ell.density.csv", delimiter=",", skiprows=1)
+        assert abs(table[-1, 2] - 1.0) <= 0.02
+
     def test_inconsistent_xi_exit_2(self, tmp_path, capsys):
         path = tmp_path / "params.json"
         path.write_text(
@@ -287,6 +374,32 @@ class TestSolveElliptical:
         )
         assert code == 2
         assert "inconsistent" in json.loads(stderr)["message"]
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("theta", "1"), ("rho", True), ("xi", "0.5"), ("H", []), ("nu", None), ("G", False)],
+    )
+    def test_params_value_not_read_as_written_exit_2(self, tmp_path, key, value, capsys):
+        unit = {"atoms": [{"value": 1.0, "weight": 1.0}]}
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps({"H": unit, "nu": unit, "theta": 1.0, "rho": 0.5, key: value}))
+        code, _, stderr = run_cli(
+            ["solve-elliptical", "--params", str(path), "--out", str(tmp_path / "x")],
+            capsys,
+        )
+        assert code == 2
+        assert f'"{key}"' in json.loads(stderr)["message"]
+
+    def test_infinite_theta_exit_2(self, tmp_path, capsys):
+        unit = {"atoms": [{"value": 1.0, "weight": 1.0}]}
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps({"H": unit, "nu": unit, "theta": float("inf"), "rho": 0.5}))
+        code, _, stderr = run_cli(
+            ["solve-elliptical", "--params", str(path), "--out", str(tmp_path / "x")],
+            capsys,
+        )
+        assert code == 2
+        assert json.loads(stderr)["message"] == "theta must be positive and finite"
 
     def test_unknown_params_key_exit_2(self, tmp_path, capsys):
         unit = {"atoms": [{"value": 1.0, "weight": 1.0}]}
@@ -335,6 +448,11 @@ class TestEdge:
         code, _, stderr = run_cli(["edge", "--h-file", str(h), "--n-over-p", "2"], capsys)
         assert code == 2
         assert "(0, inf)" in json.loads(stderr)["message"]
+
+    def test_infinite_ratio_exit_2(self, unit_h, capsys):
+        code, _, stderr = run_cli(["edge", "--h-file", unit_h, "--n-over-p", "inf"], capsys)
+        assert code == 2
+        assert json.loads(stderr)["message"] == "n_over_p must be positive and finite"
 
     def test_no_interior_solution_exit_3(self, unit_h, capsys):
         code, _, stderr = run_cli(
@@ -475,12 +593,26 @@ class TestSimulate:
             ("n", float("inf"), "n"),
             ("mixing_schedule", "false", "mixing_schedule"),
             ("shape", {"kind": "identity", "r": 0.5}, "r"),
+            ("b", "1.5", "b"),
+            ("bound", True, "bound"),
+            ("shape", {"kind": "toeplitz", "r": "0.5"}, "r"),
+            ("shape", {"kind": "dense", "entries": [["1", "0", "0", "0", "0"]]}, "entries"),
+            ("mu", ["1", "2", "3", "4", "5"], "mu"),
+            ("mixing", False, "mixing"),
+            ("mixing", {}, "atoms"),
+            ("mixing", {"atoms": [{"value": "1", "weight": 1.0}]}, "value"),
         ],
-        ids=["n-float", "n-bool", "n-infinity", "schedule-string", "identity-r"],
+        ids=[
+            "n-float", "n-bool", "n-infinity", "schedule-string", "identity-r",
+            "b-string", "bound-bool", "toeplitz-r-string", "entries-strings",
+            "mu-strings", "mixing-false", "mixing-empty", "mixing-value-string",
+        ],
     )
     def test_value_not_read_as_written_exit_2(self, tmp_path, key, value, named, capsys):
         # The meta records the JSON as given, so a value the model would read
-        # otherwise (n = 2, n = 1, a schedule switched on, a dropped key) exits 2.
+        # otherwise (n = 2, n = 1, a schedule switched on, a dropped key, a
+        # string or boolean taken for a number, a false mixing taken for
+        # delta_1) exits 2.
         path = tmp_path / "model.json"
         path.write_text(json.dumps({"family": "sphere_elliptical", "n": 20, "p": 5, key: value}))
         code, _, stderr = run_cli(

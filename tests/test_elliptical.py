@@ -6,13 +6,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rmtlaw import cli
 from rmtlaw.errors import NumericalError
 from rmtlaw.measures import DiscreteMeasure, delta
 from rmtlaw.mp_solver import (
+    DEFAULT_GRID_COUNT,
+    GRID_PAD,
     SolverConfig,
     density_grid,
     density_grid_detailed,
     mp_companion_solve,
+    support_hull,
 )
 from rmtlaw.elliptical_solver import (
     EllipticalParams,
@@ -109,6 +113,19 @@ class TestParamsValidation:
         with pytest.raises(ValueError, match=r"\[0, inf\)"):
             EllipticalParams(H=H, nu=UNIT, theta=1.0, rho=1.0)
 
+    @pytest.mark.parametrize("value", [float("inf"), float("nan"), -1.0])
+    @pytest.mark.parametrize("key", ["theta", "rho"])
+    def test_ratios_positive_and_finite(self, key, value):
+        kwargs = {"H": UNIT, "nu": UNIT, "theta": 1.0, "rho": 1.0, key: value}
+        with pytest.raises(ValueError, match=f"^{key} must be positive and finite$"):
+            EllipticalParams(**kwargs)
+
+    @pytest.mark.parametrize("key, value", [("theta", "2"), ("rho", True), ("xi", False)])
+    def test_json_numbers_only(self, key, value):
+        # A string or a boolean is no number, though float() would take it.
+        with pytest.raises(ValueError, match=f'params JSON "{key}" must be a number'):
+            params_from_json_dict({**self.JSON, key: value})
+
     def test_theta_positive(self):
         with pytest.raises(ValueError, match="theta"):
             EllipticalParams(H=UNIT, nu=UNIT, theta=0.0, rho=1.0)
@@ -142,6 +159,17 @@ class TestReduction:
         assert np.max(np.abs(fe - fc)) <= 1e-10
         assert np.max(np.abs(Fe - Fc)) <= 1e-10
 
+    @pytest.mark.parametrize("rho", [0.5, 2.0])
+    def test_grid_matches_covariance_law_with_zero_atom(self, rho):
+        # H's atom at 0 is part of both laws' atom there: max(1 - 1/rho, 0.3).
+        H = DiscreteMeasure(np.array([0.0, 1.0]), np.array([0.3, 0.7]))
+        xs = np.linspace(0.0, (1 + np.sqrt(0.7 * rho)) ** 2 + 1.0, 150)
+        _, fe, Fe, se = elliptical_density_grid_detailed(unit_params(rho, H=H), xs)
+        _, fc, Fc, sc = density_grid_detailed(H, rho, xs)
+        assert se["atom0_mass"] == sc["atom0_mass"] == max(1.0 - 1.0 / rho, 0.3)
+        assert np.max(np.abs(fe - fc)) <= 1e-10
+        assert np.max(np.abs(Fe - Fc)) <= 1e-10
+
     def test_density_reduction_pointwise(self):
         rho = 0.5
         params = unit_params(rho)
@@ -150,6 +178,63 @@ class TestReduction:
         _, fc, Fc = density_grid(UNIT, rho, xs)
         assert np.max(np.abs(fe - fc)) < 1e-6
         assert np.max(np.abs(Fe - Fc)) < 1e-6
+
+
+def elliptical_span(params: EllipticalParams) -> tuple[float, float]:
+    """theta * [min nu^2, max nu^2] times the covariance law's hull at
+    theta * rho, the span default-grid solve-elliptical places its grid on."""
+    a, b = support_hull(params.H, params.theta * params.rho)
+    lam2 = params.nu.values**2
+    return params.theta * lam2.min() * a, params.theta * lam2.max() * b
+
+
+class TestSupportSpan:
+    # B lies between theta*min(lam^2)*S and theta*max(lam^2)*S in the Loewner
+    # order, S the sample covariance of H at ratio theta*rho.
+
+    @pytest.mark.parametrize("theta, rho", [(0.5, 0.4), (1.0, 0.5), (2.0, 1.5)])
+    def test_one_mixing_atom_is_scaled_covariance_law(self, theta, rho):
+        # nu = delta_1: B is theta * S, so m(z) = m_S(z/theta)/theta.
+        lam = np.linspace(0.2, 5.0, 50)
+        H = DiscreteMeasure(lam, np.full(50, 1.0 / 50))
+        params = EllipticalParams(H=H, nu=UNIT, theta=theta, rho=rho)
+        z = np.linspace(0.0, 40.0, 60) + 1e-3j
+        me = elliptical_solve(z, params).m
+        ms = mp_companion_solve(z / theta, H, theta * rho).m / theta
+        assert np.max(np.abs(me - ms)) <= 1e-10
+
+    def test_default_grid_spans_it(self, tmp_path):
+        # solve-elliptical's default grid is this span, GRID_PAD wider.
+        nu = DiscreteMeasure(np.array([0.5, 1.5]), np.array([0.25, 0.75]))
+        params = EllipticalParams(H=TWO_ATOM, nu=nu, theta=2.0, rho=0.25)
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(params_to_json_dict(params)))
+        argv = ["solve-elliptical", "--params", str(path), "--out", str(tmp_path / "law")]
+        assert cli.main([*argv, "--quiet"]) == 0
+        xs = np.loadtxt(tmp_path / "law.density.csv", delimiter=",", skiprows=1)[:, 0]
+        a, b = elliptical_span(params)
+        assert xs.size == DEFAULT_GRID_COUNT
+        assert (xs[0], xs[-1]) == (max(0.0, a - GRID_PAD), b + GRID_PAD)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        H=populations(max_atoms=5),
+        nu=populations(max_atoms=3),
+        theta=st.floats(0.25, 2.0),
+        rho=st.floats(0.05, 4.0),
+    )
+    def test_density_beyond_span_within_cauchy_tail(self, H, nu, theta, rho):
+        # Off the support, Im m(x + iv)/pi is at most (v/pi)/d^2, d the
+        # distance from x to the support, so also to any interval holding it.
+        params = EllipticalParams(H=H, nu=nu, theta=theta, rho=rho)
+        a, b = elliptical_span(params)
+        below = a * np.array([0.25, 0.5, 0.9, 0.99]) if a > 0 else np.empty(0)
+        above = b + (b - a) * np.array([1e-3, 1e-2, 0.1, 1.0])
+        xs = np.concatenate([below, above])
+        v = 1e-6
+        _, density, _, _ = elliptical_density_grid_detailed(params, xs, SolverConfig(v_eps=v))
+        d = np.maximum(a - xs, xs - b)
+        assert np.all(density <= (v / np.pi) / d**2)
 
 
 class TestSolverInvariants:
@@ -250,6 +335,28 @@ class TestEllipticalDensity:
         _, _, F, stats = elliptical_density_grid_detailed(params, xs)
         assert stats["atom0_mass"] == pytest.approx(0.5)
         assert F[0] >= 0.5
+
+    @pytest.mark.parametrize(
+        "H, nu, theta, rho, atom0",
+        [
+            ([(0.0, 0.3), (1.0, 0.7)], [(1.0, 1.0)], 1.0, 0.5, 0.3),
+            ([(1.0, 1.0)], [(0.0, 0.5), (1.0, 0.5)], 1.0, 2.0, 0.75),
+            ([(0.0, 0.3), (1.0, 0.7)], [(0.0, 0.5), (2.0, 0.5)], 2.0, 1.0, 0.75),
+            ([(0.0, 0.6), (1.0, 0.4)], [(0.0, 0.3), (1.5, 0.7)], 1.0, 1.0, 0.6),
+        ],
+    )
+    def test_atom_counts_zero_atoms(self, H, nu, theta, rho, atom0):
+        # rank B <= min(n * nu(lam != 0), d * H((0, inf))), d/n = theta*rho;
+        # the atom is v * Im m(iv) as v -> 0.
+        def measure(atoms):
+            return DiscreteMeasure(*np.array(atoms).T)
+
+        params = EllipticalParams(H=measure(H), nu=measure(nu), theta=theta, rho=rho)
+        _, _, F, stats = elliptical_density_grid_detailed(params, np.linspace(0.0, 8.0, 300))
+        assert stats["atom0_mass"] == pytest.approx(atom0, abs=1e-15)
+        assert F[0] == stats["atom0_mass"]
+        v = 1e-6
+        assert v * elliptical_solve(1j * v, params).m.imag == pytest.approx(atom0, abs=1e-9)
 
     def test_no_atom_when_thin(self):
         params = EllipticalParams(H=UNIT, nu=UNIT, theta=0.5, rho=1.0)

@@ -2,19 +2,22 @@
 
 Default-grid solve-mp solves once, on the 400-point grid that spans the
 covariance law's exact support hull (mp_solver.support_hull) GRID_PAD
-wider on each side. Default-grid solve-elliptical first runs a 200-point
-probe whose density above 10 * v_eps places its 400-point grid; the
-experiments solve on a padded grid around the simulated spectrum and
+wider on each side. Default-grid solve-elliptical solves once too, on the
+400-point grid that spans theta * [min nu^2, max nu^2] times the hull of
+the covariance law of H at ratio theta * rho, GRID_PAD wider on each side;
+the experiments solve on a padded grid around the simulated spectrum and
 compare. These values are the program's current output and must not move
-under a refactor. The solve-mp values were last re-pinned when the hull
-replaced the probe: for H = {1, 10} at rho = 0.1 the probe missed the
-upper bulk, whose density stays below the threshold, so the grid ended
-near x = 1.86 with the CDF at 0.4955; the hull's grid reaches 15.53 and
-the CDF ends at 0.99723. The elliptical case still carries that defect:
-its probe drops the upper bulk and its CDF ends at 0.4916 (ROADMAP item
-A). All solve values and the experiments' KS values were re-pinned again
-when both solves began from the law's one-atom fixed point instead of its
-large-z value: w moved by at most 2.6e-11 relative, m by at most 1.2e-11
+under a refactor. The solve-mp values were re-pinned when the hull
+replaced a 200-point probe solve that kept only the span of density above
+10 * v_eps: for H = {1, 10} at rho = 0.1 the probe missed the upper bulk,
+whose density stays below that threshold, so the grid ended near x = 1.86
+with the CDF at 0.4955; the hull's grid reaches 15.53 and the CDF ends at
+0.99723. The elliptical values were re-pinned when the scaled hull
+replaced the same probe there: its grid ended near x = 4.90 with the CDF at
+0.4916, having dropped the upper bulk, and now reaches 42.35 with the CDF
+at 1.0014 (the trapezoid sum's own error). Earlier, all solve values and
+the experiments' KS values were re-pinned when both solves began from the
+law's one-atom fixed point instead of its large-z value: w moved by at most 2.6e-11 relative, m by at most 1.2e-11
 absolute, both within the solver's tolerance. `simulate` is pinned by the
 sha256 of its .meta.json and .eigs.csv. Every seeded value (the
 experiments and the .eigs.csv digests) was re-pinned when the rows began
@@ -77,11 +80,11 @@ SOLVE_CASES = {
             "rho": 0.25,
         },
         [],
-        '{"atom0_mass": 0, "max_consistency_residual": 2.7010654937283002e-12, '
-        '"max_residual": 9.6670978541385828e-13, "rho": 0.25, '
-        '"support_estimate": [0.2950153558846289, 4.5850303227069409], '
+        '{"atom0_mass": 0, "max_consistency_residual": 5.0058289011383153e-12, '
+        '"max_residual": 9.7265030431432454e-13, "rho": 0.25, '
+        '"support_estimate": [0.31841935921859965, 4.5640108154665944], '
         '"theta": 2, "v_eps": 0.0050000000000000001, "xi": 1}\n',
-        "cdc333b26605372f485212ff36296a04a4d6ce595538daf8e63eb9304291dfbf",
+        "d04ca016fd5321026064824011d8ae2fd51f11dc077671cac2f4f72c66fe0e3b",
     ),
 }
 

@@ -61,16 +61,17 @@ def spy_kernel():
         yield solves
 
 
-def probe_span(scale: float, ratio: float, count: int):
-    """The CLI's default probe span [0, probe_hi] at count points."""
-    return np.linspace(0.0, cli._probe_hi(scale, ratio), count)
+def wide_span(scale: float, ratio: float, count: int):
+    """[0, scale * (1 + sqrt(ratio))^2 * 1.5 + 1] at count points: past the
+    covariance law's bulk [0, max(H) * (1 + sqrt(rho))^2], with margin."""
+    return np.linspace(0.0, scale * (1.0 + np.sqrt(ratio)) ** 2 * 1.5 + 1.0, count)
 
 
 class TestEvaluationBudget:
     def test_toeplitz_covariance_law(self, monkeypatch):
         lam = np.linalg.eigvalsh(toeplitz_corr(200, 0.5))
         H = DiscreteMeasure(lam, np.full(lam.size, 1.0 / lam.size))
-        xs = probe_span(H.support_max, 0.5, cli.DEFAULT_GRID_COUNT)
+        xs = wide_span(H.support_max, 0.5, cli.DEFAULT_GRID_COUNT)
         calls = spy_calls(monkeypatch, mp_solver, "mp_companion_solve")
         density_grid_detailed(H, 0.5, xs)
         assert len(calls) == 1
@@ -97,16 +98,16 @@ class TestEvaluationBudget:
         assert cli.main([*argv, "--out", str(tmp_path / "law"), "--quiet"]) == 0
         assert [points for points, _ in calls] == [cli.DEFAULT_GRID_COUNT]
 
-    def test_default_grid_elliptical_command_probes_first(self, monkeypatch, tmp_path):
-        # The elliptical law still places its grid from a probe solve: the
-        # probe grid and the written grid, two kernel calls.
+    def test_default_grid_elliptical_command_solves_once(self, monkeypatch, tmp_path):
+        # The grid comes from the covariance law's hull, scaled by theta and
+        # the mixing atoms: one grid, one kernel call.
         source = tmp_path / "params.json"
         unit = '{"atoms": [{"value": 1.0, "weight": 1.0}]}'
         source.write_text(f'{{"H": {unit}, "nu": {unit}, "theta": 1.0, "rho": 0.5}}')
         calls = spy_calls(monkeypatch, elliptical_solver, "elliptical_solve")
         argv = ["solve-elliptical", "--params", str(source)]
         assert cli.main([*argv, "--out", str(tmp_path / "law"), "--quiet"]) == 0
-        assert [points for points, _ in calls] == [200, cli.DEFAULT_GRID_COUNT]
+        assert [points for points, _ in calls] == [cli.DEFAULT_GRID_COUNT]
 
 
 TWO_ATOM = DiscreteMeasure(np.array([1.0, 10.0]), np.array([0.5, 0.5]))
@@ -194,7 +195,7 @@ class TestConvergence:
     def test_covariance_law(self, H, rho, v_eps):
         cfg = SolverConfig(v_eps=v_eps)
         with spy_kernel() as solves:
-            density_grid_detailed(H, rho, probe_span(H.support_max, rho, 64), cfg)
+            density_grid_detailed(H, rho, wide_span(H.support_max, rho, 64), cfg)
         assert_converged(solves, cfg.tol)
 
     @settings(max_examples=40, deadline=None)
@@ -223,6 +224,6 @@ class TestConvergence:
         scale = theta * float(np.max(nu.values**2)) * H.support_max
         with spy_kernel() as solves:
             elliptical_density_grid_detailed(
-                params, probe_span(scale, theta * rho, 64), cfg
+                params, wide_span(scale, theta * rho, 64), cfg
             )
         assert_converged(solves, cfg.tol)

@@ -144,6 +144,24 @@ class TestJson:
         with pytest.raises(ValueError):
             load_measure_json(path)
 
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            ({"atoms": [{"value": "1.0", "weight": 1.0}]}, 'atom JSON "value" must be a number'),
+            ({"atoms": [{"value": 1.0, "weight": True}]}, 'atom JSON "weight" must be a number'),
+            ({"atoms": [{"value": 1.0, "wieght": 1.0}]}, 'unknown key "wieght"'),
+            ({"atoms": [{"value": 1.0, "weight": 1.0}], "atom": []}, 'unknown key "atom"'),
+            ([{"value": 1.0, "weight": 1.0}], "measure JSON must be an object"),
+        ],
+    )
+    def test_values_read_as_written(self, obj, message):
+        with pytest.raises(ValueError, match=message):
+            measure_from_json_dict(obj)
+
+    def test_integer_values_accepted(self):
+        m = measure_from_json_dict({"atoms": [{"value": 2, "weight": 1}]})
+        assert m.values.tolist() == [2.0] and m.weights.tolist() == [1.0]
+
     def test_atom_entries_validated(self):
         with pytest.raises(ValueError):
             measure_from_json_dict({"atoms": [{"value": 1.0}]})

@@ -521,6 +521,24 @@ class TestEdge:
         assert res.rho == pytest.approx(0.25)
 
 
+@pytest.mark.parametrize("ratio", [0.0, -1.0, float("inf"), float("nan")])
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda r: mp_companion_solve(1.0j, UNIT, r), "rho"),
+        (lambda r: density_grid_detailed(UNIT, r, [0.0, 1.0]), "rho"),
+        (lambda r: support_hull(UNIT, r), "rho"),
+        (lambda r: edge_c0_solve(UNIT, r), "n_over_p"),
+        (lambda r: edge_mu(UNIT, r, 0.5), "p_over_n"),
+    ],
+    ids=["mp_companion_solve", "density_grid_detailed", "support_hull", "edge_c0_solve", "edge_mu"],
+)
+def test_ratio_positive_and_finite(call, name, ratio):
+    # An infinite ratio is an input error, not a numerical failure later on.
+    with pytest.raises(ValueError, match=f"^{name} must be positive and finite$"):
+        call(ratio)
+
+
 class TestSupportHull:
     @pytest.mark.parametrize("rho", [0.25, 2.0])
     def test_unit_population_closed_form(self, rho):

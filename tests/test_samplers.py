@@ -594,6 +594,13 @@ class TestModelJson:
             ("d", 3.0, '"d" must be an integer'),
             ("shape", {"kind": "toeplitz", "r": 0.5, "entries": []}, 'unknown key "entries"'),
             ("shape", {"kind": "dense"}, 'dense shape JSON needs "entries"'),
+            ("b", True, 'model JSON "b" must be a number'),
+            ("bound", "1", 'model JSON "bound" must be a number'),
+            ("mu", [1, "2", 3], 'model JSON "mu" must be a number or an array of numbers'),
+            ("mixing", None, 'model JSON "mixing" must be an object'),
+            ("shape", {"kind": "toeplitz", "r": False}, '"r" must be a number'),
+            # float() and open() would take these: a fd number opens a stream.
+            ("shape", {"kind": "file", "path": 0}, 'file shape JSON "path" must be a string'),
         ],
     )
     def test_value_read_as_written(self, key, value, message):
