@@ -164,9 +164,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if args.grid is not None:
         xs = _parse_grid(args.grid)
     else:
-        # The law's span, GRID_PAD wider on each side.
+        # The law's span, GRID_PAD wider on each side; far from 0 the pad
+        # spans at least DEFAULT_GRID_COUNT ulps of b, so the points stay
+        # distinct after rounding.
         a, b = span()
-        xs = np.linspace(max(0.0, a - GRID_PAD), b + GRID_PAD, DEFAULT_GRID_COUNT)
+        pad = max(GRID_PAD, DEFAULT_GRID_COUNT * float(np.spacing(b)))
+        xs = np.linspace(max(0.0, a - pad), b + pad, DEFAULT_GRID_COUNT)
     xs, density, cdf, stats = solve(xs, cfg)
     write_density_csv(f"{args.out}.density.csv", xs, density, cdf)
     _print_json(args, stats, f"{args.out}.summary.json")

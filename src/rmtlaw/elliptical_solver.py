@@ -6,7 +6,8 @@ transform m characterized together with a companion transform w by a
 coupled pair of equations driven by the spectral law H of Gamma Sigma
 Gamma', the mixing law nu of the lambda's, and the aspect ratios
 theta = d/p, rho = p/n. This module solves that system and recovers
-densities, with the built-in identity 1 + z*m = w*b as a consistency check.
+densities and CDFs, with the built-in identity 1 + z*m = w*b as a
+consistency check.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .measures import DiscreteMeasure, measure_from_json_dict, measure_to_json_d
 from .mp_solver import (
     SolverConfig,
     TransformResult,
+    _arg_sums,
     _as_points,
     _check_ratio,
     _check_upper_half_plane,
@@ -152,6 +154,28 @@ def elliptical_solve(
     return _transform_result(z, w, m, residual, evals, scalar)
 
 
+def _elliptical_smoothed_cdf(
+    z: NDArray[np.complex128],
+    w: NDArray[np.complex128],
+    b: NDArray[np.complex128],
+    params: EllipticalParams,
+) -> NDArray[np.float64]:
+    """F_v(x): the law convolved with the Cauchy kernel of width v, b = b(w).
+
+    Its log-potential is Phi = int log(tau*b - z) dH(tau)
+    + (1/(theta*rho)) int log(1 + xi*lam^2*w) dnu(lam) - w*b; Phi is
+    stationary in w at the fixed point, so Phi' = -m (compare Hachem,
+    Loubaton and Najim, Ann. Appl. Probab. 17, 2007), and -Im(Phi)/pi is
+    the law convolved with the kernel. Im(tau*b - z) < 0 and
+    Im(1 + xi*lam^2*w) >= 0, so every arg is continuous in z.
+    """
+    H, nu = params.H, params.nu
+    lam2 = nu.values**2
+    arg_h = _arg_sums(-z, b, H.values, H.weights)
+    arg_nu = _arg_sums(1.0, params.xi * w, lam2, nu.weights)
+    return (np.imag(w * b) - arg_h - arg_nu / (params.theta * params.rho)) / np.pi
+
+
 def elliptical_density_grid_detailed(
     params: EllipticalParams,
     xs,
@@ -166,20 +190,19 @@ def elliptical_density_grid_detailed(
     cfg = cfg or SolverConfig()
     v = cfg.v_eps if cfg.v_eps is not None else default_v_eps(params.H, params.rho)
 
-    def solve_at(z) -> TransformResult:
-        return elliptical_solve(z, params, cfg)
+    def solve_at(z):
+        result = elliptical_solve(z, params, cfg)
+        b = mixing_integral(result.w, params.nu, params.theta, params.xi)
+        consistency = np.abs(1.0 + z * result.m - result.w * b)
+        stats = {"max_consistency_residual": float(consistency.max())}
+        stats.update(theta=params.theta, rho=params.rho, xi=params.xi)
+        return result, _elliptical_smoothed_cdf(z, result.w, b, params), stats
 
     # rank B = min(n * nu(lam != 0), d * H((0, inf))) with d/n = theta*rho:
     # the rest of the d eigenvalues are 0.
     nu0 = float(params.nu.weights[params.nu.values == 0].sum())
     atom0 = max(1.0 - (1.0 - nu0) / (params.theta * params.rho), params.H.cdf(0.0))
-    xs, density, cdf, result, stats = _density_on_grid(solve_at, xs, v, atom0)
-    b = mixing_integral(result.w, params.nu, params.theta, params.xi)
-    stats["max_consistency_residual"] = float(
-        np.max(np.abs(1.0 + result.z * result.m - result.w * b))
-    )
-    stats.update(theta=params.theta, rho=params.rho, xi=params.xi)
-    return xs, density, cdf, stats
+    return _density_on_grid(solve_at, xs, v, atom0)
 
 
 def elliptical_density_grid(

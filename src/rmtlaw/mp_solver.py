@@ -2,8 +2,9 @@
 
 Solves the self-consistent equation for the companion Stieltjes transform
 w(z) of the limiting spectral law with population spectrum H and aspect
-ratio rho = p/n, recovers densities and CDFs on real grids by Stieltjes
-inversion, and computes the almost-sure limit of the largest eigenvalue.
+ratio rho = p/n, recovers densities on real grids by Stieltjes inversion
+and CDFs from the law's log-potential, and computes the almost-sure
+limit of the largest eigenvalue.
 
 Both this law and the elliptical one are fixed points w = T(w) of maps
 with a closed-form derivative. One array-valued safeguarded-Newton
@@ -360,40 +361,71 @@ def mp_companion_solve(
     return _transform_result(z, w, m, residual, evals, scalar)
 
 
-def _invert_to_density(
-    xs: NDArray[np.float64], ms: NDArray[np.complex128], v: float, atom0: float
-) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """Continuous density and CDF from m(x + iv) values.
+def _arg_sums(a, c: NDArray[np.complex128], x: NDArray[np.float64], p) -> NDArray[np.float64]:
+    """Per point k: sum_j p_j arg(a_k + c_k x_j), each arg in (-pi, pi].
 
-    A point mass at 0 shows up in Im(m)/pi as a Lorentzian bump of width
-    v; it is removed from the density and added to the CDF exactly, since
-    inversion at finite v cannot resolve an atom.
+    a is a scalar or matches c. Each arg is the real arctan2 of the
+    term's imaginary and real parts, summed over blocks as in _pole_sums.
+    Every caller's terms lie in one closed half-plane, so no arg crosses
+    its branch cut.
     """
-    density = np.imag(ms) / np.pi
-    if atom0 > 0:
-        density = density - atom0 * (v / np.pi) / (xs**2 + v**2)
-    density = np.maximum(density, 0.0)
-    cdf = np.concatenate(
-        ([0.0], np.cumsum(0.5 * (density[1:] + density[:-1]) * np.diff(xs)))
-    )
-    if atom0 > 0:
-        cdf = cdf + atom0 * (xs >= 0)
-    return density, cdf
+    a = np.broadcast_to(np.asarray(a, dtype=np.complex128), c.shape)
+    out = np.empty(c.shape)
+    rows = max(1, _BLOCK_ENTRIES // x.size)
+    for lo in range(0, c.size, rows):
+        sl = slice(lo, lo + rows)
+        im = np.multiply.outer(c[sl].imag, x)
+        im += a[sl, None].imag
+        re = np.multiply.outer(c[sl].real, x)
+        re += a[sl, None].real
+        np.arctan2(im, re, out=im)
+        out[sl] = np.einsum("ij,j->i", im, p)
+    return out
+
+
+def _cauchy_cdf(z: NDArray[np.complex128]) -> NDArray[np.float64]:
+    """C_v(x) = 1/2 + arctan(x/v)/pi at z = x + iv: a point mass at 0
+    convolved with the Cauchy kernel of width v."""
+    return np.arctan2(z.imag, -z.real) / np.pi
+
+
+def _mp_smoothed_cdf(
+    z: NDArray[np.complex128], w: NDArray[np.complex128], H: DiscreteMeasure, rho: float
+) -> NDArray[np.float64]:
+    """F_v(x): the covariance law convolved with the Cauchy kernel of width v.
+
+    The companion law (1 - rho) delta_0 + rho F has the log-potential
+    L(z) = -z*w - log w + rho * int log(1 + lam*w) dH(lam), with L' = -w
+    since L is stationary in w at the fixed point (Silverstein and Choi,
+    J. Multivariate Anal. 54, 1995); -Im(L)/pi is that law convolved with
+    the kernel. Im(1 + lam*w) >= 0, so every arg is continuous in z.
+    """
+    arg_h = _arg_sums(1.0, w, H.values, H.weights)
+    companion = (np.imag(z * w) + np.angle(w) - rho * arg_h) / np.pi
+    return (companion - (1.0 - rho) * _cauchy_cdf(z)) / rho
 
 
 def _density_on_grid(
-    solve_at: Callable[[NDArray[np.complex128]], TransformResult],
+    solve_at: Callable[
+        [NDArray[np.complex128]], tuple[TransformResult, NDArray[np.float64], dict]
+    ],
     xs,
     v: float,
     atom0: float,
-) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64], TransformResult, dict]:
-    """Grid solve, inversion and summary shared by both laws.
+) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64], dict]:
+    """Grid solve, density, CDF and summary shared by both laws.
 
     One array solve at xs + iv from the law's own start: the fixed point
     of a self-map of C+ is unique and attracting, so no continuation
     from greater heights is needed. A failure names the grid point it
-    happened at. Returns (xs, density, cdf, result, stats), result being
-    that solve, with stats {atom0_mass, max_residual, v_eps,
+    happened at. solve_at(z) returns (result, F, law_stats): the solve,
+    the law convolved with the Cauchy kernel of width v (F' = Im(m)/pi)
+    and the law's own summary entries. The atom at 0, smoothed by that
+    kernel in both m and F, is taken out of the density and enters the
+    CDF as an exact step. Rounding can leave the CDF a few ulps outside
+    [0, 1] or below its left neighbour, so it is clamped to a
+    nondecreasing function in [0, 1]. Returns (xs, density, cdf, stats),
+    stats being law_stats with {atom0_mass, max_residual, v_eps,
     support_estimate}; the support is the span of density above
     SUPPORT_THRESHOLD_V_EPS * v.
     """
@@ -404,21 +436,28 @@ def _density_on_grid(
         raise ValueError("xs must be finite")
     if np.any(np.diff(xs) <= 0):
         raise ValueError("xs must be strictly ascending")
+    z = xs + 1j * v
     try:
-        result = solve_at(xs + 1j * v)
+        result, smoothed, stats = solve_at(z)
     except NumericalError as exc:
         # The same exception, class and fields kept, naming its grid point.
         exc.x = float(xs[exc.index or 0])
         exc.args = (f"density grid failed at x={exc.x!r}: {exc}",)
         raise
-    density, cdf = _invert_to_density(xs, result.m, v, atom0)
-    stats = {
-        "atom0_mass": atom0,
-        "max_residual": result.residual,
-        "v_eps": v,
-        "support_estimate": estimate_support(xs, density, SUPPORT_THRESHOLD_V_EPS * v),
-    }
-    return xs, density, cdf, result, stats
+    density = np.imag(result.m) / np.pi
+    cdf = smoothed
+    if atom0 > 0:
+        density = density - atom0 * (v / np.pi) / (xs**2 + v**2)
+        cdf = cdf - atom0 * _cauchy_cdf(z) + atom0 * (xs >= 0)
+    density = np.maximum(density, 0.0)
+    cdf = np.clip(np.maximum.accumulate(cdf), 0.0, 1.0)
+    stats.update(
+        atom0_mass=atom0,
+        max_residual=result.residual,
+        v_eps=v,
+        support_estimate=estimate_support(xs, density, SUPPORT_THRESHOLD_V_EPS * v),
+    )
+    return xs, density, cdf, stats
 
 
 def density_grid_detailed(
@@ -435,14 +474,13 @@ def density_grid_detailed(
     cfg = cfg or SolverConfig()
     v = cfg.v_eps if cfg.v_eps is not None else default_v_eps(H, rho)
 
-    def solve_at(z) -> TransformResult:
-        return mp_companion_solve(z, H, rho, cfg)
+    def solve_at(z):
+        result = mp_companion_solve(z, H, rho, cfg)
+        return result, _mp_smoothed_cdf(z, result.w, H, rho), {"rho": rho}
 
     # rank S = min(n, p * H((0, inf))): the rest of the p eigenvalues are 0.
     atom0 = max(1.0 - 1.0 / rho, H.cdf(0.0))
-    xs, density, cdf, _, stats = _density_on_grid(solve_at, xs, v, atom0)
-    stats["rho"] = rho
-    return xs, density, cdf, stats
+    return _density_on_grid(solve_at, xs, v, atom0)
 
 
 def density_grid(

@@ -19,3 +19,10 @@ def populations(draw, max_atoms: int = 6) -> DiscreteMeasure:
     weights = weights / weights.sum()
     weights[-1] = 1.0 - weights[:-1].sum()
     return DiscreteMeasure(np.sort(values), weights)
+
+
+@st.composite
+def grids(draw, hi: float, max_points: int = 60) -> np.ndarray:
+    """A strictly ascending grid of 2 to max_points points in [-1, hi]."""
+    xs = draw(st.lists(st.floats(-1.0, hi), min_size=2, max_size=max_points, unique=True))
+    return np.sort(xs)

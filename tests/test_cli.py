@@ -21,6 +21,24 @@ def run_cli(argv, capsys):
     return code, captured.out, captured.err
 
 
+def assert_holds_the_mass(out):
+    """The law CSV at prefix out has a CDF in [0, 1] that never decreases
+    and, on a default grid, holds the mass.
+
+    The default grid reaches at least GRID_PAD past the law's support,
+    and the written CDF is the law convolved with the Cauchy kernel of
+    width v = v_eps (its atom at 0 an exact step), which at a distance
+    delta past the support is at least 1 - v/(pi*delta). So
+    0 <= 1 - F_end <= v_eps/(pi*GRID_PAD).
+    """
+    cdf = np.loadtxt(f"{out}.density.csv", delimiter=",", skiprows=1)[:, 2]
+    with open(f"{out}.summary.json") as fh:
+        v_eps = json.load(fh)["v_eps"]
+    assert 0.0 <= cdf.min() and cdf.max() <= 1.0
+    assert np.all(np.diff(cdf) >= 0)
+    assert 0.0 <= 1.0 - cdf[-1] <= v_eps / (np.pi * cli.GRID_PAD)
+
+
 @pytest.fixture
 def unit_h(tmp_path):
     path = tmp_path / "h.json"
@@ -103,7 +121,35 @@ class TestSolveMp:
         table = np.loadtxt(tmp_path / "law.density.csv", delimiter=",", skiprows=1)
         assert table[0, 0] == 0.0
         assert table[-1, 0] == pytest.approx(grid_hi, rel=1e-12)
-        assert abs(table[-1, 2] - 1.0) < 0.02
+        assert_holds_the_mass(out)
+
+    @pytest.mark.parametrize(
+        "atoms, rho",
+        [
+            ([(1.0, 1.0)], 0.5),
+            ([(1.0, 1.0)], 1.0),
+            ([(1.0, 1.0)], 2.0),
+            ([(1.0, 0.5), (10.0, 0.5)], 0.1),
+        ],
+    )
+    def test_default_grid_holds_the_mass(self, tmp_path, capsys, atoms, rho):
+        h = tmp_path / "h.json"
+        h.write_text(json.dumps({"atoms": [{"value": v, "weight": w} for v, w in atoms]}))
+        out = str(tmp_path / "law")
+        argv = ["solve-mp", "--h-file", str(h), "--rho", str(rho), "--out", out]
+        code, _, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert_holds_the_mass(out)
+
+    @pytest.mark.parametrize("rho", ["1e30", "1e100"])
+    def test_default_grid_at_a_huge_hull_scale(self, tmp_path, unit_h, capsys, rho):
+        # The hull's ends are so large that GRID_PAD is below their ulp;
+        # the pad then spans DEFAULT_GRID_COUNT ulps, so the grid points
+        # stay distinct.
+        out = str(tmp_path / "law")
+        code, _, _ = run_cli(["solve-mp", "--h-file", unit_h, "--rho", rho, "--out", out], capsys)
+        assert code == 0
+        assert_holds_the_mass(out)
 
     def test_explicit_grid(self, tmp_path, unit_h, capsys):
         out = str(tmp_path / "law")
@@ -258,30 +304,14 @@ class TestSolveMp:
 
 
 # The 24 parameter files of the CI step "Default-grid solve-elliptical
-# raises no numpy warning". At theta * rho = 1 the law has a hard edge at 0,
-# where the trapezoid sum loses mass (ROADMAP item B); the final CDF
-# measured there is in each reason.
+# raises no numpy warning"; theta * rho = 1 puts a hard edge at 0.
 CI_ATOMS = {
     "unit": [(1.0, 1.0)],
     "two_h": [(1.0, 0.5), (10.0, 0.5)],
     "two_nu": [(1.0, 0.5), (2.0, 0.5)],
 }
-HARD_EDGE_CDF = {
-    ("unit", "unit"): 0.9583,
-    ("unit", "two_nu"): 0.9665,
-    ("two_h", "unit"): 0.9314,
-    ("two_h", "two_nu"): 0.9493,
-}
 CI_PARAMS = [
-    pytest.param(
-        h, nu, theta, rho,
-        marks=pytest.mark.xfail(
-            strict=True,
-            reason=f"theta*rho = 1: CDF ends at {HARD_EDGE_CDF[h, nu]} (hard edge at 0)",
-        ),
-    )
-    if theta * rho == 1
-    else (h, nu, theta, rho)
+    (h, nu, theta, rho)
     for h in ("unit", "two_h")
     for nu in ("unit", "two_nu")
     for theta in (0.5, 1.0)
@@ -352,8 +382,17 @@ class TestSolveElliptical:
             ["solve-elliptical", "--params", str(path), "--out", str(tmp_path / "ell")], capsys
         )
         assert code == 0
-        table = np.loadtxt(tmp_path / "ell.density.csv", delimiter=",", skiprows=1)
-        assert abs(table[-1, 2] - 1.0) <= 0.02
+        assert_holds_the_mass(str(tmp_path / "ell"))
+
+    @pytest.mark.parametrize("rho", [1e30, 1e100])
+    def test_default_grid_at_a_huge_hull_scale(self, tmp_path, capsys, rho):
+        unit = {"atoms": [{"value": 1.0, "weight": 1.0}]}
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps({"H": unit, "nu": unit, "theta": 1.0, "rho": rho}))
+        out = str(tmp_path / "ell")
+        code, _, _ = run_cli(["solve-elliptical", "--params", str(path), "--out", out], capsys)
+        assert code == 0
+        assert_holds_the_mass(out)
 
     def test_inconsistent_xi_exit_2(self, tmp_path, capsys):
         path = tmp_path / "params.json"

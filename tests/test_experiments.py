@@ -330,7 +330,7 @@ class TestEllipticalExperiment:
         first = xs[xs > cutoff][0]
         assert np.any((eigs[1] > cutoff) & (eigs[1] < first))
         assert result.details["ks_values"] == pytest.approx(
-            [0.14025278495469265, 0.11698602719066392], abs=1e-12
+            [0.1404910904956055, 0.11698918061599134], abs=1e-12
         )
 
 

@@ -25,7 +25,13 @@ to draw from one Philox stream per (seed, replicate, kind) in place of one
 stream per row; the .meta.json digests hold no draw and did not move.
 The .meta.json digests alone were re-pinned when the meta began to record
 the model JSON as given in place of an echo of the dense shape; the
-.eigs.csv digests did not move.
+.eigs.csv digests did not move. The density CSV digests and the
+experiments' KS values were re-pinned when the CDF began to come from
+each law's log-potential (the law convolved with the Cauchy kernel of
+width v_eps, its atom at 0 an exact step) in place of a trapezoid sum of
+the density: only the cdf column moved, and the CDFs now end at 0.99945
+(mp_two_atom), 0.99982 (mp_atom_at_zero) and 0.99995
+(elliptical_two_atom_nu).
 """
 
 import hashlib
@@ -60,7 +66,7 @@ SOLVE_CASES = {
         '"rho": 0.10000000000000001, '
         '"support_estimate": [0.56479239516749713, 1.3787759754156359], '
         '"v_eps": 0.010999999999999999}\n',
-        "b481a0c7f34e55279e8fd0aaa7c82fc3c6bd4170728caa8ab100ae6ab6342318",
+        "fed3a075ee1842ab06972a5babf8b3b45bbfff3814c136482093edd1c96e3476",
     ),
     "mp_atom_at_zero": (
         "solve-mp",
@@ -69,7 +75,7 @@ SOLVE_CASES = {
         '{"atom0_mass": 0.5, "max_residual": 6.2803698347351007e-16, "rho": 2, '
         '"support_estimate": [0.17446791571981982, 4.6154694067697788], '
         '"v_eps": 0.0040000000000000001}\n',
-        "2cee02d5a3031e8b828c73f061e6ee5c09b188bfb53bb42561133fc9c009858d",
+        "33937e63d2448203f5806440252d58b71491153e34d87012530fab401a08b448",
     ),
     "elliptical_two_atom_nu": (
         "solve-elliptical",
@@ -84,7 +90,7 @@ SOLVE_CASES = {
         '"max_residual": 9.7265030431432454e-13, "rho": 0.25, '
         '"support_estimate": [0.31841935921859965, 4.5640108154665944], '
         '"theta": 2, "v_eps": 0.0050000000000000001, "xi": 1}\n',
-        "d04ca016fd5321026064824011d8ae2fd51f11dc077671cac2f4f72c66fe0e3b",
+        "f96341f1f1172378097634426a28d11ebdfaee0d0fe1c2da775fae8cb8a693d8",
     ),
 }
 
@@ -113,13 +119,13 @@ def test_correlation_experiment_pinned():
     )
     assert comparison_to_json_dict(run_experiment(spec)) == {
         "details": {
-            "ks_values": [0.061584509876675075, 0.05576588545911865],
+            "ks_values": [0.06404438625650855, 0.05331636273301765],
             "largest_eigenvalues": [3.292067982435816, 3.1480931438143176],
             "lemma5_stats": [0.19061899749475597, 0.32763758347983307],
             "rho": 0.5,
             "v_eps": 0.002846157150645584,
         },
-        "ks_distance": 0.05867519766789686,
+        "ks_distance": 0.0586803744947631,
         "largest_eigenvalue": 3.292067982435816,
         "lemma5_stat": 0.19061899749475597,
         "mu_prediction": 3.5721108000117745,
@@ -139,13 +145,13 @@ def test_elliptical_experiment_pinned():
     )
     assert comparison_to_json_dict(run_experiment(spec)) == {
         "details": {
-            "ks_values": [0.06455465492666423, 0.039685150391190804],
+            "ks_values": [0.06899434198704324, 0.044239531765244755],
             "rho": 0.6666666666666666,
             "theta": 1.0,
             "v_eps": 0.002,
             "xi": 0.6666666666666666,
         },
-        "ks_distance": 0.05211990265892752,
+        "ks_distance": 0.056616936876144,
         "largest_eigenvalue": 4.608539338573374,
         "lemma5_stat": None,
         "mu_prediction": None,

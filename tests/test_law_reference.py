@@ -4,8 +4,12 @@ tests/data/law_reference.json holds the x, density and cdf columns that
 `solve-mp` and `solve-elliptical` wrote on their default grids before the
 grid solve became one array-valued Newton kernel: the three golden laws of
 test_golden_outputs.py, a 200-atom Toeplitz spectrum (r = 0.5) at rho = 0.5
-and a law with three mixing atoms. The file is never regenerated; each law
-is re-solved on its recorded grid and must stay within 1e-9 of it.
+and a law with three mixing atoms. Each law is re-solved on its recorded
+grid and must stay within 1e-9 of it. The x and density columns are never
+regenerated. The cdf column was re-pinned once, when the CDF began to come
+pointwise from each law's log-potential (the law convolved with the Cauchy
+kernel of width v_eps, its atom at 0 an exact step) in place of a trapezoid
+sum of the density; it moved by up to 4.5e-3.
 """
 
 from pathlib import Path
