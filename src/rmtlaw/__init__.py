@@ -63,16 +63,7 @@ from .mp_solver import (
     solve_edge,
     support_hull,
 )
-from .samplers import (
-    PopulationModel,
-    sample_bounded_iid,
-    sample_elliptical,
-    sample_gaussian,
-    sample_gaussian_copula,
-    sample_lb_ball,
-    sample_model,
-    sample_sphere,
-)
+from .samplers import PopulationModel, sample_gaussian_copula, sample_model, sample_sphere
 
 __version__ = "0.1.0"
 

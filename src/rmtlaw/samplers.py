@@ -9,8 +9,11 @@ row is a pure function of (seed, replicate, kind, i, cols): any run of
 rows, or one row alone (sample_sphere's row argument), is drawn on its own
 from its first row's block, shrinking n keeps a prefix of the rows, and a
 row's words change with cols, since cols sets where the row starts. The
-elliptical mixing scalars come from kind 1. gaussian and gaussian_copula
-models check and root their shape once, on their first draw.
+elliptical mixing scalars come from kind 1. sample_model draws every
+family: a table picks the family's draw, a private function of the model
+that PopulationModel has already checked, and sample_model adds the
+model's location. gaussian and gaussian_copula models check and root their
+shape once, on their first draw.
 Uniforms are mapped through inverse CDFs (normal via ndtri, gamma
 magnitudes via gammaincinv) rather than rejection methods, keeping every
 draw a pure function of its stream. Those come from scipy.special, which
@@ -45,19 +48,12 @@ __all__ = [
     "rng_stream",
     "uniform_open",
     "standard_normal",
-    "sample_gaussian",
     "sample_sphere",
-    "sample_elliptical",
     "sample_gaussian_copula",
-    "sample_lb_ball",
-    "sample_bounded_iid",
-    "sample_covariance_model",
     "sample_model",
     "model_from_json_dict",
     "load_model_json",
 ]
-
-FAMILIES = ("gaussian", "sphere_elliptical", "gaussian_copula", "lb_ball", "bounded_iid")
 
 # Stream kinds keep row draws and auxiliary draws (mixing scalars) on
 # disjoint spawn keys for the same (seed, replicate).
@@ -280,32 +276,19 @@ class PopulationModel:
     def _shape_root(self) -> Optional[NDArray[np.float64]]:
         """sqrt(shape) for gaussian and gaussian_copula, taken on the first draw.
 
-        None for the identity, as _sigma_root gives. shape is exactly
-        symmetric and read-only, so the root matches the public samplers'
-        and cannot go stale; the root is read-only too, as every draw shares it.
+        None when shape is exactly the identity: X @ I equals X exactly, so
+        identity models skip the p x p eigh and GEMM. shape is exactly
+        symmetric and read-only, so the root cannot go stale; the root is
+        read-only too, as every draw shares it.
         """
-        root = _sigma_root(self.shape)[1]
-        return None if root is None else _read_only(root)
+        if np.array_equal(self.shape, np.eye(self.p)):
+            return None
+        return _read_only(matrix_sqrt_psd(self.shape))
 
 
 def _read_only(a: NDArray[np.float64]) -> NDArray[np.float64]:
     a.setflags(write=False)
     return a
-
-
-def _sigma_root(sigma) -> tuple[int, Optional[NDArray[np.float64]]]:
-    """(p, sqrt(Sigma)); the root is None when Sigma is exactly the identity.
-
-    X @ I equals X exactly, so identity models skip the p x p eigh and GEMM.
-    """
-    A = as_sym_matrix(sigma)
-    p = A.shape[0]
-    return p, None if np.array_equal(A, np.eye(p)) else matrix_sqrt_psd(A)
-
-
-def sample_gaussian(n: int, sigma, seed: int, replicate: int = 0) -> NDArray[np.float64]:
-    """Rows i.i.d. N(0, Sigma): row = g @ sqrt(Sigma), g standard normal."""
-    return sample_covariance_model(n, sigma, seed, replicate)
 
 
 def _sphere_rows(seed: int, replicate: int, n: int, p: int, start: int = 0) -> NDArray[np.float64]:
@@ -336,28 +319,36 @@ def _mixing_values(model: PopulationModel, seed: int, replicate: int) -> NDArray
     return nu.values[np.minimum(idx, nu.n_atoms - 1)]
 
 
-def sample_elliptical(model: PopulationModel, seed: int, replicate: int = 0) -> NDArray[np.float64]:
-    """Rows mu + lambda_i * Gamma (sqrt(p) r_i), r_i uniform directions.
+def _elliptical_draw(model: PopulationModel, seed: int, replicate: int) -> NDArray[np.float64]:
+    """Rows lambda_i * Gamma (sqrt(p) r_i), r_i uniform directions.
 
     The mixing scalars come from a stream independent of every row stream.
     """
-    if model.family != "sphere_elliptical":
-        raise ValueError("sample_elliptical requires family 'sphere_elliptical'")
     lam = _mixing_values(model, seed, replicate)
     R = _sphere_rows(seed, replicate, model.n, model.p)
-    Y = (lam[:, None] * R) @ np.asarray(model.shape).T
-    return Y + model.location
+    return (lam[:, None] * R) @ np.asarray(model.shape).T
 
 
-def sample_gaussian_copula(n: int, R, seed: int, replicate: int = 0) -> NDArray[np.float64]:
+def _times_shape_root(model: PopulationModel, X: NDArray[np.float64]) -> NDArray[np.float64]:
+    root = model._shape_root
+    return X if root is None else X @ root
+
+
+def _gaussian_draw(model: PopulationModel, seed: int, replicate: int) -> NDArray[np.float64]:
+    """Y = X @ sqrt(Sigma) with i.i.d. unit-variance entries in X: standard
+    normal, or uniform on [-sqrt(3), sqrt(3)] for entry_family 'bounded'."""
+    if model.entry_family == "gaussian":
+        X = _row_normals(seed, replicate, model.n, model.p)
+    else:
+        X = np.sqrt(3.0) * (2.0 * _row_uniforms(seed, replicate, model.n, model.p) - 1.0)
+    return _times_shape_root(model, X)
+
+
+def _copula_draw(model: PopulationModel, seed: int, replicate: int) -> NDArray[np.float64]:
     """Rows Phi(v) - 1/2 with v ~ N(0, R); entries strictly inside (-1/2, 1/2)."""
-    return _copula_rows(sample_gaussian(n, as_corr_matrix(R), seed, replicate))
-
-
-def _copula_rows(V: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Phi(V) - 1/2, computed in place in V."""
     from scipy.special import ndtr  # here, not at import: the law commands never sample
 
+    V = _times_shape_root(model, _row_normals(seed, replicate, model.n, model.p))
     # ndtr saturates to exactly 0/1 around |v| ~ 9; clamp to keep the
     # strict-openness contract. V is a fresh draw, so every step runs in place.
     _map_rows(ndtr, V, out=V)
@@ -366,21 +357,17 @@ def _copula_rows(V: NDArray[np.float64]) -> NDArray[np.float64]:
     return V
 
 
-def sample_lb_ball(n: int, p: int, b: float, seed: int, replicate: int = 0) -> NDArray[np.float64]:
-    """Rows uniform in the l_b ball of radius p^(1/b).
+def _lb_ball_draw(model: PopulationModel, seed: int, replicate: int) -> NDArray[np.float64]:
+    """Rows uniform in the l_b ball of radius p^(1/b), b = b_exponent.
 
     Construction: entries g_i with density ~ exp(-|t|^b) (magnitudes are
     Gamma(1/b)^(1/b) by inverse CDF), an independent Exp(1) variable W, and
     row = g / (sum |g_i|^b + W)^(1/b), which is uniform in the unit ball;
     the row is then scaled by p^(1/b).
     """
-    b = float(b)
-    if not (1.0 <= b <= 2.0):
-        raise ValueError("b must be in [1, 2]")
-    if n < 1 or p < 1:
-        raise ValueError("n and p must be >= 1")
     from scipy.special import gammaincinv  # here, not at import: the law commands never sample
 
+    n, p, b = model.n, model.p, float(model.b_exponent)
     U = _row_uniforms(seed, replicate, n, 2 * p + 1)
     gamma_draws = _map_rows(partial(gammaincinv, 1.0 / b), U[:, :p], out=np.empty((n, p)))
     magnitudes = gamma_draws ** (1.0 / b)
@@ -394,56 +381,31 @@ def sample_lb_ball(n: int, p: int, b: float, seed: int, replicate: int = 0) -> N
     return p ** (1.0 / b) * out
 
 
-def sample_bounded_iid(n: int, p: int, bound: float, seed: int, replicate: int = 0) -> NDArray[np.float64]:
+def _bounded_iid_draw(model: PopulationModel, seed: int, replicate: int) -> NDArray[np.float64]:
     """i.i.d. entries uniform on [-bound, bound]."""
-    bound = float(bound)
-    if not (0 <= bound < np.inf):
-        raise ValueError("bound must be finite and >= 0")
-    if n < 1 or p < 1:
-        raise ValueError("n and p must be >= 1")
-    U = _row_uniforms(seed, replicate, n, p)
-    return bound * (2.0 * U - 1.0)
+    return float(model.bound) * (2.0 * _row_uniforms(seed, replicate, model.n, model.p) - 1.0)
 
 
-def sample_covariance_model(
-    n: int, sigma, seed: int, replicate: int = 0, entry_family: str = "gaussian"
-) -> NDArray[np.float64]:
-    """Y = X @ sqrt(Sigma) with i.i.d. unit-variance entries in X."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    p, root = _sigma_root(sigma)
-    return _covariance_rows(n, p, root, seed, replicate, entry_family)
-
-
-def _covariance_rows(
-    n: int, p: int, root: Optional[NDArray[np.float64]], seed: int, replicate: int, entry_family: str
-) -> NDArray[np.float64]:
-    """X @ root, or X when root is None, for a root checked and taken beforehand."""
-    if entry_family == "gaussian":
-        X = _row_normals(seed, replicate, n, p)
-    elif entry_family == "bounded":
-        # uniform on [-sqrt(3), sqrt(3)] has variance 1
-        X = np.sqrt(3.0) * (2.0 * _row_uniforms(seed, replicate, n, p) - 1.0)
-    else:
-        raise ValueError("entry_family must be 'gaussian' or 'bounded'")
-    return X if root is None else X @ root
+# Each family's draw, from a model PopulationModel has already checked.
+_FAMILY_DRAWS = {
+    "gaussian": _gaussian_draw,
+    "sphere_elliptical": _elliptical_draw,
+    "gaussian_copula": _copula_draw,
+    "lb_ball": _lb_ball_draw,
+    "bounded_iid": _bounded_iid_draw,
+}
+FAMILIES = tuple(_FAMILY_DRAWS)
 
 
 def sample_model(model: PopulationModel, seed: int, replicate: int = 0) -> NDArray[np.float64]:
-    """Draw the model's n x (p or d) data matrix."""
-    if model.family == "gaussian":
-        Y = _covariance_rows(model.n, model.p, model._shape_root, seed, replicate, model.entry_family)
-        return Y + model.location
-    if model.family == "sphere_elliptical":
-        return sample_elliptical(model, seed, replicate)
-    if model.family == "gaussian_copula":
-        V = _covariance_rows(model.n, model.p, model._shape_root, seed, replicate, "gaussian")
-        return _copula_rows(V) + model.location
-    if model.family == "lb_ball":
-        return sample_lb_ball(model.n, model.p, model.b_exponent, seed, replicate) + model.location
-    if model.family == "bounded_iid":
-        return sample_bounded_iid(model.n, model.p, model.bound, seed, replicate) + model.location
-    raise ValueError(f"unknown family {model.family!r}")
+    """Draw the model's n x d data matrix: its family's draw plus its location."""
+    return _FAMILY_DRAWS[model.family](model, seed, replicate) + model.location
+
+
+def sample_gaussian_copula(n: int, R, seed: int, replicate: int = 0) -> NDArray[np.float64]:
+    """Rows Phi(v) - 1/2 with v ~ N(0, R): sample_model of the gaussian_copula model over R."""
+    model = PopulationModel(family="gaussian_copula", n=n, p=len(R), shape=R)
+    return sample_model(model, seed, replicate)
 
 
 _SHAPE_KEYS = {"identity": (), "dense": ("entries",), "toeplitz": ("r",), "file": ("path",)}

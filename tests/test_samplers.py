@@ -19,11 +19,7 @@ from rmtlaw.samplers import (
     load_model_json,
     model_from_json_dict,
     rng_stream,
-    sample_bounded_iid,
-    sample_covariance_model,
-    sample_gaussian,
     sample_gaussian_copula,
-    sample_lb_ball,
     sample_model,
     sample_sphere,
     standard_normal,
@@ -31,26 +27,31 @@ from rmtlaw.samplers import (
 )
 
 
+def draw(family, n, p, seed, replicate=0, **kwargs):
+    """sample_model of PopulationModel(family, n, p, **kwargs)."""
+    return sample_model(PopulationModel(family=family, n=n, p=p, **kwargs), seed, replicate)
+
+
 class TestStreams:
     def test_same_seed_identical(self):
-        a = sample_gaussian(5, np.eye(3), seed=42)
-        b = sample_gaussian(5, np.eye(3), seed=42)
+        a = draw("gaussian", 5, 3, seed=42)
+        b = draw("gaussian", 5, 3, seed=42)
         assert np.array_equal(a, b)
 
     def test_replicates_differ(self):
-        a = sample_gaussian(5, np.eye(3), seed=42, replicate=0)
-        b = sample_gaussian(5, np.eye(3), seed=42, replicate=1)
+        a = draw("gaussian", 5, 3, seed=42, replicate=0)
+        b = draw("gaussian", 5, 3, seed=42, replicate=1)
         assert not np.array_equal(a, b)
 
     def test_seeds_differ(self):
-        a = sample_gaussian(5, np.eye(3), seed=0)
-        b = sample_gaussian(5, np.eye(3), seed=1)
+        a = draw("gaussian", 5, 3, seed=0)
+        b = draw("gaussian", 5, 3, seed=1)
         assert not np.array_equal(a, b)
 
     def test_row_prefix_stable(self):
         # Each row draws from its own stream, so shrinking n keeps a prefix.
-        big = sample_gaussian(8, np.eye(4), seed=7)
-        small = sample_gaussian(3, np.eye(4), seed=7)
+        big = draw("gaussian", 8, 4, seed=7)
+        small = draw("gaussian", 3, 4, seed=7)
         assert np.array_equal(big[:3], small)
 
     def test_uniform_open_strictly_inside(self):
@@ -88,7 +89,7 @@ def _row_uniform(seed, replicate, i, cols, kind=0):
 
 
 def _lb_ball_reference(n, p, b, seed, replicate):
-    """sample_lb_ball one row at a time, each row read from the stream on its own."""
+    """An lb_ball model's draw one row at a time, each row read from the stream on its own."""
     out = np.empty((n, p))
     for i in range(n):
         u = _row_uniform(seed, replicate, i, 2 * p + 1)
@@ -165,12 +166,12 @@ class TestRowStreams:
     @pytest.mark.parametrize("seed", [0, 2**70 + 11])
     def test_lb_ball_equals_per_row_reference(self, b, seed):
         for p in (1, 7, 120):
-            got = sample_lb_ball(40, p, b, seed, replicate=3)
+            got = draw("lb_ball", 40, p, seed, replicate=3, b_exponent=b)
             assert got.tobytes() == _lb_ball_reference(40, p, b, seed, 3).tobytes()
 
     @pytest.mark.parametrize("seed", [0, 2**32 + 3])
     def test_bounded_iid_equals_per_row_reference(self, seed):
-        got = sample_bounded_iid(30, 9, 1.5, seed, replicate=2)
+        got = draw("bounded_iid", 30, 9, seed, replicate=2, bound=1.5)
         for i in range(30):
             u = _row_uniform(seed, 2, i, 9)
             assert got[i].tobytes() == (1.5 * (2.0 * u - 1.0)).tobytes()
@@ -182,8 +183,9 @@ class TestRowStreams:
         assert np.array_equal(matrix_sqrt_psd(eye), eye)
         G = _row_normals(5, 1, 30, p)
         expected = G @ matrix_sqrt_psd(eye)
-        assert sample_gaussian(30, eye, 5, replicate=1).tobytes() == expected.tobytes()
-        assert sample_covariance_model(30, eye, 5, replicate=1).tobytes() == expected.tobytes()
+        model = PopulationModel(family="gaussian", n=30, p=p, shape=eye)
+        assert sample_model(model, 5, replicate=1).tobytes() == expected.tobytes()
+        assert model._shape_root is None
 
 
 class TestShortRows:
@@ -209,12 +211,17 @@ class TestShortRows:
             assert G[i].tobytes() == ndtri(u).tobytes()
 
 
+def gaussian_reference(n, sigma, seed, replicate):
+    """Normal rows times a root of sigma taken here, apart from any model."""
+    return _row_normals(seed, replicate, n, len(sigma)) @ matrix_sqrt_psd(sigma)
+
+
 class TestShapeRoot:
     """A gaussian or gaussian_copula model checks and roots its shape once."""
 
     @pytest.mark.parametrize(
         "family, public",
-        [("gaussian", sample_covariance_model), ("gaussian_copula", sample_gaussian_copula)],
+        [("gaussian", gaussian_reference), ("gaussian_copula", sample_gaussian_copula)],
     )
     def test_root_taken_once(self, monkeypatch, family, public):
         calls = []
@@ -248,7 +255,8 @@ class TestRowBlocks:
         expected = _lb_ball_reference(self.N, self.P, 1.5, 11, 2).tobytes()
         for threads in ("1", "2", "3"):
             monkeypatch.setenv("RMT_THREADS", threads)
-            assert sample_lb_ball(self.N, self.P, 1.5, 11, replicate=2).tobytes() == expected
+            Y = draw("lb_ball", self.N, self.P, 11, replicate=2, b_exponent=1.5)
+            assert Y.tobytes() == expected
 
     def test_gaussian_and_copula(self, monkeypatch):
         rows = [ndtri(_row_uniform(11, 2, i, self.P)) for i in range(self.N)]
@@ -257,14 +265,14 @@ class TestRowBlocks:
         eye = np.eye(self.P)
         for threads in ("1", "2", "3"):
             monkeypatch.setenv("RMT_THREADS", threads)
-            assert sample_gaussian(self.N, eye, 11, replicate=2).tobytes() == gaussian
+            assert draw("gaussian", self.N, self.P, 11, replicate=2).tobytes() == gaussian
             assert sample_gaussian_copula(self.N, eye, 11, replicate=2).tobytes() == copula
 
 
 class TestGaussian:
     def test_covariance_oracle(self):
         sigma = np.array([[2.0, 1.0], [1.0, 2.0]])
-        Y = sample_gaussian(40000, sigma, seed=3)
+        Y = draw("gaussian", 40000, 2, seed=3, shape=sigma)
         S = sample_covariance(Y)
         n = Y.shape[0]
         for i in range(2):
@@ -273,13 +281,13 @@ class TestGaussian:
                 assert abs(S[i, j] - sigma[i, j]) < 5 * se
 
     def test_bounded_entries(self):
-        Y = sample_covariance_model(1000, np.eye(3), seed=0, entry_family="bounded")
+        Y = draw("gaussian", 1000, 3, seed=0, entry_family="bounded")
         assert np.all(np.abs(Y) <= np.sqrt(3.0) + 1e-12)
         assert abs(Y.var() - 1.0) < 0.05
 
     def test_bad_entry_family(self):
         with pytest.raises(ValueError, match="entry_family"):
-            sample_covariance_model(5, np.eye(2), seed=0, entry_family="cauchy")
+            PopulationModel(family="gaussian", n=5, p=2, entry_family="cauchy")
 
 
 class TestSphere:
@@ -379,7 +387,7 @@ class TestCopula:
 class TestLbBall:
     def test_inside_ball(self):
         for b in (1.0, 1.5, 2.0):
-            Y = sample_lb_ball(200, 6, b, seed=0)
+            Y = draw("lb_ball", 200, 6, seed=0, b_exponent=b)
             lb_norms = np.sum(np.abs(Y) ** b, axis=1) ** (1.0 / b)
             assert np.all(lb_norms < 6 ** (1.0 / b))
 
@@ -387,7 +395,7 @@ class TestLbBall:
         # Uniform in the unit l2 ball: P(||x|| <= t) = t^p; the scaled draw
         # has ||row||^2 = p r^2 with E = p^2/(p+2).
         p, n = 10, 3000
-        Y = sample_lb_ball(n, p, 2.0, seed=1)
+        Y = draw("lb_ball", n, p, seed=1, b_exponent=2.0)
         sq = np.sum(Y**2, axis=1)
         mean_expected = p * p / (p + 2.0)
         assert abs(sq.mean() - mean_expected) < 5 * sq.std() / np.sqrt(n)
@@ -395,44 +403,42 @@ class TestLbBall:
         assert abs(frac - 0.5) < 5 * np.sqrt(0.25 / n)
 
     def test_sign_symmetry(self):
-        Y = sample_lb_ball(4000, 3, 1.0, seed=2)
+        Y = draw("lb_ball", 4000, 3, seed=2, b_exponent=1.0)
         frac_neg = np.mean(Y < 0)
         assert abs(frac_neg - 0.5) < 5 * np.sqrt(0.25 / Y.size)
 
     def test_bad_exponent(self):
-        with pytest.raises(ValueError, match=r"b must be in \[1, 2\]"):
-            sample_lb_ball(5, 3, 2.5, seed=0)
+        with pytest.raises(ValueError, match=r"b_exponent must be in \[1, 2\]"):
+            PopulationModel(family="lb_ball", n=5, p=3, b_exponent=2.5)
 
 
 class TestBoundedIid:
     def test_within_bound(self):
-        Y = sample_bounded_iid(100, 5, 0.25, seed=0)
+        Y = draw("bounded_iid", 100, 5, seed=0, bound=0.25)
         assert np.all(np.abs(Y) <= 0.25)
 
     def test_moments(self):
-        Y = sample_bounded_iid(2000, 10, 2.0, seed=3)
+        Y = draw("bounded_iid", 2000, 10, seed=3, bound=2.0)
         n = Y.size
         assert abs(Y.mean()) < 5 * np.sqrt(4.0 / 3 / n)
         assert abs(Y.var() - 4.0 / 3) < 0.05
 
     def test_zero_bound(self):
-        assert np.array_equal(sample_bounded_iid(3, 2, 0.0, seed=0), np.zeros((3, 2)))
+        assert np.array_equal(draw("bounded_iid", 3, 2, seed=0, bound=0.0), np.zeros((3, 2)))
 
     def test_model_draw_is_shifted_sampler_draw(self):
         mu = np.array([0.5, -1.0, 2.0])
         model = PopulationModel(family="bounded_iid", n=7, p=3, bound=0.8, location=mu)
-        expected = sample_bounded_iid(7, 3, 0.8, seed=9, replicate=2) + mu
+        expected = 0.8 * (2.0 * _row_uniforms(9, 2, 7, 3) - 1.0) + mu
         assert sample_model(model, seed=9, replicate=2).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("n, p", [(0, 3), (3, 0), (-2, 3)])
     def test_dimensions_checked(self, n, p):
-        with pytest.raises(ValueError, match="n and p must be >= 1"):
-            sample_bounded_iid(n, p, 1.0, seed=0)
+        with pytest.raises(ValueError, match="dimensions n and p must be positive"):
+            PopulationModel(family="bounded_iid", n=n, p=p, bound=1.0)
 
     @pytest.mark.parametrize("bound", [-0.5, float("nan"), float("inf")])
     def test_bound_finite_and_nonnegative(self, bound):
-        with pytest.raises(ValueError, match="bound must be finite and >= 0"):
-            sample_bounded_iid(3, 2, bound, seed=0)
         with pytest.raises(ValueError, match="bound must be finite and >= 0"):
             PopulationModel(family="bounded_iid", n=3, p=2, bound=bound)
 
