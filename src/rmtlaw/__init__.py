@@ -49,7 +49,7 @@ from .linalg import (
     sym_eigenvalues,
     toeplitz_corr,
 )
-from .measures import DiscreteMeasure, delta, from_quantiles, measure_from_eigenvalues
+from .measures import DiscreteMeasure, delta, measure_from_eigenvalues
 from .mp_solver import (
     EdgeResult,
     SolverConfig,

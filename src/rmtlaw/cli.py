@@ -211,17 +211,13 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     trace = args.trace_sigma_over_p
     if args.data is not None:
         Y = load_matrix_csv(args.data)
+        trace = 1.0 if trace is None else trace
     else:
         model = load_model_json(args.model)
         Y = sample_model(model, args.seed, 0)
         if trace is None:
-            try:
-                sigma = population_covariance(model)
-                trace = float(np.trace(sigma)) / sigma.shape[0]
-            except ValueError:
-                trace = None
-    if trace is None:
-        trace = 1.0
+            sigma = population_covariance(model)
+            trace = float(np.trace(sigma)) / sigma.shape[0]
     norm_values, norm_max = norm_diagnostic(Y, trace, center=args.center)
     angle_max, angle_hist = angle_diagnostic(Y)
     lo, hi = float(norm_values.min()), float(norm_values.max())
@@ -326,7 +322,7 @@ def build_parser() -> _Parser:
         "--trace-sigma-over-p",
         type=float,
         default=None,
-        help="norm target; defaults to the model's trace(Sigma)/p, else 1",
+        help="norm target; defaults to the model's trace(Sigma)/p, or 1 with --data",
     )
     p.add_argument("--center", action="store_true", help="center columns before norms")
     p.add_argument("--norm-threshold", type=float, default=NORM_THRESHOLD)

@@ -5,8 +5,8 @@ empirical Stieltjes transform and the qualitative decay of quadratic-form
 deviations; row-geometry diagnostics (norms close to a common sphere,
 pairwise angles close to orthogonal) summarize whether a data set looks
 like it came from a concentrated high-dimensional distribution. The
-Gaussian-copula covariance identity and its operator-norm bound live here
-as well.
+Gaussian-copula covariance's operator-norm bound lives here as well; the
+covariance itself, copula_cov, lives in linalg and is re-exported here.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .linalg import (
-    as_corr_matrix,
     as_sym_matrix,
+    copula_cov,
     operator_norm,
     sample_correlation,
     sample_covariance,
@@ -28,7 +28,7 @@ from .linalg import (
 )
 from .measures import delta
 # parallel_map is re-exported: callers look the shared pool up through this module.
-from .samplers import PopulationModel, parallel_map, sample_gaussian_copula, sample_model
+from .samplers import _FAMILIES, PopulationModel, parallel_map, sample_gaussian_copula, sample_model
 
 __all__ = [
     "ConcentrationReport",
@@ -183,20 +183,9 @@ def stieltjes_concentration_mc(
 
 
 def population_covariance(model: PopulationModel) -> NDArray[np.float64]:
-    """Population covariance of one data row, for families where it is known."""
-    if model.family == "gaussian":
-        return as_sym_matrix(model.shape, "Sigma")
-    if model.family == "sphere_elliptical":
-        gamma = np.asarray(model.shape)
-        assert model.mixing is not None
-        second_moment = float(model.mixing.integrate(lambda lam: lam**2))
-        return as_sym_matrix(second_moment * (gamma @ gamma.T), "Sigma")
-    if model.family == "gaussian_copula":
-        return copula_cov(model.shape)
-    if model.family == "bounded_iid":
-        # uniform on [-bound, bound] has variance bound^2 / 3
-        return (float(model.bound) ** 2 / 3.0) * np.eye(model.p)
-    raise ValueError(f"no population covariance available for family {model.family!r}")
+    """Covariance of one data row: int lambda^2 dnu * T for its family's row scatter (T, nu)."""
+    T, nu = _FAMILIES[model.family].scatter(model)
+    return float(nu.integrate(np.square)) * T
 
 
 def quadratic_form_deviation(
@@ -269,17 +258,6 @@ def angle_diagnostic(Y) -> tuple[float, NDArray[np.int64]]:
     off = np.abs(gram[np.triu_indices(Y.shape[0], k=1)])
     counts, _ = np.histogram(np.minimum(off, 1.0), bins=ANGLE_BINS, range=(0.0, 1.0))
     return float(off.max()), counts.astype(np.int64)
-
-
-def copula_cov(R) -> NDArray[np.float64]:
-    """Covariance arcsin(R_ij/2)/(2 pi) of copula data built from N(0, R)."""
-    R = as_corr_matrix(R)
-    if np.any(np.abs(R) > 1.0 + 1e-12):
-        raise ValueError("R entries must lie in [-1, 1]")
-    C = np.arcsin(R / 2.0) / (2.0 * np.pi)
-    # arcsin(1/2) rounds one ulp above pi/6; the marginal variance is 1/12.
-    np.fill_diagonal(C, 1.0 / 12.0)
-    return C
 
 
 def copula_norm_bound(R) -> float:

@@ -20,7 +20,7 @@ from numpy.typing import NDArray
 from ._serialize import _json_typed, check_keys, load_json
 from .errors import NumericalError
 from .linalg import as_sym_matrix
-from .measures import DiscreteMeasure, measure_from_json_dict, measure_to_json_dict
+from .measures import DiscreteMeasure, measure_from_json_dict
 from .mp_solver import (
     SolverConfig,
     TransformResult,
@@ -45,7 +45,6 @@ __all__ = [
     "elliptical_density_grid_detailed",
     "scaled_gram",
     "params_from_json_dict",
-    "params_to_json_dict",
     "load_params_json",
 ]
 
@@ -256,16 +255,6 @@ def params_from_json_dict(obj) -> EllipticalParams:
         if not abs(xi - params.xi) <= _XI_RTOL * params.xi:
             raise ValueError(f"xi={xi!r} is inconsistent with theta^2*rho={params.xi!r}")
     return params
-
-
-def params_to_json_dict(params: EllipticalParams) -> dict:
-    return {
-        "H": measure_to_json_dict(params.H),
-        "nu": measure_to_json_dict(params.nu),
-        "theta": params.theta,
-        "rho": params.rho,
-        "xi": params.xi,
-    }
 
 
 def load_params_json(path) -> EllipticalParams:

@@ -17,17 +17,10 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.typing import NDArray
 
-from .concentration import copula_cov
 from .elliptical_solver import EllipticalParams, elliptical_density_grid_detailed, scaled_gram
 from .errors import NumericalError
-from .linalg import (
-    as_sym_matrix,
-    corr_from_cov,
-    sample_correlation,
-    sample_covariance,
-    sym_eigenvalues,
-)
-from .measures import DiscreteMeasure, delta, measure_from_eigenvalues
+from .linalg import corr_from_cov, sample_correlation, sample_covariance, sym_eigenvalues
+from .measures import DiscreteMeasure, measure_from_eigenvalues
 from .mp_solver import (
     DEFAULT_GRID_COUNT,
     GRID_PAD,
@@ -36,7 +29,7 @@ from .mp_solver import (
     density_grid_detailed,
     solve_edge,
 )
-from .samplers import PopulationModel, sample_model
+from .samplers import _FAMILIES, PopulationModel, sample_model
 
 __all__ = [
     "ExperimentSpec",
@@ -250,25 +243,13 @@ def _correlation_experiment(spec: ExperimentSpec) -> ComparisonResult:
     )
 
 
-def _population_gram_law(model: PopulationModel) -> EllipticalParams:
-    """Limit parameters (H, nu, theta, rho) implied by the model's population."""
-    if model.family == "sphere_elliptical":
-        gamma = np.asarray(model.shape)
-        T = as_sym_matrix(gamma @ gamma.T, "T")
-        nu = model.mixing
-    else:
-        T = copula_cov(model.shape)
-        nu = delta(1.0)
-    H = measure_from_eigenvalues(np.maximum(sym_eigenvalues(T), 0.0))
-    return EllipticalParams(H=H, nu=nu, theta=model.d / model.p, rho=model.p / model.n)
-
-
 def _elliptical_experiment(spec: ExperimentSpec) -> ComparisonResult:
-    """Scaled-Gram spectrum of elliptical-type rows vs the coupled-system law."""
+    """Scaled-Gram spectrum of elliptical-type rows vs the coupled-system law
+    of the model's row scatter (T, nu): H is T's spectrum unless overridden."""
     model = spec.model
-    params = _population_gram_law(model)
-    if spec.h_override is not None:
-        params = replace(params, H=spec.h_override)
+    T, nu = _FAMILIES[model.family].scatter(model)
+    H = spec.h_override or measure_from_eigenvalues(np.maximum(sym_eigenvalues(T), 0.0))
+    params = EllipticalParams(H=H, nu=nu, theta=model.d / model.p, rho=model.p / model.n)
 
     eig_sets: list[NDArray[np.float64]] = []
     for replicate in range(spec.replicates):

@@ -11,8 +11,6 @@ from __future__ import annotations
 import numpy as np
 from numpy.typing import NDArray
 
-from ._serialize import write_matrix_csv, write_spectrum_csv
-
 __all__ = [
     "as_sym_matrix",
     "as_corr_matrix",
@@ -23,10 +21,9 @@ __all__ = [
     "corr_from_cov",
     "toeplitz_corr",
     "matrix_sqrt_psd",
+    "copula_cov",
     "load_matrix_csv",
-    "save_matrix_csv",
     "load_spectrum_csv",
-    "save_spectrum_csv",
 ]
 
 # Inputs are symmetrized when the asymmetry is within this relative
@@ -160,13 +157,20 @@ def matrix_sqrt_psd(M) -> NDArray[np.float64]:
     return (Q + Q.T) / 2.0
 
 
+def copula_cov(R) -> NDArray[np.float64]:
+    """Covariance arcsin(R_ij/2)/(2 pi) of copula data built from N(0, R)."""
+    R = as_corr_matrix(R)
+    if np.any(np.abs(R) > 1.0 + 1e-12):
+        raise ValueError("R entries must lie in [-1, 1]")
+    C = np.arcsin(R / 2.0) / (2.0 * np.pi)
+    # arcsin(1/2) rounds one ulp above pi/6; the marginal variance is 1/12.
+    np.fill_diagonal(C, 1.0 / 12.0)
+    return C
+
+
 def load_matrix_csv(path) -> NDArray[np.float64]:
     M = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
     return _as_matrix(M)
-
-
-def save_matrix_csv(path, M) -> None:
-    write_matrix_csv(path, _as_matrix(M))
 
 
 def load_spectrum_csv(path) -> NDArray[np.float64]:
@@ -178,7 +182,3 @@ def load_spectrum_csv(path) -> NDArray[np.float64]:
     if np.any(np.diff(eigs) < 0):
         raise ValueError("spectrum must be sorted ascending")
     return eigs
-
-
-def save_spectrum_csv(path, eigs) -> None:
-    write_spectrum_csv(path, eigs)

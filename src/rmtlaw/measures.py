@@ -13,15 +13,13 @@ from typing import Callable
 import numpy as np
 from numpy.typing import NDArray
 
-from ._serialize import _json_typed, _write_lines, check_keys, json_dumps, load_json
+from ._serialize import _json_typed, check_keys, load_json
 
 __all__ = [
     "DiscreteMeasure",
     "measure_from_eigenvalues",
     "delta",
-    "from_quantiles",
     "load_measure_json",
-    "save_measure_json",
     "measure_from_json_dict",
     "measure_to_json_dict",
 ]
@@ -152,20 +150,6 @@ def delta(value: float) -> DiscreteMeasure:
     return DiscreteMeasure(np.array([float(value)]), np.array([1.0]))
 
 
-def from_quantiles(quantile: Callable[[np.ndarray], np.ndarray], count: int = 512) -> DiscreteMeasure:
-    """Atomic approximation of a continuous law by equal-weight quantile atoms.
-
-    Places weight 1/count at quantile((j - 1/2)/count) for j = 1..count.
-    """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    probs = (np.arange(count) + 0.5) / count
-    values = np.asarray(quantile(probs), dtype=np.float64)
-    if values.shape != probs.shape:
-        raise ValueError("quantile function must return one value per probability")
-    return _build(values, np.full(count, 1.0 / count))
-
-
 def measure_from_json_dict(obj) -> DiscreteMeasure:
     """Parse {"atoms": [{"value": v, "weight": w}, ...]} and validate.
 
@@ -195,7 +179,3 @@ def measure_to_json_dict(mu: DiscreteMeasure) -> dict:
 
 def load_measure_json(path) -> DiscreteMeasure:
     return measure_from_json_dict(load_json(path, "measure"))
-
-
-def save_measure_json(path, mu: DiscreteMeasure) -> None:
-    _write_lines(path, [json_dumps(measure_to_json_dict(mu))])

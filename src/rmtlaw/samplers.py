@@ -9,11 +9,11 @@ row is a pure function of (seed, replicate, kind, i, cols): any run of
 rows, or one row alone (sample_sphere's row argument), is drawn on its own
 from its first row's block, shrinking n keeps a prefix of the rows, and a
 row's words change with cols, since cols sets where the row starts. The
-elliptical mixing scalars come from kind 1. sample_model draws every
-family: a table picks the family's draw, a private function of the model
-that PopulationModel has already checked, and sample_model adds the
-model's location. gaussian and gaussian_copula models check and root their
-shape once, on their first draw.
+elliptical mixing scalars come from kind 1. Each family has one record in
+one table: the model-JSON keys it reads, its checks, its draw and its row
+scatter, which the row covariance and the limit laws are read from.
+sample_model adds the model's location to its family's draw. gaussian and
+gaussian_copula models root their shape once, on their first draw.
 Uniforms are mapped through inverse CDFs (normal via ndtri, gamma
 magnitudes via gammaincinv) rather than rejection methods, keeping every
 draw a pure function of its stream. Those come from scipy.special, which
@@ -29,6 +29,7 @@ Monte Carlo replicates run in a plain loop, leaving BLAS both cores.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, partial
@@ -40,7 +41,9 @@ import numpy as np
 from numpy.typing import NDArray
 
 from ._serialize import _json_numbers, _json_typed, check_keys, load_json
-from .linalg import as_corr_matrix, as_sym_matrix, load_matrix_csv, matrix_sqrt_psd, toeplitz_corr
+from .linalg import (
+    as_corr_matrix, as_sym_matrix, copula_cov, load_matrix_csv, matrix_sqrt_psd, toeplitz_corr
+)
 from .measures import DiscreteMeasure, delta, measure_from_json_dict
 
 __all__ = [
@@ -203,10 +206,9 @@ class PopulationModel:
     shape is the family's matrix parameter: Sigma for gaussian, Gamma (d x p)
     for sphere_elliptical, correlation R for gaussian_copula; unused for
     lb_ball / bounded_iid. The three families that use shape keep their own
-    read-only copy of it. The row dimension d is Gamma's row count for
-    sphere_elliptical and p otherwise. mixing is the atomic law of the
-    elliptical scaling scalars; mixing_schedule=True replaces i.i.d. draws
-    with the deterministic quantile schedule at probabilities (i - 1/2)/n.
+    read-only copy of it, the identity by default. mixing is the atomic law
+    of the elliptical scaling scalars; mixing_schedule=True replaces i.i.d.
+    draws with the deterministic quantile schedule at probabilities (i - 1/2)/n.
     """
 
     family: str
@@ -223,41 +225,15 @@ class PopulationModel:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
+        family = _FAMILIES[self.family]
         if self.n < 1 or self.p < 1:
             raise ValueError("dimensions n and p must be positive")
         if self.entry_family not in ("gaussian", "bounded"):
             raise ValueError("entry_family must be 'gaussian' or 'bounded'")
-        if self.family == "gaussian":
-            if self.shape is None:
-                object.__setattr__(self, "shape", np.eye(self.p))
-            shape = as_sym_matrix(self.shape, "Sigma")
-            if shape.shape[0] != self.p:
-                raise ValueError(f"Sigma must be {self.p}x{self.p}")
-            object.__setattr__(self, "shape", _read_only(shape))
-        elif self.family == "sphere_elliptical":
-            if self.shape is None:
-                object.__setattr__(self, "shape", np.eye(self.p))
-            gamma = np.array(self.shape, dtype=np.float64)
-            if gamma.ndim != 2 or gamma.shape[1] != self.p:
-                raise ValueError(f"Gamma must be d x {self.p}, got {gamma.shape}")
-            if not np.all(np.isfinite(gamma)):
-                raise ValueError("Gamma must be finite")
-            object.__setattr__(self, "shape", _read_only(gamma))
-            if self.mixing is None:
-                object.__setattr__(self, "mixing", delta(1.0))
-        elif self.family == "gaussian_copula":
-            if self.shape is None:
-                object.__setattr__(self, "shape", np.eye(self.p))
-            R = as_corr_matrix(self.shape)
-            if R.shape[0] != self.p:
-                raise ValueError(f"R must be {self.p}x{self.p}")
-            object.__setattr__(self, "shape", _read_only(R))
-        elif self.family == "lb_ball":
-            if self.b_exponent is None or not (1.0 <= float(self.b_exponent) <= 2.0):
-                raise ValueError("b_exponent must be in [1, 2]")
-        elif self.family == "bounded_iid":
-            if self.bound is None or not (0 <= float(self.bound) < np.inf):
-                raise ValueError("bound must be finite and >= 0")
+        if self.shape is None and "shape" in family.keys:
+            object.__setattr__(self, "shape", np.eye(self.p))
+        for name, value in (family.check(self) or {}).items():
+            object.__setattr__(self, name, value)
         mu = np.asarray(self.location, dtype=np.float64)
         if mu.ndim not in (0, 1):
             raise ValueError("location must be a scalar or a vector")
@@ -289,6 +265,37 @@ class PopulationModel:
 def _read_only(a: NDArray[np.float64]) -> NDArray[np.float64]:
     a.setflags(write=False)
     return a
+
+
+def _gaussian_check(model: PopulationModel) -> dict:
+    sigma = as_sym_matrix(model.shape, "Sigma")
+    if sigma.shape[0] != model.p:
+        raise ValueError(f"Sigma must be {model.p}x{model.p}")
+    return {"shape": _read_only(sigma)}
+
+
+def _times_shape_root(model: PopulationModel, X: NDArray[np.float64]) -> NDArray[np.float64]:
+    root = model._shape_root
+    return X if root is None else X @ root
+
+
+def _gaussian_draw(model: PopulationModel, seed: int, replicate: int) -> NDArray[np.float64]:
+    """Y = X @ sqrt(Sigma) with i.i.d. unit-variance entries in X: standard
+    normal, or uniform on [-sqrt(3), sqrt(3)] for entry_family 'bounded'."""
+    if model.entry_family == "gaussian":
+        X = _row_normals(seed, replicate, model.n, model.p)
+    else:
+        X = np.sqrt(3.0) * (2.0 * _row_uniforms(seed, replicate, model.n, model.p) - 1.0)
+    return _times_shape_root(model, X)
+
+
+def _elliptical_check(model: PopulationModel) -> dict:
+    gamma = np.array(model.shape, dtype=np.float64)
+    if gamma.ndim != 2 or gamma.shape[1] != model.p:
+        raise ValueError(f"Gamma must be d x {model.p}, got {gamma.shape}")
+    if not np.all(np.isfinite(gamma)):
+        raise ValueError("Gamma must be finite")
+    return {"shape": _read_only(gamma), "mixing": model.mixing or delta(1.0)}
 
 
 def _sphere_rows(seed: int, replicate: int, n: int, p: int, start: int = 0) -> NDArray[np.float64]:
@@ -329,19 +336,11 @@ def _elliptical_draw(model: PopulationModel, seed: int, replicate: int) -> NDArr
     return (lam[:, None] * R) @ np.asarray(model.shape).T
 
 
-def _times_shape_root(model: PopulationModel, X: NDArray[np.float64]) -> NDArray[np.float64]:
-    root = model._shape_root
-    return X if root is None else X @ root
-
-
-def _gaussian_draw(model: PopulationModel, seed: int, replicate: int) -> NDArray[np.float64]:
-    """Y = X @ sqrt(Sigma) with i.i.d. unit-variance entries in X: standard
-    normal, or uniform on [-sqrt(3), sqrt(3)] for entry_family 'bounded'."""
-    if model.entry_family == "gaussian":
-        X = _row_normals(seed, replicate, model.n, model.p)
-    else:
-        X = np.sqrt(3.0) * (2.0 * _row_uniforms(seed, replicate, model.n, model.p) - 1.0)
-    return _times_shape_root(model, X)
+def _copula_check(model: PopulationModel) -> dict:
+    R = as_corr_matrix(model.shape)
+    if R.shape[0] != model.p:
+        raise ValueError(f"R must be {model.p}x{model.p}")
+    return {"shape": _read_only(R)}
 
 
 def _copula_draw(model: PopulationModel, seed: int, replicate: int) -> NDArray[np.float64]:
@@ -355,6 +354,11 @@ def _copula_draw(model: PopulationModel, seed: int, replicate: int) -> NDArray[n
     np.clip(V, 2.0**-55, 1.0 - 2.0**-53, out=V)
     V -= 0.5
     return V
+
+
+def _lb_ball_check(model: PopulationModel) -> None:
+    if model.b_exponent is None or not (1.0 <= float(model.b_exponent) <= 2.0):
+        raise ValueError("b_exponent must be in [1, 2]")
 
 
 def _lb_ball_draw(model: PopulationModel, seed: int, replicate: int) -> NDArray[np.float64]:
@@ -381,25 +385,56 @@ def _lb_ball_draw(model: PopulationModel, seed: int, replicate: int) -> NDArray[
     return p ** (1.0 / b) * out
 
 
+def _lb_ball_scatter(model: PopulationModel) -> tuple:
+    """c I, c = E x_1^2 = p^(2/b) G(3/b)/G(1/b) G(p/b + 1)/G(p/b + 1 + 2/b) since E g_1^2 =
+    G(3/b)/G(1/b) and g's direction is independent of sum |g_i|^b + W ~ Gamma(p/b + 1) (Barthe,
+    Guedon, Mendelson & Naor, Ann. Probab. 33, 2005); sign symmetry makes T diagonal."""
+    from scipy.special import gammaln  # here, not at import: the law commands never sample
+
+    p, b = model.p, float(model.b_exponent)
+    log_c = 2.0 / b * np.log(p) + gammaln(3.0 / b) - gammaln(1.0 / b)
+    log_c += gammaln(p / b + 1.0) - gammaln(p / b + 1.0 + 2.0 / b)
+    return float(np.exp(log_c)) * np.eye(p), delta(1.0)
+
+
+def _bounded_iid_check(model: PopulationModel) -> None:
+    if model.bound is None or not (0 <= float(model.bound) < np.inf):
+        raise ValueError("bound must be finite and >= 0")
+
+
 def _bounded_iid_draw(model: PopulationModel, seed: int, replicate: int) -> NDArray[np.float64]:
     """i.i.d. entries uniform on [-bound, bound]."""
     return float(model.bound) * (2.0 * _row_uniforms(seed, replicate, model.n, model.p) - 1.0)
 
 
-# Each family's draw, from a model PopulationModel has already checked.
-_FAMILY_DRAWS = {
-    "gaussian": _gaussian_draw,
-    "sphere_elliptical": _elliptical_draw,
-    "gaussian_copula": _copula_draw,
-    "lb_ball": _lb_ball_draw,
-    "bounded_iid": _bounded_iid_draw,
+# One record per family: the model-JSON keys it reads beside family, n, p, d and mu;
+# check, which validates a model and returns any fields it normalizes; draw, a checked
+# model's rows before its location; scatter, (T, nu) with row covariance int l^2 dnu T.
+_Family = namedtuple("_Family", "keys check draw scatter")
+_FAMILIES = {
+    "gaussian": _Family(
+        ("shape", "entry_family"), _gaussian_check, _gaussian_draw,
+        lambda m: (m.shape, delta(1.0)),  # either entry law has unit variance
+    ),
+    "sphere_elliptical": _Family(
+        ("shape", "mixing", "mixing_schedule"), _elliptical_check, _elliptical_draw,
+        lambda m: (as_sym_matrix(m.shape @ m.shape.T, "T"), m.mixing),  # sqrt(p) r_i is isotropic
+    ),
+    "gaussian_copula": _Family(
+        ("shape",), _copula_check, _copula_draw, lambda m: (copula_cov(m.shape), delta(1.0))
+    ),
+    "lb_ball": _Family(("b",), _lb_ball_check, _lb_ball_draw, _lb_ball_scatter),
+    "bounded_iid": _Family(
+        ("bound",), _bounded_iid_check, _bounded_iid_draw,
+        lambda m: (float(m.bound) ** 2 / 3.0 * np.eye(m.p), delta(1.0)),  # Var U[-c, c] = c^2/3
+    ),
 }
-FAMILIES = tuple(_FAMILY_DRAWS)
+FAMILIES = tuple(_FAMILIES)
 
 
 def sample_model(model: PopulationModel, seed: int, replicate: int = 0) -> NDArray[np.float64]:
     """Draw the model's n x d data matrix: its family's draw plus its location."""
-    return _FAMILY_DRAWS[model.family](model, seed, replicate) + model.location
+    return _FAMILIES[model.family].draw(model, seed, replicate) + model.location
 
 
 def sample_gaussian_copula(n: int, R, seed: int, replicate: int = 0) -> NDArray[np.float64]:
@@ -429,22 +464,19 @@ def _shape_from_json(spec, p: int):
     return load_matrix_csv(_json_typed(spec, "file shape", "path", "a string"))
 
 
-_MODEL_OPTIONAL_KEYS = (
-    "d", "shape", "mixing", "b", "bound", "mu", "mixing_schedule", "entry_family"
-)
-
-
 def model_from_json_dict(obj) -> PopulationModel:
     """Parse a model JSON object into a PopulationModel.
 
-    simulate records obj as given, so each value must read as written: no
-    unknown key, JSON integers for n, p and d, JSON numbers (never true or
-    false) for b, bound and mu and in a shape, a JSON boolean for
-    mixing_schedule, an object for mixing, and only its kind's keys in a
-    shape object. A "d" must equal the row dimension: Gamma's row count for
-    sphere_elliptical, else p.
+    simulate records obj as given, so each value must read as written: no key
+    its family does not read (d, mu and its record's keys), JSON integers for n,
+    p and d, JSON numbers (never true or false) for b, bound and mu and in a
+    shape, a JSON boolean for mixing_schedule, an object for mixing, and only
+    its kind's keys in a shape object. A "d" must equal the row dimension.
     """
-    check_keys(obj, "model", ("family", "n", "p"), _MODEL_OPTIONAL_KEYS)
+    check_keys(obj, "model", ("family",), tuple(obj) if isinstance(obj, dict) else ())
+    # An unknown family may hold any key here, so that PopulationModel names it.
+    keys = _FAMILIES[obj["family"]].keys if obj["family"] in FAMILIES else tuple(obj)
+    check_keys(obj, "model", ("family", "n", "p"), ("d", "mu", *keys))
     n, p = (_json_typed(obj, "model", key, "an integer") for key in ("n", "p"))
     shape = _shape_from_json(obj.get("shape"), p)
     mixing = _json_typed(obj, "model", "mixing", "an object")

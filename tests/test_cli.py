@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from rmtlaw import cli
+from rmtlaw.samplers import FAMILIES, _FAMILIES
 
 
 def run_cli(argv, capsys):
@@ -619,6 +620,32 @@ class TestSimulate:
         assert json.loads(stderr)["message"] == 'model JSON has unknown key "location"'
         assert not (tmp_path / "x.meta.json").exists()
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_key_the_family_does_not_read_exit_2(self, tmp_path, family, capsys):
+        # Each key another family reads, with a value that family would take,
+        # is named on this one: simulate would record it, and the draw ignore it.
+        values = {
+            "shape": {"kind": "toeplitz", "r": 0.5},
+            "entry_family": "bounded",
+            "mixing": {"atoms": [{"value": 2.0, "weight": 1.0}]},
+            "mixing_schedule": True,
+            "b": 1.5,
+            "bound": 2.0,
+        }
+        required = {"lb_ball": {"b": 1.5}, "bounded_iid": {"bound": 2.0}}.get(family, {})
+        unread = [key for key in values if key not in _FAMILIES[family].keys]
+        assert unread
+        path = tmp_path / "model.json"
+        for key in unread:
+            obj = {"family": family, "n": 20, "p": 5, **required, key: values[key]}
+            path.write_text(json.dumps(obj))
+            code, _, stderr = run_cli(
+                ["simulate", "--model", str(path), "--out", str(tmp_path / "x")], capsys
+            )
+            assert code == 2
+            assert json.loads(stderr)["message"] == f'model JSON has unknown key "{key}"'
+            assert not (tmp_path / "x.meta.json").exists()
+
     @pytest.mark.parametrize(
         "shape",
         [{"kind": "toeplitz", "r": 0.45}, {"kind": "identity"}, {"kind": "file", "path": None}],
@@ -667,9 +694,10 @@ class TestSimulate:
         # The meta records the JSON as given, so a value the model would read
         # otherwise (n = 2, n = 1, a schedule switched on, a dropped key, a
         # string or boolean taken for a number, a false mixing taken for
-        # delta_1) exits 2.
+        # delta_1) exits 2, on a family that reads the key.
+        family = {"b": "lb_ball", "bound": "bounded_iid"}.get(key, "sphere_elliptical")
         path = tmp_path / "model.json"
-        path.write_text(json.dumps({"family": "sphere_elliptical", "n": 20, "p": 5, key: value}))
+        path.write_text(json.dumps({"family": family, "n": 20, "p": 5, key: value}))
         code, _, stderr = run_cli(
             ["simulate", "--model", str(path), "--out", str(tmp_path / "x")], capsys
         )
@@ -723,13 +751,14 @@ class TestDiagnose:
         assert out["norm"]["max_deviation"] == pytest.approx(0.01123, abs=1e-5)
         assert out["concentrated"] is True
 
-    def test_lb_ball_falls_back_to_unit_target(self, tmp_path, capsys):
-        # No population covariance is known for lb_ball rows.
+    def test_lb_ball_target_is_model_variance(self, tmp_path, capsys):
+        # E x_1^2 = p^(2/b) G(3/b)/G(1/b) G(p/b + 1)/G(p/b + 1 + 2/b) at
+        # p = 50, b = 1.5, in place of the unit target.
         path = tmp_path / "model.json"
         path.write_text(json.dumps({"family": "lb_ball", "n": 100, "p": 50, "b": 1.5}))
         code, stdout, _ = run_cli(["diagnose", "--model", str(path)], capsys)
         assert code == 0
-        assert json.loads(stdout)["norm"]["target"] == 1.0
+        assert json.loads(stdout)["norm"]["target"] == pytest.approx(1.2112314895053589, rel=1e-12)
 
     def test_sphere_rows_norm_exact(self, tmp_path, capsys):
         path = tmp_path / "model.json"

@@ -26,7 +26,6 @@ from rmtlaw.elliptical_solver import (
     load_params_json,
     mixing_integral,
     params_from_json_dict,
-    params_to_json_dict,
     scaled_gram,
 )
 from strategies import populations
@@ -207,8 +206,15 @@ class TestSupportSpan:
         # solve-elliptical's default grid is this span, GRID_PAD wider.
         nu = DiscreteMeasure(np.array([0.5, 1.5]), np.array([0.25, 0.75]))
         params = EllipticalParams(H=TWO_ATOM, nu=nu, theta=2.0, rho=0.25)
+        obj = {
+            "H": {"atoms": [{"value": 1.0, "weight": 0.5}, {"value": 2.0, "weight": 0.5}]},
+            "nu": {"atoms": [{"value": 0.5, "weight": 0.25}, {"value": 1.5, "weight": 0.75}]},
+            "theta": 2.0,
+            "rho": 0.25,
+            "xi": params.xi,
+        }
         path = tmp_path / "params.json"
-        path.write_text(json.dumps(params_to_json_dict(params)))
+        path.write_text(json.dumps(obj))
         argv = ["solve-elliptical", "--params", str(path), "--out", str(tmp_path / "law")]
         assert cli.main([*argv, "--quiet"]) == 0
         xs = np.loadtxt(tmp_path / "law.density.csv", delimiter=",", skiprows=1)[:, 0]
@@ -404,9 +410,17 @@ class TestScaledGram:
 
 class TestParamsJson:
     def test_round_trip(self):
+        # A hand-written params object reads back as the params it writes.
         nu = DiscreteMeasure(np.array([0.5, 1.5]), np.array([0.3, 0.7]))
         params = EllipticalParams(H=TWO_ATOM, nu=nu, theta=1.5, rho=0.4)
-        back = params_from_json_dict(params_to_json_dict(params))
+        obj = {
+            "H": {"atoms": [{"value": 1.0, "weight": 0.5}, {"value": 2.0, "weight": 0.5}]},
+            "nu": {"atoms": [{"value": 0.5, "weight": 0.3}, {"value": 1.5, "weight": 0.7}]},
+            "theta": 1.5,
+            "rho": 0.4,
+            "xi": params.xi,
+        }
+        back = params_from_json_dict(obj)
         assert np.allclose(back.H.values, params.H.values)
         assert np.allclose(back.nu.weights, params.nu.weights)
         assert back.theta == params.theta

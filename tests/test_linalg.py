@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from rmtlaw._serialize import write_matrix_csv, write_spectrum_csv
 from rmtlaw.linalg import (
     as_sym_matrix,
     corr_from_cov,
@@ -15,8 +16,6 @@ from rmtlaw.linalg import (
     operator_norm,
     sample_correlation,
     sample_covariance,
-    save_matrix_csv,
-    save_spectrum_csv,
     sym_eigenvalues,
     toeplitz_corr,
 )
@@ -213,13 +212,13 @@ class TestCsvRoundTrips:
     def test_matrix(self, tmp_path):
         M = np.array([[1.5, -2.0], [0.25, 1e-9]])
         path = tmp_path / "m.csv"
-        save_matrix_csv(path, M)
+        write_matrix_csv(path, M)
         assert np.array_equal(load_matrix_csv(path), M)
 
     def test_spectrum(self, tmp_path):
         eigs = np.array([-1.0, 0.0, 2.5])
         path = tmp_path / "e.csv"
-        save_spectrum_csv(path, eigs)
+        write_spectrum_csv(path, eigs)
         assert np.array_equal(load_spectrum_csv(path), eigs)
 
     def test_spectrum_must_ascend(self, tmp_path):

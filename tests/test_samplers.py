@@ -572,22 +572,24 @@ class TestModelJson:
     def test_every_written_key_read(self):
         # Every key a model JSON may hold is read, for every family.
         objs = {
-            "gaussian": {"mu": [0.0, 1.0, 2.0], "d": 3, "shape": {"kind": "identity"}},
+            "gaussian": {"mu": [0.0, 1.0, 2.0], "d": 3, "shape": {"kind": "identity"},
+                         "entry_family": "bounded"},
             "sphere_elliptical": {"mixing": {"atoms": [{"value": 2.0, "weight": 1.0}]},
                                   "mixing_schedule": True},
             "gaussian_copula": {"shape": {"kind": "toeplitz", "r": 0.2}, "mu": -1.0},
-            "lb_ball": {"b": 1.5, "entry_family": "bounded"},
+            "lb_ball": {"b": 1.5},
             "bounded_iid": {"bound": 1.0},
         }
         kwargs = {
-            "gaussian": {"location": np.arange(3.0)},
+            "gaussian": {"location": np.arange(3.0), "entry_family": "bounded"},
             "sphere_elliptical": {"mixing": delta(2.0), "mixing_schedule": True},
             "gaussian_copula": {"shape": toeplitz_corr(3, 0.2), "location": -1.0},
-            "lb_ball": {"b_exponent": 1.5, "entry_family": "bounded"},
+            "lb_ball": {"b_exponent": 1.5},
             "bounded_iid": {"bound": 1.0},
         }
         keys = {key for obj in objs.values() for key in obj}
-        assert keys == set(samplers._MODEL_OPTIONAL_KEYS)
+        records = samplers._FAMILIES.values()
+        assert keys == {"d", "mu"}.union(*(record.keys for record in records))
         for family in FAMILIES:
             back = model_from_json_dict({"family": family, "n": 4, "p": 3, **objs[family]})
             model = PopulationModel(family=family, n=4, p=3, **kwargs[family])
@@ -611,8 +613,10 @@ class TestModelJson:
     )
     def test_value_read_as_written(self, key, value, message):
         # Beside the CLI's cases (tests/test_cli.py): a value the model would
-        # read differently from how it is written is rejected.
-        obj = {"family": "gaussian", "n": 5, "p": 3, key: value}
+        # read differently from how it is written is rejected, on a family
+        # that reads the key.
+        family = {"b": "lb_ball", "bound": "bounded_iid", "mixing": "sphere_elliptical"}
+        obj = {"family": family.get(key, "gaussian"), "n": 5, "p": 3, key: value}
         with pytest.raises(ValueError, match=message):
             model_from_json_dict(obj)
 
