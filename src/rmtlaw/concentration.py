@@ -11,8 +11,8 @@ covariance itself, copula_cov, lives in linalg and is re-exported here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import asdict, dataclass, field
+from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -67,44 +67,22 @@ _EXACT_ZERO = 1e-13
 
 @dataclass(frozen=True)
 class ConcentrationReport:
-    """Per-dimension Monte Carlo summary of one concentration statistic.
-
-    thresholds/frequencies/bounds are aligned with dims: row i holds the
-    threshold ladder, empirical tail frequencies, and clamped theoretical
-    bounds for dims[i]. details carries statistic-specific extras.
-    """
+    """Monte Carlo summary of one concentration statistic over dims; details
+    carries what the statistic measured."""
 
     statistic: str
     dims: list[int]
     reps: int
-    thresholds: list[list[float]]
-    frequencies: list[list[float]]
-    bounds: list[list[float]]
     seed: int
     details: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
-        for rows in (self.thresholds, self.frequencies, self.bounds):
-            if len(rows) != len(self.dims):
-                raise ValueError("per-dimension rows must align with dims")
 
 
-def report_to_json_dict(report: ConcentrationReport, ok: Optional[bool] = None) -> dict:
-    out = {
-        "statistic": report.statistic,
-        "dims": report.dims,
-        "reps": report.reps,
-        "thresholds": report.thresholds,
-        "frequencies": report.frequencies,
-        "bounds": report.bounds,
-        "seed": report.seed,
-        "details": report.details,
-    }
-    if ok is not None:
-        out["ok"] = ok
-    return out
+def report_to_json_dict(report: ConcentrationReport, ok: bool) -> dict:
+    return {**asdict(report), "ok": ok}
 
 
 def empirical_stieltjes(eigs, z: complex) -> complex:
@@ -118,14 +96,13 @@ def empirical_stieltjes(eigs, z: complex) -> complex:
     return complex(np.mean(1.0 / (eigs - z)))
 
 
-def azuma_bound(r: float, p: int, n: int, v: float, clamp: bool = False) -> float:
-    """Tail bound 4*exp(-r^2 p^2 v^2 / (16 n)); clamp caps it at 1."""
+def azuma_bound(r: float, p: int, n: int, v: float) -> float:
+    """Tail bound 4*exp(-r^2 p^2 v^2 / (16 n))."""
     if not (r > 0 and v > 0):
         raise ValueError("r and v must be positive")
     if p < 1 or n < 1:
         raise ValueError("p and n must be >= 1")
-    raw = 4.0 * float(np.exp(-(r**2) * p**2 * v**2 / (16.0 * n)))
-    return min(raw, 1.0) if clamp else raw
+    return 4.0 * float(np.exp(-(r**2) * p**2 * v**2 / (16.0 * n)))
 
 
 def _binomial_se(clamped_bound: float, reps: int) -> float:
@@ -140,7 +117,8 @@ def stieltjes_concentration_mc(
 
     m_p(z) = (1/p) trace((M - z I)^{-1}) with M the un-normalized Gram
     matrix of the rows. Thresholds sit at {0.5, 1, 2, 4} * sqrt(n)/(p*v);
-    each frequency is paired with the clamped exponential bound.
+    each frequency is paired with the clamped exponential bound. details
+    holds the thresholds, frequencies and clamped bounds beside the rest.
     """
     if reps < 50:
         raise ValueError("reps must be >= 50")
@@ -166,19 +144,15 @@ def stieltjes_concentration_mc(
         "std": float(np.sqrt(np.mean(deviations**2))),
         "mean_deviation": float(deviations.mean()),
         "max_deviation": float(deviations.max()),
+        "thresholds": thresholds,
+        "frequencies": frequencies,
+        "bounds": clamped,
         "raw_bounds": raw_bounds,
         "binomial_ses": ses,
         "within_bound": within,
     }
     return ConcentrationReport(
-        statistic="stieltjes_tail",
-        dims=[model.p],
-        reps=reps,
-        thresholds=[thresholds],
-        frequencies=[frequencies],
-        bounds=[clamped],
-        seed=seed,
-        details=details,
+        statistic="stieltjes_tail", dims=[model.p], reps=reps, seed=seed, details=details
     )
 
 
@@ -222,9 +196,6 @@ def quadratic_form_deviation(
         statistic="quadratic_form_max_row_deviation",
         dims=[dim],
         reps=reps,
-        thresholds=[[]],
-        frequencies=[[]],
-        bounds=[[]],
         seed=seed,
         details=details,
     )
@@ -289,16 +260,14 @@ def verify_lemma6(
     binomial standard errors and the replicate standard deviation of
     m_p(z) strictly decreases as p = n grows.
     """
-    thresholds, frequencies, bounds = [], [], []
+    if not dims:
+        raise ValueError("dims must be nonempty")
     stds, all_within = [], True
     details_by_dim = []
     for j, p in enumerate(dims):
         model = PopulationModel(family="gaussian", n=p, p=p)
         # Per-dimension seed offset keeps the ladders on disjoint streams.
         report = stieltjes_concentration_mc(model, z, reps, seed + j)
-        thresholds.append(report.thresholds[0])
-        frequencies.append(report.frequencies[0])
-        bounds.append(report.bounds[0])
         stds.append(report.details["std"])
         all_within = all_within and all(report.details["within_bound"])
         details_by_dim.append(report.details)
@@ -308,9 +277,6 @@ def verify_lemma6(
         statistic="stieltjes_tail",
         dims=list(dims),
         reps=reps,
-        thresholds=thresholds,
-        frequencies=frequencies,
-        bounds=bounds,
         seed=seed,
         details={
             "stds": stds,
@@ -339,6 +305,8 @@ def verify_quadform(
     nonincreasing in p for gaussian, sphere, and copula rows and the
     sphere statistic is exactly zero (norm rigidity).
     """
+    if not dims:
+        raise ValueError("dims must be nonempty")
     means: dict[str, list[float]] = {}
     for p in dims:
         for name, model in _quadform_models(p).items():
@@ -357,9 +325,6 @@ def verify_quadform(
         statistic="quadratic_form_max_row_deviation",
         dims=list(dims),
         reps=reps,
-        thresholds=[[] for _ in dims],
-        frequencies=[[] for _ in dims],
-        bounds=[[] for _ in dims],
         seed=seed,
         details={
             "mean_max_deviation": means,
@@ -384,6 +349,8 @@ def verify_copula(
     correlation matrices; a Monte Carlo covariance at mc_samples draws
     matches copula_cov entrywise within 5 MC standard errors.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     diag_exact = bool(
         np.all(np.diag(copula_cov(np.eye(3))) == 1.0 / 12.0)
     )
@@ -411,10 +378,7 @@ def verify_copula(
     report = ConcentrationReport(
         statistic="copula_covariance",
         dims=[p, mc_p],
-        reps=max(trials, 1),
-        thresholds=[[], []],
-        frequencies=[[], []],
-        bounds=[[], []],
+        reps=trials,
         seed=seed,
         details={
             "diagonal_exact": diag_exact,
@@ -446,9 +410,6 @@ def verify_tightness(seed: int = 0, p: int = 200) -> tuple[ConcentrationReport, 
         statistic="spectral_tightness",
         dims=[p],
         reps=1,
-        thresholds=[[]],
-        frequencies=[[]],
-        bounds=[[]],
         seed=seed,
         details={
             "null_passes": bool(null_ok),

@@ -21,7 +21,6 @@ __all__ = [
     "delta",
     "load_measure_json",
     "measure_from_json_dict",
-    "measure_to_json_dict",
 ]
 
 # Atoms whose values coincide within this relative tolerance are merged;
@@ -167,14 +166,6 @@ def measure_from_json_dict(obj) -> DiscreteMeasure:
         values.append(_json_typed(atom, "measure atom", "value", "a number"))
         weights.append(_json_typed(atom, "measure atom", "weight", "a number"))
     return _build(values, weights)
-
-
-def measure_to_json_dict(mu: DiscreteMeasure) -> dict:
-    return {
-        "atoms": [
-            {"value": float(v), "weight": float(w)} for v, w in zip(mu.values, mu.weights)
-        ]
-    }
 
 
 def load_measure_json(path) -> DiscreteMeasure:

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from functools import cached_property, partial
 import os
 import threading
@@ -209,6 +209,7 @@ class PopulationModel:
     read-only copy of it, the identity by default. mixing is the atomic law
     of the elliptical scaling scalars; mixing_schedule=True replaces i.i.d.
     draws with the deterministic quantile schedule at probabilities (i - 1/2)/n.
+    A field the family's record does not read must keep its default.
     """
 
     family: str
@@ -228,8 +229,14 @@ class PopulationModel:
         family = _FAMILIES[self.family]
         if self.n < 1 or self.p < 1:
             raise ValueError("dimensions n and p must be positive")
-        if self.entry_family not in ("gaussian", "bounded"):
-            raise ValueError("entry_family must be 'gaussian' or 'bounded'")
+        reads = {"location", *(_FIELD_OF_KEY.get(key, key) for key in family.keys)}
+        for f in fields(self):
+            if f.default is MISSING or f.name in reads:
+                continue
+            value = getattr(self, f.name)
+            # A None default is left by identity: shape and mixing do not compare with ==.
+            if value is not None if f.default is None else value != f.default:
+                raise ValueError(f"family {self.family!r} does not read {f.name}")
         if self.shape is None and "shape" in family.keys:
             object.__setattr__(self, "shape", np.eye(self.p))
         for name, value in (family.check(self) or {}).items():
@@ -268,6 +275,8 @@ def _read_only(a: NDArray[np.float64]) -> NDArray[np.float64]:
 
 
 def _gaussian_check(model: PopulationModel) -> dict:
+    if model.entry_family not in ("gaussian", "bounded"):
+        raise ValueError("entry_family must be 'gaussian' or 'bounded'")
     sigma = as_sym_matrix(model.shape, "Sigma")
     if sigma.shape[0] != model.p:
         raise ValueError(f"Sigma must be {model.p}x{model.p}")
@@ -430,6 +439,8 @@ _FAMILIES = {
     ),
 }
 FAMILIES = tuple(_FAMILIES)
+# The model field each record key names where the two differ.
+_FIELD_OF_KEY = {"b": "b_exponent"}
 
 
 def sample_model(model: PopulationModel, seed: int, replicate: int = 0) -> NDArray[np.float64]:

@@ -835,15 +835,7 @@ class TestVerify:
     def test_failing_suite_exit_4(self, monkeypatch, capsys):
         from rmtlaw.concentration import ConcentrationReport
 
-        report = ConcentrationReport(
-            statistic="spectral_tightness",
-            dims=[2],
-            reps=1,
-            thresholds=[[]],
-            frequencies=[[]],
-            bounds=[[]],
-            seed=0,
-        )
+        report = ConcentrationReport(statistic="spectral_tightness", dims=[2], reps=1, seed=0)
         monkeypatch.setattr(cli, "verify_tightness", lambda seed: (report, False))
         code, stdout, _ = run_cli(["verify", "--suite", "tightness"], capsys)
         assert code == 4

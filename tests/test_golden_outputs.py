@@ -33,7 +33,9 @@ the density: only the cdf column moved, and the CDFs now end at 0.99945
 (mp_two_atom), 0.99982 (mp_atom_at_zero) and 0.99995
 (elliptical_two_atom_nu). The lb_ball, bounded_iid and bounded-entry
 gaussian cases were pinned later, on unchanged code, so that every family
-and entry law is held byte for byte through the CLI.
+and entry law is held byte for byte through the CLI. Each verify suite's
+JSON at seed 0 is pinned by its sha256, at reduced reps for lemma6 and
+quadform, from the report that carries only what each suite measured.
 """
 
 import hashlib
@@ -260,3 +262,23 @@ def test_model_json_round_trip_bit_identical(name):
         assert back.shape.tobytes() == model.shape.tobytes()
     assert np.asarray(back.location).tobytes() == np.asarray(model.location).tobytes()
     assert sample_model(back, 5).tobytes() == sample_model(model, 5).tobytes()
+
+
+# suite -> (extra flags, sha256 of the JSON verify prints at seed 0)
+VERIFY_CASES = {
+    "lemma6": (
+        ["--reps", "50"], "bb6d15a53e940755cbe7a609aa0a8a001c4fc5c78fbafac2122c7301f4308222"
+    ),
+    "quadform": (
+        ["--reps", "5"], "039b85c13fca2910b8b625d12f3d2ff0615a701a498647bb5e3afa783511d072"
+    ),
+    "copula": ([], "ec352f929aa7ece20184975e9f7389352408bfeaeb7b8a9f5c096e4029a7d78a"),
+    "tightness": ([], "52478aa41803061081bce3eba1f214936cced0baaffb8a55db3b148a8c6e22e9"),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(VERIFY_CASES))
+def test_verify_pinned(capsys, suite):
+    extra, sha = VERIFY_CASES[suite]
+    assert cli.main(["verify", "--suite", suite, "--seed", "0", *extra]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha

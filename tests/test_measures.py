@@ -14,7 +14,6 @@ from rmtlaw.measures import (
     load_measure_json,
     measure_from_eigenvalues,
     measure_from_json_dict,
-    measure_to_json_dict,
 )
 
 
@@ -113,15 +112,15 @@ class TestJson:
     def test_round_trip(self, tmp_path):
         m = DiscreteMeasure(np.array([1.0, 2.5]), np.array([0.3, 0.7]))
         path = tmp_path / "m.json"
-        path.write_text(json_dumps(measure_to_json_dict(m)) + "\n")
+        atoms = [{"value": v, "weight": w} for v, w in zip(m.values, m.weights)]
+        path.write_text(json_dumps({"atoms": atoms}) + "\n")
         m2 = load_measure_json(path)
         assert np.array_equal(m.values, m2.values)
         assert np.array_equal(m.weights, m2.weights)
 
     def test_schema(self):
-        m = delta(1.0)
-        obj = measure_to_json_dict(m)
-        assert obj == {"atoms": [{"value": 1.0, "weight": 1.0}]}
+        m = measure_from_json_dict({"atoms": [{"value": 1.0, "weight": 1.0}]})
+        assert m.values.tolist() == [1.0] and m.weights.tolist() == [1.0]
 
     def test_missing_atoms_key(self):
         with pytest.raises(ValueError):

@@ -514,6 +514,23 @@ class TestModelValidation:
         with pytest.raises(ValueError, match="positive"):
             PopulationModel(family="gaussian", n=0, p=3)
 
+    @pytest.mark.parametrize(
+        "family, field, value",
+        [
+            pytest.param("lb_ball", "entry_family", "bounded", id="lb_ball-entry_family"),
+            pytest.param("lb_ball", "bound", 2.0, id="lb_ball-bound"),
+            pytest.param("lb_ball", "mixing", delta(3.0), id="lb_ball-mixing"),
+            pytest.param("lb_ball", "mixing_schedule", True, id="lb_ball-mixing_schedule"),
+            pytest.param("gaussian", "mixing", delta(3.0), id="gaussian-mixing"),
+        ],
+    )
+    def test_field_the_family_does_not_read(self, family, field, value):
+        # A field outside the family's record keys must keep its default, as
+        # the JSON reader refuses a key outside them.
+        kwargs = {"b_exponent": 1.5} if family == "lb_ball" else {}
+        with pytest.raises(ValueError, match=f"family '{family}' does not read {field}"):
+            PopulationModel(family=family, n=5, p=3, **kwargs, **{field: value})
+
 
 class TestModelJson:
     # Hand-written model JSON per family: the parsed fields, and a draw
