@@ -15,9 +15,10 @@ scatter, which the row covariance and the limit laws are read from.
 sample_model adds the model's location to its family's draw. gaussian and
 gaussian_copula models root their shape once, on their first draw.
 Uniforms are mapped through inverse CDFs (normal via ndtri, gamma
-magnitudes via gammaincinv) rather than rejection methods, keeping every
-draw a pure function of its stream. Those come from scipy.special, which
-the functions that call them import on their first draw: importing this
+magnitudes via _gamma_quantile, a table of gammaincinv knots refined by one
+Halley step on gammainc) rather than rejection methods, keeping every draw
+a pure function of its stream. Those come from scipy.special, which the
+functions that call them import on their first draw: importing this
 module, and so rmtlaw and its CLI, loads no scipy module.
 
 The module also owns the one worker pool (parallel_map, sized by
@@ -32,7 +33,7 @@ from __future__ import annotations
 from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, fields
-from functools import cached_property, partial
+from functools import cached_property
 import os
 import threading
 from typing import Callable, Optional, Sequence, TypeVar
@@ -62,6 +63,10 @@ __all__ = [
 # disjoint spawn keys for the same (seed, replicate).
 _KIND_ROW = 0
 _KIND_MIXING = 1
+
+# The range of uniform_open.
+_U_MIN = 2.0**-54
+_U_MAX = 1.0 - 2.0**-53
 
 _T = TypeVar("_T")
 _U = TypeVar("_U")
@@ -148,10 +153,15 @@ def rng_stream(seed: int, *path: int) -> np.random.Generator:
 def uniform_open(rng: np.random.Generator | _RowStreams, size) -> NDArray[np.float64]:
     """Uniforms strictly inside (0, 1): (k + 1/2)/2^53 over 53-bit integers.
 
-    rng is a Generator, or a _RowStreams block of rows.
+    Above 1/2, k + 1/2 rounds to even, so the values lie on a 2^-52 lattice
+    there, and k = 2^53 - 1 would round to 1: the result is clamped at
+    1 - 2^-53. The values span [2^-54, 1 - 2^-53]. rng is a Generator, or a
+    _RowStreams block of rows.
     """
     k = rng.integers(0, 1 << 53, size=size, dtype=np.uint64)
-    return (k.astype(np.float64) + 0.5) * 2.0**-53
+    u = (k.astype(np.float64) + 0.5) * 2.0**-53
+    # In place, as u may be a whole block of rows; a scalar u has no buffer.
+    return np.minimum(u, _U_MAX, out=u if np.ndim(u) else None)
 
 
 def standard_normal(rng: np.random.Generator | _RowStreams, size) -> NDArray[np.float64]:
@@ -370,26 +380,73 @@ def _lb_ball_check(model: PopulationModel) -> None:
         raise ValueError("b_exponent must be in [1, 2]")
 
 
+_QUANTILE_KNOTS = 2048
+# Entries a quantile call maps at once: a worker thread's freed temporaries stay
+# resident in its heap arena, so they are kept small.
+_QUANTILE_CHUNK = 1 << 12
+# Above this u, P(a, x) - u cancels, so the Halley step takes (1 - u) - Q(a, x).
+_UPPER_TAIL = 1.0 - 2.0**-10
+
+
+def _logit(u: NDArray[np.float64]) -> NDArray[np.float64]:
+    return np.log(u / (1.0 - u))
+
+
+def _gamma_quantile(a: float) -> Callable[..., NDArray[np.float64]]:
+    """The Gamma(a) quantile x with P(a, x) = u, as quantile(u, out=out) over
+    u in [2^-54, 1 - 2^-53], the range of uniform_open.
+
+    A table of log x at _QUANTILE_KNOTS knots even in logit u over that range
+    (gammaincinv up to u = 1/2, gammainccinv(a, 1 - u) above, so the top knot
+    is finite) gives each entry a start by linear interpolation; one Halley
+    step on f = P(a, x) - u, f' the Gamma(a) density and f''/f' = (a - 1)/x - 1,
+    takes it to within about 3e-14 relative of scipy's inverse for a in
+    [1/2, 1] (DiDonato & Morris, ACM TOMS 12, 1986, invert the same way). Each
+    entry is the same elementwise computation whatever block or chunk holds it.
+    """
+    # here, not at import: the law commands never sample
+    from scipy.special import expit, gammainc, gammaincc, gammainccinv, gammaincinv, gammaln
+
+    knots = np.linspace(_logit(_U_MIN), _logit(_U_MAX), _QUANTILE_KNOTS)
+    upper = knots > 0.0
+    log_x = np.empty_like(knots)
+    log_x[~upper] = np.log(gammaincinv(a, expit(knots[~upper])))
+    log_x[upper] = np.log(gammainccinv(a, expit(-knots[upper])))
+    log_gamma = gammaln(a)
+
+    def quantile(u: NDArray[np.float64], out: NDArray[np.float64]) -> NDArray[np.float64]:
+        rows = max(1, _QUANTILE_CHUNK * len(u) // u.size)
+        for start in range(0, len(u), rows):
+            v = u[start : start + rows]
+            log_x0 = np.interp(_logit(v), knots, log_x)
+            x = np.exp(log_x0)
+            f = gammainc(a, x) - v
+            tail = v > _UPPER_TAIL
+            f[tail] = (1.0 - v[tail]) - gammaincc(a, x[tail])
+            # Newton's step f/f', then Halley's correction of it.
+            step = f / np.exp((a - 1.0) * log_x0 - x - log_gamma)
+            step /= 1.0 - 0.5 * step * ((a - 1.0) / x - 1.0)
+            np.subtract(x, step, out=out[start : start + rows])
+        return out
+
+    return quantile
+
+
 def _lb_ball_draw(model: PopulationModel, seed: int, replicate: int) -> NDArray[np.float64]:
     """Rows uniform in the l_b ball of radius p^(1/b), b = b_exponent.
 
     Construction: entries g_i with density ~ exp(-|t|^b) (magnitudes are
-    Gamma(1/b)^(1/b) by inverse CDF), an independent Exp(1) variable W, and
-    row = g / (sum |g_i|^b + W)^(1/b), which is uniform in the unit ball;
-    the row is then scaled by p^(1/b).
+    Gamma(1/b)^(1/b), the Gamma draws by _gamma_quantile), an independent
+    Exp(1) variable W, and row = g / (sum |g_i|^b + W)^(1/b), which is
+    uniform in the unit ball; the row is then scaled by p^(1/b).
     """
-    from scipy.special import gammaincinv  # here, not at import: the law commands never sample
-
     n, p, b = model.n, model.p, float(model.b_exponent)
     U = _row_uniforms(seed, replicate, n, 2 * p + 1)
-    gamma_draws = _map_rows(partial(gammaincinv, 1.0 / b), U[:, :p], out=np.empty((n, p)))
+    gamma_draws = _map_rows(_gamma_quantile(1.0 / b), U[:, :p], out=np.empty((n, p)))
     magnitudes = gamma_draws ** (1.0 / b)
     signs = np.where(U[:, p : 2 * p] < 0.5, -1.0, 1.0)
     w_exp = -np.log1p(-U[:, 2 * p])
-    # A scalar pow per row, as each row stream once computed it: numpy's
-    # vectorized pow can differ from libm's in the last bit.
-    radii = (np.sum(gamma_draws, axis=1) + w_exp).tolist()
-    denom = np.array([r ** (1.0 / b) for r in radii])
+    denom = np.power(np.sum(gamma_draws, axis=1) + w_exp, 1.0 / b)
     out = signs * magnitudes / denom[:, None]
     return p ** (1.0 / b) * out
 

@@ -143,7 +143,7 @@ class TestParallelMap:
 
     def test_sampler_blocks_inside_workers(self, monkeypatch):
         # A library caller mapping draws over the pool: each lb_ball draw
-        # splits its gammaincinv map into row blocks, which would queue on
+        # splits its Gamma quantile map into row blocks, which would queue on
         # the pool from inside a worker.
         monkeypatch.setenv("RMT_THREADS", "2")
         model = PopulationModel(family="lb_ball", n=1024, p=64, b_exponent=1.0)

@@ -5,7 +5,7 @@ import json
 from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
-from scipy.special import gammaincinv, ndtr, ndtri
+from scipy.special import erfcinv, erfinv, gammainccinv, gammaincinv, ndtr, ndtri
 
 from rmtlaw.linalg import matrix_sqrt_psd, sample_covariance, toeplitz_corr
 from rmtlaw.measures import DiscreteMeasure, delta
@@ -75,6 +75,15 @@ class TestStreams:
         assert np.ndim(z) == 0
         assert z == ndtri(uniform_open(rng_stream(0, 0), size)) == 0.5864003712044271
 
+    def test_uniform_open_ends(self):
+        # k + 1/2 rounds to 2^53 at the top integer, so that one is clamped.
+        class Stub:
+            def integers(self, low, high, size, dtype):
+                return np.array([0, 2**53 - 2, 2**53 - 1], dtype=dtype)
+
+        u = uniform_open(Stub(), 3)
+        assert u.tolist() == [2.0**-54, 1.0 - 2.0**-52, 1.0 - 2.0**-53]
+
 
 def _stream_words(seed, replicate, kind, i, cols):
     """Row i of a block: words 4B·i, ..., 4B·i + cols - 1 of the one stream
@@ -85,7 +94,8 @@ def _stream_words(seed, replicate, kind, i, cols):
 
 
 def _row_uniform(seed, replicate, i, cols, kind=0):
-    return (_stream_words(seed, replicate, kind, i, cols).astype(np.float64) + 0.5) * 2.0**-53
+    u = (_stream_words(seed, replicate, kind, i, cols).astype(np.float64) + 0.5) * 2.0**-53
+    return np.minimum(u, 1.0 - 2.0**-53)
 
 
 def _lb_ball_reference(n, p, b, seed, replicate):
@@ -93,11 +103,11 @@ def _lb_ball_reference(n, p, b, seed, replicate):
     out = np.empty((n, p))
     for i in range(n):
         u = _row_uniform(seed, replicate, i, 2 * p + 1)
-        gamma_draws = gammaincinv(1.0 / b, u[:p])
+        gamma_draws = samplers._gamma_quantile(1.0 / b)(u[:p], out=np.empty(p))
         magnitudes = gamma_draws ** (1.0 / b)
         signs = np.where(u[p : 2 * p] < 0.5, -1.0, 1.0)
         w_exp = -np.log1p(-u[2 * p])
-        denom = (np.sum(gamma_draws) + w_exp) ** (1.0 / b)
+        denom = np.power(np.sum(gamma_draws) + w_exp, 1.0 / b)
         out[i] = signs * magnitudes / denom
     return p ** (1.0 / b) * out
 
@@ -258,6 +268,15 @@ class TestRowBlocks:
             Y = draw("lb_ball", self.N, self.P, 11, replicate=2, b_exponent=1.5)
             assert Y.tobytes() == expected
 
+    def test_lb_ball_across_quantile_chunks(self, monkeypatch):
+        # 301 x 1000 entries: every block, at 3 threads too, spans several chunks.
+        n, p = 301, 1000
+        assert (n // 3) * p > 2 * samplers._QUANTILE_CHUNK
+        expected = _lb_ball_reference(n, p, 1.25, 4, 1).tobytes()
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("RMT_THREADS", threads)
+            assert draw("lb_ball", n, p, 4, replicate=1, b_exponent=1.25).tobytes() == expected
+
     def test_gaussian_and_copula(self, monkeypatch):
         rows = [ndtri(_row_uniform(11, 2, i, self.P)) for i in range(self.N)]
         gaussian = np.array(rows).tobytes()
@@ -382,6 +401,38 @@ class TestCopula:
         R = np.array([[1.0, 1.0 - 1e-12], [1.0 - 1e-12, 1.0]])
         Y = sample_gaussian_copula(100, R, seed=0)
         assert np.all(np.abs(Y[:, 0] - Y[:, 1]) < 1e-5)
+
+
+def _log_spaced_uniforms(m):
+    """m uniforms log-spaced toward both ends of uniform_open's range, both ends included."""
+    lo = np.geomspace(2.0**-54, 0.5, m // 2)
+    return np.concatenate([lo, 1.0 - np.geomspace(2.0**-53, 0.5, m - m // 2)[::-1]])
+
+
+class TestGammaQuantile:
+    """The table-plus-Halley quantile against scipy's inverses and the closed forms."""
+
+    U = _log_spaced_uniforms(100_000)
+
+    def quantile(self, a):
+        return samplers._gamma_quantile(a)(self.U, out=np.empty_like(self.U))
+
+    @pytest.mark.parametrize("b", [1.0, 1.25, 1.5, 2.0])
+    def test_matches_scipy(self, b):
+        a, u = 1.0 / b, self.U
+        assert u[0] == 2.0**-54 and u[-1] == 1.0 - 2.0**-53
+        expected = np.where(u <= 0.5, gammaincinv(a, u), gammainccinv(a, 1.0 - u))
+        assert np.max(np.abs(self.quantile(a) - expected) / expected) <= 1e-13
+
+    def test_exponential_closed_form(self):
+        expected = -np.log1p(-self.U)
+        assert np.max(np.abs(self.quantile(1.0) - expected) / expected) <= 1e-13
+
+    def test_half_closed_form(self):
+        # Gamma(1/2) is Z^2 / 2, so P(1/2, x) = erf(sqrt(x)).
+        u = self.U
+        expected = np.where(u <= 0.5, erfinv(u) ** 2, erfcinv(1.0 - u) ** 2)
+        assert np.max(np.abs(self.quantile(0.5) - expected) / expected) <= 1e-13
 
 
 class TestLbBall:
