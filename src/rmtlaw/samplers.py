@@ -15,8 +15,8 @@ scatter, which the row covariance and the limit laws are read from.
 sample_model adds the model's location to its family's draw. gaussian and
 gaussian_copula models root their shape once, on their first draw.
 Uniforms are mapped through inverse CDFs (normal via ndtri, gamma
-magnitudes via _gamma_quantile, a table of gammaincinv knots refined by one
-Halley step on gammainc) rather than rejection methods, keeping every draw
+magnitudes via _gamma_quantile, a quintic Hermite table of log x built from
+gammaincinv knots) rather than rejection methods, keeping every draw
 a pure function of its stream. Those come from scipy.special, which the
 functions that call them import on their first draw: importing this
 module, and so rmtlaw and its CLI, loads no scipy module.
@@ -384,8 +384,6 @@ _QUANTILE_KNOTS = 2048
 # Entries a quantile call maps at once: a worker thread's freed temporaries stay
 # resident in its heap arena, so they are kept small.
 _QUANTILE_CHUNK = 1 << 12
-# Above this u, P(a, x) - u cancels, so the Halley step takes (1 - u) - Q(a, x).
-_UPPER_TAIL = 1.0 - 2.0**-10
 
 
 def _logit(u: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -396,37 +394,63 @@ def _gamma_quantile(a: float) -> Callable[..., NDArray[np.float64]]:
     """The Gamma(a) quantile x with P(a, x) = u, as quantile(u, out=out) over
     u in [2^-54, 1 - 2^-53], the range of uniform_open.
 
-    A table of log x at _QUANTILE_KNOTS knots even in logit u over that range
-    (gammaincinv up to u = 1/2, gammainccinv(a, 1 - u) above, so the top knot
-    is finite) gives each entry a start by linear interpolation; one Halley
-    step on f = P(a, x) - u, f' the Gamma(a) density and f''/f' = (a - 1)/x - 1,
-    takes it to within about 3e-14 relative of scipy's inverse for a in
-    [1/2, 1] (DiDonato & Morris, ACM TOMS 12, 1986, invert the same way). Each
-    entry is the same elementwise computation whatever block or chunk holds it.
+    y = log x is a smooth function of t = logit u. A table gives y at
+    _QUANTILE_KNOTS knots even in t over that range (gammaincinv up to
+    u = 1/2, gammainccinv(a, 1 - u) above, so the top knot is finite) and its
+    first two derivatives in closed form: with f the Gamma(a) density,
+    y' = u(1 - u)/(x f(x)) and y'' = y'((1 - u) - u + (x - a)y'). Each entry
+    is the quintic Hermite interpolant of y on its knot interval, a
+    polynomial in s = (t - t_j)/(t_{j+1} - t_j) with s scaled by that
+    interval's own spacing, so no special function runs per entry. It is
+    within about 4e-14 relative of scipy's inverse for a in [1/2, 1], and
+    nondecreasing in u. Each entry is the same elementwise computation
+    whatever block or chunk holds it.
     """
     # here, not at import: the law commands never sample
-    from scipy.special import expit, gammainc, gammaincc, gammainccinv, gammaincinv, gammaln
+    from scipy.special import expit, gammainccinv, gammaincinv, gammaln
 
-    knots = np.linspace(_logit(_U_MIN), _logit(_U_MAX), _QUANTILE_KNOTS)
+    knots, step = np.linspace(_logit(_U_MIN), _logit(_U_MAX), _QUANTILE_KNOTS, retstep=True)
+    P, Q = expit(knots), expit(-knots)  # u and 1 - u at the knots, each without cancellation
     upper = knots > 0.0
-    log_x = np.empty_like(knots)
-    log_x[~upper] = np.log(gammaincinv(a, expit(knots[~upper])))
-    log_x[upper] = np.log(gammainccinv(a, expit(-knots[upper])))
-    log_gamma = gammaln(a)
+    y = np.empty_like(knots)
+    y[~upper] = np.log(gammaincinv(a, P[~upper]))
+    y[upper] = np.log(gammainccinv(a, Q[upper]))
+    x = np.exp(y)
+    dy = P * Q * np.exp(gammaln(a) - a * y + x)
+    d2y = dy * (Q - P + (x - a) * dy)
+    # Per interval, in s: the values, slopes h y' and curvatures h^2 y'' at
+    # both ends give the monomial coefficients c_0, ..., c_5.
+    h = np.diff(knots)
+    slope, curve = h * dy[:-1], h * h * d2y[:-1]
+    gap = y[1:] - y[:-1] - slope - 0.5 * curve
+    dslope = h * dy[1:] - slope - curve
+    dcurve = h * h * d2y[1:] - curve
+    coef = (
+        y[:-1],
+        slope,
+        0.5 * curve,
+        10.0 * gap - 4.0 * dslope + 0.5 * dcurve,
+        -15.0 * gap + 7.0 * dslope - dcurve,
+        6.0 * gap - 3.0 * dslope + 0.5 * dcurve,
+    )
+    last = _QUANTILE_KNOTS - 2
 
     def quantile(u: NDArray[np.float64], out: NDArray[np.float64]) -> NDArray[np.float64]:
         rows = max(1, _QUANTILE_CHUNK * len(u) // u.size)
         for start in range(0, len(u), rows):
-            v = u[start : start + rows]
-            log_x0 = np.interp(_logit(v), knots, log_x)
-            x = np.exp(log_x0)
-            f = gammainc(a, x) - v
-            tail = v > _UPPER_TAIL
-            f[tail] = (1.0 - v[tail]) - gammaincc(a, x[tail])
-            # Newton's step f/f', then Halley's correction of it.
-            step = f / np.exp((a - 1.0) * log_x0 - x - log_gamma)
-            step /= 1.0 - 0.5 * step * ((a - 1.0) / x - 1.0)
-            np.subtract(x, step, out=out[start : start + rows])
+            t = _logit(u[start : start + rows])
+            # The interval from t's offset in steps, corrected by one against
+            # the knots themselves: knots[j] <= t < knots[j + 1].
+            j = np.clip(((t - knots[0]) / step).astype(np.intp), 0, last)
+            j -= t < knots[j]
+            j += t >= knots[j + 1]
+            np.minimum(j, last, out=j)
+            s = (t - knots[j]) / h[j]
+            y_s = coef[5].take(j)
+            for c in coef[4::-1]:
+                y_s *= s
+                y_s += c.take(j)
+            np.exp(y_s, out=out[start : start + rows])
         return out
 
     return quantile
@@ -438,17 +462,20 @@ def _lb_ball_draw(model: PopulationModel, seed: int, replicate: int) -> NDArray[
     Construction: entries g_i with density ~ exp(-|t|^b) (magnitudes are
     Gamma(1/b)^(1/b), the Gamma draws by _gamma_quantile), an independent
     Exp(1) variable W, and row = g / (sum |g_i|^b + W)^(1/b), which is
-    uniform in the unit ball; the row is then scaled by p^(1/b).
+    uniform in the unit ball; the row is then scaled by p^(1/b). After the
+    row sums, the Gamma draws become the rows in place, in that order, so
+    the draw holds one n x p array besides the uniforms.
     """
     n, p, b = model.n, model.p, float(model.b_exponent)
     U = _row_uniforms(seed, replicate, n, 2 * p + 1)
-    gamma_draws = _map_rows(_gamma_quantile(1.0 / b), U[:, :p], out=np.empty((n, p)))
-    magnitudes = gamma_draws ** (1.0 / b)
-    signs = np.where(U[:, p : 2 * p] < 0.5, -1.0, 1.0)
+    out = _map_rows(_gamma_quantile(1.0 / b), U[:, :p], out=np.empty((n, p)))
     w_exp = -np.log1p(-U[:, 2 * p])
-    denom = np.power(np.sum(gamma_draws, axis=1) + w_exp, 1.0 / b)
-    out = signs * magnitudes / denom[:, None]
-    return p ** (1.0 / b) * out
+    denom = np.power(np.sum(out, axis=1) + w_exp, 1.0 / b)
+    np.power(out, 1.0 / b, out=out)
+    np.negative(out, out=out, where=U[:, p : 2 * p] < 0.5)
+    out /= denom[:, None]
+    out *= p ** (1.0 / b)
+    return out
 
 
 def _lb_ball_scatter(model: PopulationModel) -> tuple:

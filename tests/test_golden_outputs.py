@@ -37,7 +37,11 @@ and entry law is held byte for byte through the CLI. The lb_ball .eigs.csv
 digest alone was re-pinned when its Gamma magnitudes began to come from a
 table of quantile knots and one Halley step on gammainc in place of
 gammaincinv per entry (within 3e-14 relative of it); no other digest
-moved. Each verify suite's
+moved. It was re-pinned again, from 2ef7ab73... to 3d37c39a..., when the
+quantile became a quintic Hermite interpolant of log x in logit u with
+closed-form knot derivatives, in place of the linear interpolant and the
+Halley step (within 4e-14 relative of scipy); no other digest moved.
+Each verify suite's
 JSON at seed 0 is pinned by its sha256, at reduced reps for lemma6 and
 quadform, from the report that carries only what each suite measured.
 """
@@ -211,7 +215,7 @@ SIMULATE_CASES = {
         {"family": "lb_ball", "n": 60, "p": 30, "b": 1.5},
         "correlation",
         "39a0a526d01927f392f026aa07fc8b7ddc1717edb780f6ffe602f26a6dcf08be",
-        "2ef7ab73de63de5729444b10f3568e0742a15710148edaf47e5c1b44dafcd968",
+        "3d37c39aec60a62dddb6dc34c0ad383298c4e05728322548697074415c2e84cf",
     ),
     "bounded_iid_covariance": (
         {"family": "bounded_iid", "n": 60, "p": 30, "bound": 0.75},

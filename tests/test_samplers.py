@@ -5,7 +5,7 @@ import json
 from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
-from scipy.special import erfcinv, erfinv, gammainccinv, gammaincinv, ndtr, ndtri
+from scipy.special import erfcinv, erfinv, expit, gammainccinv, gammaincinv, ndtr, ndtri
 
 from rmtlaw.linalg import matrix_sqrt_psd, sample_covariance, toeplitz_corr
 from rmtlaw.measures import DiscreteMeasure, delta
@@ -409,20 +409,52 @@ def _log_spaced_uniforms(m):
     return np.concatenate([lo, 1.0 - np.geomspace(2.0**-53, 0.5, m - m // 2)[::-1]])
 
 
+def _knot_neighbours():
+    """The quantile table's knots as uniforms, with the floats on either side, kept in range."""
+    lo, hi = samplers._U_MIN, samplers._U_MAX
+    knots = expit(np.linspace(samplers._logit(lo), samplers._logit(hi), samplers._QUANTILE_KNOTS))
+    near = np.concatenate([np.nextafter(knots, 0.0), knots, np.nextafter(knots, 1.0)])
+    return np.unique(near[(near >= lo) & (near <= hi)])
+
+
 class TestGammaQuantile:
-    """The table-plus-Halley quantile against scipy's inverses and the closed forms."""
+    """The quintic Hermite quantile against scipy's inverses and the closed forms."""
 
     U = _log_spaced_uniforms(100_000)
 
-    def quantile(self, a):
-        return samplers._gamma_quantile(a)(self.U, out=np.empty_like(self.U))
+    def quantile(self, a, u=None):
+        u = self.U if u is None else u
+        return samplers._gamma_quantile(a)(u, out=np.empty_like(u))
+
+    def assert_matches_scipy(self, a):
+        u = np.concatenate([self.U, _knot_neighbours()])
+        assert 2.0**-54 in u and 1.0 - 2.0**-53 in u
+        expected = np.where(u <= 0.5, gammaincinv(a, u), gammainccinv(a, 1.0 - u))
+        assert np.max(np.abs(self.quantile(a, u) - expected) / expected) <= 1e-13
 
     @pytest.mark.parametrize("b", [1.0, 1.25, 1.5, 2.0])
     def test_matches_scipy(self, b):
-        a, u = 1.0 / b, self.U
-        assert u[0] == 2.0**-54 and u[-1] == 1.0 - 2.0**-53
-        expected = np.where(u <= 0.5, gammaincinv(a, u), gammainccinv(a, 1.0 - u))
-        assert np.max(np.abs(self.quantile(a) - expected) / expected) <= 1e-13
+        self.assert_matches_scipy(1.0 / b)
+
+    @settings(max_examples=15, deadline=None)
+    @given(a=st.floats(0.5, 1.0))
+    def test_matches_scipy_any_shape(self, a):
+        self.assert_matches_scipy(a)
+
+    @pytest.mark.parametrize("a", [0.5, 0.6, 1.0 / 1.37, 0.8, 0.9, 1.0])
+    def test_nondecreasing(self, a):
+        # Runs of uniform_open values from consecutive integers k, at the
+        # bottom, inside, on both sides of 1/2 and at the top of the range,
+        # merged with the floats around every knot.
+        run = 200_000
+        starts = [0, 1 << 30, 1 << 45, (1 << 52) - run // 2, 1 << 52, 3 << 51, (1 << 53) - run]
+
+        class Runs:
+            def integers(self, low, high, size, dtype):
+                return np.concatenate([np.arange(k, k + run, dtype=dtype) for k in starts])
+
+        u = np.sort(np.concatenate([uniform_open(Runs(), None), _knot_neighbours()]))
+        assert np.all(np.diff(self.quantile(a, u)) >= 0.0)
 
     def test_exponential_closed_form(self):
         expected = -np.log1p(-self.U)
