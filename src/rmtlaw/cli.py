@@ -11,9 +11,8 @@ Subcommands:
 
 All randomness flows from --seed (default 0). Numeric output is printed
 with 17 significant digits and files end with a trailing newline, so any
-command is byte-identical on rerun. RMT_THREADS caps internal parallelism
-without affecting results. Exit codes: 0 success, 2 invalid input, 3
-numerical failure, 4 verification-suite bound violation.
+command is byte-identical on rerun. Exit codes: 0 success, 2 invalid
+input, 3 numerical failure, 4 verification-suite bound violation.
 """
 
 from __future__ import annotations
@@ -85,6 +84,9 @@ def _parse_grid(text: str) -> NDArray[np.float64]:
     if len(parts) != 3:
         raise ValueError('grid must be "min,max,count"')
     lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+    for name, bound in (("min", lo), ("max", hi)):
+        if not np.isfinite(bound):
+            raise ValueError(f"grid {name} must be finite, got {bound!r}")
     if count < 2:
         raise ValueError("grid count must be >= 2")
     if not (hi > lo):

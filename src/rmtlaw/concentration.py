@@ -12,7 +12,7 @@ covariance itself, copula_cov, lives in linalg and is re-exported here.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 from numpy.typing import NDArray
@@ -27,8 +27,7 @@ from .linalg import (
     toeplitz_corr,
 )
 from .measures import delta
-# parallel_map is re-exported: callers look the shared pool up through this module.
-from .samplers import _FAMILIES, PopulationModel, parallel_map, sample_gaussian_copula, sample_model
+from .samplers import _FAMILIES, PopulationModel, sample_gaussian_copula, sample_model
 
 __all__ = [
     "ConcentrationReport",
@@ -63,6 +62,18 @@ NORM_THRESHOLD = 0.35
 ANGLE_THRESHOLD = 0.2
 
 _EXACT_ZERO = 1e-13
+
+_T = TypeVar("_T")
+_U = TypeVar("_U")
+
+
+def parallel_map(fn: Callable[[_T], _U], items: Sequence[_T]) -> list[_U]:
+    """[fn(item) for item in items]: the suites' replicate maps, in order.
+
+    It runs in the calling thread; the name is kept because the benchmark's
+    per-layer tracing binds it, until ROADMAP item D unbinds it.
+    """
+    return [fn(item) for item in items]
 
 
 @dataclass(frozen=True)
@@ -126,10 +137,11 @@ def stieltjes_concentration_mc(
     if not (z.imag > 0):
         raise ValueError("z must have positive imaginary part")
 
-    values = np.empty(reps, dtype=np.complex128)
-    for replicate in range(reps):
+    def stieltjes(replicate: int) -> complex:
         Y = sample_model(model, seed, replicate)
-        values[replicate] = empirical_stieltjes(sym_eigenvalues(Y.T @ Y), z)
+        return empirical_stieltjes(sym_eigenvalues(Y.T @ Y), z)
+
+    values = np.array(parallel_map(stieltjes, range(reps)), dtype=np.complex128)
     center = values.mean()
     deviations = np.abs(values - center)
     v = z.imag
@@ -180,11 +192,12 @@ def quadratic_form_deviation(
     target = float(np.trace(M @ sigma)) / dim
     mean_row = np.asarray(model.location, dtype=np.float64)
 
-    stats = np.empty(reps)
-    for replicate in range(reps):
+    def deviation(replicate: int) -> float:
         Y = sample_model(model, seed, replicate) - mean_row
         quad = np.einsum("ij,ij->i", Y @ M, Y) / dim
-        stats[replicate] = np.max(np.abs(quad - target))
+        return np.max(np.abs(quad - target))
+
+    stats = np.array(parallel_map(deviation, range(reps)))
     details = {
         "mean_max_deviation": float(stats.mean()),
         "max_max_deviation": float(stats.max()),
@@ -355,15 +368,14 @@ def verify_copula(
         np.all(np.diag(copula_cov(np.eye(3))) == 1.0 / 12.0)
     )
 
-    bound_ok = True
-    gaps = []
     null = PopulationModel(family="gaussian", n=p + 10, p=p)
-    for t in range(trials):
-        Z = sample_model(null, seed, t)
-        R = sample_correlation(Z)
-        gap = copula_norm_bound(R) - operator_norm(copula_cov(R))
-        gaps.append(float(gap))
-        bound_ok = bound_ok and gap >= 0
+
+    def bound_gap(t: int) -> float:
+        R = sample_correlation(sample_model(null, seed, t))
+        return float(copula_norm_bound(R) - operator_norm(copula_cov(R)))
+
+    gaps = parallel_map(bound_gap, range(trials))
+    bound_ok = all(gap >= 0 for gap in gaps)
 
     R_mc = toeplitz_corr(mc_p, 0.3)
     X = sample_gaussian_copula(mc_samples, R_mc, seed, replicate=trials)

@@ -86,12 +86,11 @@ class SolverConfig:
     v_eps: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if not (self.tol > 0):
-            raise ValueError("tol must be positive")
+        _check_ratio(self.tol, "tol")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.v_eps is not None and not (self.v_eps > 0):
-            raise ValueError("v_eps must be positive")
+        if self.v_eps is not None:
+            _check_ratio(self.v_eps, "v_eps")
 
 
 @dataclass(frozen=True)
@@ -128,8 +127,9 @@ _Step = Callable[
 
 
 def _check_ratio(x: float, name: str) -> None:
-    """Raise ValueError unless x is positive and finite: an aspect ratio or
-    a scale, where inf would only fail later as a numerical error."""
+    """Raise ValueError unless x is positive and finite: an aspect ratio, a
+    scale or a solver tolerance, where inf would only fail later as a
+    numerical error or pass every convergence test."""
     if not (0.0 < x < math.inf):
         raise ValueError(f"{name} must be positive and finite")
 

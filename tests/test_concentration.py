@@ -1,12 +1,8 @@
 """Concentration statistics, diagnostics, and the verify suites."""
 
-import sys
-import threading
-
 import numpy as np
 import pytest
 
-from rmtlaw import samplers
 from rmtlaw.concentration import (
     _EXACT_ZERO,
     ConcentrationReport,
@@ -94,84 +90,19 @@ class TestParallelMap:
     def test_empty(self):
         assert parallel_map(lambda i: i, []) == []
 
-    def test_pool_reused_until_thread_count_changes(self, monkeypatch):
-        monkeypatch.setenv("RMT_THREADS", "3")
-        assert parallel_map(lambda i: -i, [1, 2, 3]) == [-1, -2, -3]
-        first = samplers._pool
-        parallel_map(lambda i: i, [1, 2])
-        assert samplers._pool is first
-        monkeypatch.setenv("RMT_THREADS", "2")
-        assert parallel_map(lambda i: 2 * i, [1, 2, 3]) == [2, 4, 6]
-        assert samplers._pool is not first
-
-    def test_concurrent_callers_share_the_pool(self, monkeypatch):
-        monkeypatch.setenv("RMT_THREADS", "4")
-        results = {}
-
-        def caller(k):
-            results[k] = parallel_map(lambda i: (k, i * i), list(range(50)))
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=caller, args=(k,)) for k in range(8)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=30)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert results == {k: [(k, i * i) for i in range(50)] for k in range(8)}
-
-    @staticmethod
-    def _finishes(call, timeout):
-        # On a joined thread, so a deadlocked pool fails the test instead of hanging it.
-        result = []
-        thread = threading.Thread(target=lambda: result.append(call()), daemon=True)
-        thread.start()
-        thread.join(timeout=timeout)
-        assert not thread.is_alive(), "deadlocked on the shared pool"
-        return result[0]
-
-    def test_nested_map_runs_inline(self, monkeypatch):
-        monkeypatch.setenv("RMT_THREADS", "2")
-        out = self._finishes(
-            lambda: parallel_map(lambda i: parallel_map(lambda j: i * j, range(4)), range(6)), 30
-        )
-        assert out == [[i * j for j in range(4)] for i in range(6)]
-
-    def test_sampler_blocks_inside_workers(self, monkeypatch):
-        # A library caller mapping draws over the pool: each lb_ball draw
-        # splits its Gamma quantile map into row blocks, which would queue on
-        # the pool from inside a worker.
-        monkeypatch.setenv("RMT_THREADS", "2")
-        model = PopulationModel(family="lb_ball", n=1024, p=64, b_exponent=1.0)
-        draws = self._finishes(
-            lambda: parallel_map(lambda r: sample_model(model, 0, r), range(4)), 60
-        )
-        for replicate, Y in enumerate(draws):
-            np.testing.assert_array_equal(Y, sample_model(model, 0, replicate))
-
-    def test_thread_count_invariance(self, monkeypatch):
-        # The copula rows run ndtri and ndtr row blocks on the pool.
+    def test_thread_count_invariance(self):
+        # A rerun of both replicate maps gives the same values; the copula
+        # rows run ndtri and ndtr.
         gaussian = PopulationModel(family="gaussian", n=15, p=10)
         copula = PopulationModel(family="gaussian_copula", n=40, p=10, shape=toeplitz_corr(10, 0.4))
-        runs = {}
-        for threads in ("1", "4"):
-            monkeypatch.setenv("RMT_THREADS", threads)
+        runs = []
+        for _ in range(2):
             mc = stieltjes_concentration_mc(gaussian, 1.0j, 50, seed=0)
             quad = quadratic_form_deviation(copula, np.eye(10), reps=5, seed=0)
-            runs[threads] = (
-                mc.details["frequencies"], mc.details["std"], quad.details["per_replicate"]
+            runs.append(
+                (mc.details["frequencies"], mc.details["std"], quad.details["per_replicate"])
             )
-        assert runs["1"] == runs["4"]
-
-    @pytest.mark.parametrize("value", ["abc", "0"])
-    def test_bad_thread_count_names_the_variable(self, monkeypatch, value):
-        monkeypatch.setenv("RMT_THREADS", value)
-        with pytest.raises(ValueError, match=f"RMT_THREADS must be an integer >= 1, got '{value}'"):
-            parallel_map(lambda i: i, [1, 2])
+        assert runs[0] == runs[1]
 
 
 class TestReport:

@@ -326,6 +326,8 @@ class TestSolverConfig:
             {"tol": float("nan")},
             {"v_eps": 0.0},
             {"v_eps": -1e-3},
+            {"tol": float("inf")},
+            {"v_eps": float("inf")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

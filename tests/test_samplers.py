@@ -143,7 +143,7 @@ class TestRowStreams:
             assert U[i].tobytes() == u.tobytes()
             assert G[i].tobytes() == ndtri(u).tobytes()
 
-    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("pieces", [1, 2])
     @settings(max_examples=30, deadline=None)
     @given(
         seed=st.integers(0, 2**70),
@@ -152,13 +152,16 @@ class TestRowStreams:
         cols=st.integers(1, 40),
         bounds=st.lists(st.integers(0, 30), min_size=2, max_size=2, unique=True).map(sorted),
     )
-    def test_block_from_start_is_slice(self, threads, seed, replicate, kind, cols, bounds):
+    def test_block_from_start_is_slice(self, pieces, seed, replicate, kind, cols, bounds):
+        # Rows r0..r1 drawn in `pieces` consecutive blocks, each from its own start.
         r0, r1 = bounds
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setenv("RMT_THREADS", threads)
-            full = standard_normal(_RowStreams(seed, replicate, kind), (r1, cols))
-            block = standard_normal(_RowStreams(seed, replicate, kind, start=r0), (r1 - r0, cols))
-        assert block.tobytes() == full[r0:r1].tobytes()
+        full = standard_normal(_RowStreams(seed, replicate, kind), (r1, cols))
+        cuts = [r0 + (r1 - r0) * k // pieces for k in range(pieces + 1)]
+        blocks = [
+            standard_normal(_RowStreams(seed, replicate, kind, start=a), (b - a, cols))
+            for a, b in zip(cuts, cuts[1:])
+        ]
+        assert np.vstack(blocks).tobytes() == full[r0:r1].tobytes()
 
     @pytest.mark.parametrize("path", [(-1, 0, 0), (0, -1, 0)])
     def test_negative_entropy_raises_like_seed_sequence(self, path):
@@ -201,24 +204,27 @@ class TestRowStreams:
 class TestShortRows:
     """A row of cols < 4k columns still takes k whole Philox blocks; the
     unused words at its end are skipped, not handed to the next row. A
-    block drawn in two chunks, the second from start=chunk, equals the
-    block drawn at once, at every thread count."""
+    block drawn in cuts + 1 chunks, each from its own start, equals the
+    block drawn at once."""
 
     @pytest.mark.parametrize("cols", [1, 4, 31, 32])
     @pytest.mark.parametrize("seed, replicate", [(0, 0), (2**70 + 11, 2**33)])
-    @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_chunk_edges_equal_row_streams(self, monkeypatch, cols, seed, replicate, threads):
-        monkeypatch.setenv("RMT_THREADS", threads)
-        n, chunk = 301, 150
+    @pytest.mark.parametrize("cuts", [1, 2])
+    def test_chunk_edges_equal_row_streams(self, cols, seed, replicate, cuts):
+        n = 301
+        starts = [n * k // (cuts + 1) for k in range(cuts + 2)]
         U = uniform_open(_RowStreams(seed, replicate), (n, cols))
         G = standard_normal(_RowStreams(seed, replicate), (n, cols))
-        tail = standard_normal(_RowStreams(seed, replicate, start=chunk), (n - chunk, cols))
-        head = standard_normal(_RowStreams(seed, replicate), (chunk, cols))
-        assert np.vstack([head, tail]).tobytes() == G.tobytes()
-        for i in (0, chunk - 1, chunk, n - 1):  # the first and last row of each chunk
-            u = _row_uniform(seed, replicate, i, cols)
-            assert U[i].tobytes() == u.tobytes()
-            assert G[i].tobytes() == ndtri(u).tobytes()
+        chunks = [
+            standard_normal(_RowStreams(seed, replicate, start=a), (b - a, cols))
+            for a, b in zip(starts, starts[1:])
+        ]
+        assert np.vstack(chunks).tobytes() == G.tobytes()
+        for a, b in zip(starts, starts[1:]):  # the first and last row of each chunk
+            for i in (a, b - 1):
+                u = _row_uniform(seed, replicate, i, cols)
+                assert U[i].tobytes() == u.tobytes()
+                assert G[i].tobytes() == ndtri(u).tobytes()
 
 
 def gaussian_reference(n, sigma, seed, replicate):
@@ -256,36 +262,29 @@ class TestShapeRoot:
 
 
 class TestRowBlocks:
-    """The inverse-CDF maps run in row blocks on the pool; the bytes do not
-    depend on RMT_THREADS, an uneven split included."""
+    """The inverse-CDF maps over a whole block of rows give the bytes of the
+    per-row references."""
 
-    N, P = 301, 220  # N odd and not a multiple of 3: uneven blocks
+    N, P = 301, 220
 
-    def test_lb_ball(self, monkeypatch):
-        expected = _lb_ball_reference(self.N, self.P, 1.5, 11, 2).tobytes()
-        for threads in ("1", "2", "3"):
-            monkeypatch.setenv("RMT_THREADS", threads)
-            Y = draw("lb_ball", self.N, self.P, 11, replicate=2, b_exponent=1.5)
-            assert Y.tobytes() == expected
+    def test_lb_ball(self):
+        Y = draw("lb_ball", self.N, self.P, 11, replicate=2, b_exponent=1.5)
+        assert Y.tobytes() == _lb_ball_reference(self.N, self.P, 1.5, 11, 2).tobytes()
 
-    def test_lb_ball_across_quantile_chunks(self, monkeypatch):
-        # 301 x 1000 entries: every block, at 3 threads too, spans several chunks.
+    def test_lb_ball_across_quantile_chunks(self):
+        # 301 x 1000 entries span several of the quantile's chunks.
         n, p = 301, 1000
-        assert (n // 3) * p > 2 * samplers._QUANTILE_CHUNK
+        assert n * p > 2 * samplers._QUANTILE_CHUNK
         expected = _lb_ball_reference(n, p, 1.25, 4, 1).tobytes()
-        for threads in ("1", "2", "3"):
-            monkeypatch.setenv("RMT_THREADS", threads)
-            assert draw("lb_ball", n, p, 4, replicate=1, b_exponent=1.25).tobytes() == expected
+        assert draw("lb_ball", n, p, 4, replicate=1, b_exponent=1.25).tobytes() == expected
 
-    def test_gaussian_and_copula(self, monkeypatch):
+    def test_gaussian_and_copula(self):
         rows = [ndtri(_row_uniform(11, 2, i, self.P)) for i in range(self.N)]
         gaussian = np.array(rows).tobytes()
         copula = np.array([np.clip(ndtr(g), 2.0**-55, 1.0 - 2.0**-53) - 0.5 for g in rows]).tobytes()
         eye = np.eye(self.P)
-        for threads in ("1", "2", "3"):
-            monkeypatch.setenv("RMT_THREADS", threads)
-            assert draw("gaussian", self.N, self.P, 11, replicate=2).tobytes() == gaussian
-            assert sample_gaussian_copula(self.N, eye, 11, replicate=2).tobytes() == copula
+        assert draw("gaussian", self.N, self.P, 11, replicate=2).tobytes() == gaussian
+        assert sample_gaussian_copula(self.N, eye, 11, replicate=2).tobytes() == copula
 
 
 class TestGaussian:
