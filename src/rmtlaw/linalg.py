@@ -110,10 +110,11 @@ def _degenerate_columns(Y: NDArray[np.float64], variances: NDArray[np.float64]) 
     return variances <= (1e-12 * col_scale) ** 2
 
 
-def sample_correlation(Y) -> NDArray[np.float64]:
-    """Sample correlation matrix; unit diagonal exactly, entries in [-1, 1]."""
+def sample_correlation(Y, S=None) -> NDArray[np.float64]:
+    """Sample correlation matrix; unit diagonal exactly, entries in [-1, 1].
+    A given S must be Y's sample_covariance; it is not formed again."""
     A = _as_data_matrix(Y, min_rows=2)
-    S = sample_covariance(A)
+    S = sample_covariance(A) if S is None else S
     bad = np.nonzero(_degenerate_columns(A, np.diag(S)))[0]
     if bad.size:
         raise ValueError(f"degenerate column (zero variance) at index {bad[0]}")

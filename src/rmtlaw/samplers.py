@@ -13,7 +13,8 @@ elliptical mixing scalars come from kind 1. Each family has one record in
 one table: the model-JSON keys it reads, its checks, its draw and its row
 scatter, which the row covariance and the limit laws are read from.
 sample_model adds the model's location to its family's draw. gaussian and
-gaussian_copula models root their shape once, on their first draw.
+gaussian_copula models take their shape's Cholesky factor, or the PSD root
+when the shape is singular, once, on their first draw.
 Uniforms are mapped through inverse CDFs (normal via ndtri, gamma
 magnitudes via _gamma_quantile, a quintic Hermite table of log x built from
 gammaincinv knots) rather than rejection methods, keeping every draw
@@ -182,16 +183,23 @@ class PopulationModel:
 
     @cached_property
     def _shape_root(self) -> Optional[NDArray[np.float64]]:
-        """sqrt(shape) for gaussian and gaussian_copula, taken on the first draw.
+        """R for rows X @ R, taken on the first draw: Gamma^T for
+        sphere_elliptical, else L^T for shape = L L^T by Cholesky, or the PSD
+        root when shape is singular. Any R^T R = shape gives the same limit
+        law (Silverstein & Bai, J. Multivariate Anal. 54, 1995).
 
         None when shape is exactly the identity: X @ I equals X exactly, so
-        identity models skip the p x p eigh and GEMM. shape is exactly
-        symmetric and read-only, so the root cannot go stale; the root is
-        read-only too, as every draw shares it.
+        identity models skip the factorization and GEMM. shape is read-only,
+        so R cannot go stale; R is read-only too, as every draw shares it.
         """
         if np.array_equal(self.shape, np.eye(self.p)):
             return None
-        return _read_only(matrix_sqrt_psd(self.shape))
+        if self.family == "sphere_elliptical":
+            return self.shape.T
+        try:
+            return _read_only(np.linalg.cholesky(self.shape).T)
+        except np.linalg.LinAlgError:  # singular or indefinite: clamp or refuse
+            return _read_only(matrix_sqrt_psd(self.shape))
 
 
 def _read_only(a: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -214,8 +222,9 @@ def _times_shape_root(model: PopulationModel, X: NDArray[np.float64]) -> NDArray
 
 
 def _gaussian_draw(model: PopulationModel, seed: int, replicate: int) -> NDArray[np.float64]:
-    """Y = X @ sqrt(Sigma) with i.i.d. unit-variance entries in X: standard
-    normal, or uniform on [-sqrt(3), sqrt(3)] for entry_family 'bounded'."""
+    """Y = X @ R, R the Cholesky factor of Sigma (or the PSD root when Sigma
+    is singular), with i.i.d. unit-variance entries in X: standard normal, or
+    uniform on [-sqrt(3), sqrt(3)] for entry_family 'bounded'."""
     if model.entry_family == "gaussian":
         X = _row_normals(seed, replicate, model.n, model.p)
     else:
@@ -266,8 +275,7 @@ def _elliptical_draw(model: PopulationModel, seed: int, replicate: int) -> NDArr
     The mixing scalars come from a stream independent of every row stream.
     """
     lam = _mixing_values(model, seed, replicate)
-    R = _sphere_rows(seed, replicate, model.n, model.p)
-    return (lam[:, None] * R) @ np.asarray(model.shape).T
+    return _times_shape_root(model, lam[:, None] * _sphere_rows(seed, replicate, model.n, model.p))
 
 
 def _copula_check(model: PopulationModel) -> dict:

@@ -41,7 +41,16 @@ moved. It was re-pinned again, from 2ef7ab73... to 3d37c39a..., when the
 quantile became a quintic Hermite interpolant of log x in logit u with
 closed-form knot derivatives, in place of the linear interpolant and the
 Halley step (within 4e-14 relative of scipy); no other digest moved.
-Each verify suite's
+The .eigs.csv digests of the non-identity gaussian and gaussian_copula
+cases (gaussian_toeplitz 29d86997... to 7033fbf7..., copula_toeplitz
+e0c65ba0... to bc41a854..., gaussian_bounded_entries 1463288d... to
+33c39cf1...), the correlation experiment's values and the copula verify
+digest (ec352f92... to d16fddfb...) were re-pinned when those models began
+to draw rows X @ L^T, L the Cholesky factor of the shape, in place of X
+times the eigh-based symmetric square root: normal rows keep their law
+and, for any entries, the spectrum its limit law, but the bytes move. The
+.meta.json digests, the identity, lb_ball and bounded_iid cases and the
+other suites did not move. Each verify suite's
 JSON at seed 0 is pinned by its sha256, at reduced reps for lemma6 and
 quadform, from the report that carries only what each suite measured.
 """
@@ -131,18 +140,18 @@ def test_correlation_experiment_pinned():
     )
     assert comparison_to_json_dict(run_experiment(spec)) == {
         "details": {
-            "ks_values": [0.06404438625650855, 0.05331636273301765],
-            "largest_eigenvalues": [3.292067982435816, 3.1480931438143176],
-            "lemma5_stats": [0.19061899749475597, 0.32763758347983307],
+            "ks_values": [0.05893529807170772, 0.04434077368522027],
+            "largest_eigenvalues": [3.3353622366750417, 3.201878756484905],
+            "lemma5_stats": [0.18367598234774396, 0.284309446986611],
             "rho": 0.5,
             "v_eps": 0.002846157150645584,
         },
-        "ks_distance": 0.0586803744947631,
-        "largest_eigenvalue": 3.292067982435816,
-        "lemma5_stat": 0.19061899749475597,
+        "ks_distance": 0.051638035878463995,
+        "largest_eigenvalue": 3.3353622366750417,
+        "lemma5_stat": 0.18367598234774396,
         "mu_prediction": 3.5721108000117745,
         "sample_count": 30,
-        "support_empirical": [0.09738016700844915, 3.292067982435816],
+        "support_empirical": [0.09271205107234101, 3.3353622366750417],
         "support_theoretical": [0.06138860502530313, 3.4786876181005106],
     }
 
@@ -186,7 +195,7 @@ SIMULATE_CASES = {
         },
         "covariance",
         "a340f253dbc20cb3c77a5c201155a99b8b2586f00f66ab9161517c125a9e74c5",
-        "29d86997eb44277e46454c41a6dcc3b8efbdf3b57c27fa0fa7a39ea46d50a1c3",
+        "7033fbf7292b93e477442600c90730651c7d8ad9cad44d3169ac91f9a2f08bb6",
     ),
     "sphere_identity": (
         {
@@ -209,7 +218,7 @@ SIMULATE_CASES = {
         },
         "correlation",
         "6b40b3a420f13696b58f693886025c63cbfee9fabaa3fb28ab7ec816abc67a1b",
-        "e0c65ba0bf22572b352515d41b0beff0cfd16b24d34542d7bd802f6e821847eb",
+        "bc41a85479be63e428ba2573d1b3da7cd4219d9d3cecc41066eba3a6fd04c794",
     ),
     "lb_ball_correlation": (
         {"family": "lb_ball", "n": 60, "p": 30, "b": 1.5},
@@ -233,7 +242,7 @@ SIMULATE_CASES = {
         },
         "covariance",
         "dec4b10602fd71c9b0d3d02ee82b3beebcf81acbc195432cba0222ce24603d03",
-        "1463288d242a9042397b4dbf1958476a1c23a3afeac468a1a1ab93f02fadae61",
+        "33c39cf16d337c7882d174f26a256fd78f4f26c6c0d4e4c93e64374c53525eee",
     ),
 }
 
@@ -280,7 +289,7 @@ VERIFY_CASES = {
     "quadform": (
         ["--reps", "5"], "039b85c13fca2910b8b625d12f3d2ff0615a701a498647bb5e3afa783511d072"
     ),
-    "copula": ([], "ec352f929aa7ece20184975e9f7389352408bfeaeb7b8a9f5c096e4029a7d78a"),
+    "copula": ([], "d16fddfb78a402be89e21fa72a9481740dbbc93e68957c64dccc36fdbfbc69e5"),
     "tightness": ([], "52478aa41803061081bce3eba1f214936cced0baaffb8a55db3b148a8c6e22e9"),
 }
 

@@ -227,13 +227,16 @@ class TestShortRows:
                 assert G[i].tobytes() == ndtri(u).tobytes()
 
 
+_cholesky = np.linalg.cholesky
+
+
 def gaussian_reference(n, sigma, seed, replicate):
-    """Normal rows times a root of sigma taken here, apart from any model."""
-    return _row_normals(seed, replicate, n, len(sigma)) @ matrix_sqrt_psd(sigma)
+    """Normal rows times the Cholesky factor of sigma taken here, apart from any model."""
+    return _row_normals(seed, replicate, n, len(sigma)) @ _cholesky(sigma).T
 
 
 class TestShapeRoot:
-    """A gaussian or gaussian_copula model checks and roots its shape once."""
+    """A gaussian or gaussian_copula model checks and factors its shape once."""
 
     @pytest.mark.parametrize(
         "family, public",
@@ -241,15 +244,48 @@ class TestShapeRoot:
     )
     def test_root_taken_once(self, monkeypatch, family, public):
         calls = []
-        monkeypatch.setattr(
-            samplers, "matrix_sqrt_psd", lambda M: calls.append(1) or matrix_sqrt_psd(M)
-        )
+        monkeypatch.setattr(np.linalg, "cholesky", lambda M: calls.append(1) or _cholesky(M))
         R = toeplitz_corr(30, 0.4)
         model = PopulationModel(family=family, n=40, p=30, shape=R)
         draws = [sample_model(model, 7, replicate) for replicate in range(3)]
         assert len(calls) == 1
         for replicate, Y in enumerate(draws):
             assert Y.tobytes() == public(40, R, 7, replicate).tobytes()
+
+    @pytest.mark.parametrize("r", [0.3, 0.7])
+    @pytest.mark.parametrize("p", [30, 200])
+    def test_cholesky_factor(self, r, p):
+        # Cholesky's backward error is at most (p + 1) eps |L||L^T| entrywise
+        # (Higham, Accuracy and Stability, Thm 10.3), forming R^T R adds p eps
+        # |R^T||R|, and by Cauchy-Schwarz |L||L^T| <= max diag(Sigma) <= ||Sigma||_2.
+        sigma = toeplitz_corr(p, r)
+        R = PopulationModel(family="gaussian", n=5, p=p, shape=sigma)._shape_root
+        bound = 2 * (p + 1) * np.finfo(float).eps * np.linalg.norm(sigma, 2)
+        assert np.max(np.abs(R.T @ R - sigma)) <= bound
+        assert np.array_equal(R, np.triu(R))
+        assert not R.flags.writeable
+
+    def test_singular_sigma_takes_psd_root(self):
+        sigma = np.diag([1.0, 0.0, 2.0])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(sigma)
+        Y = draw("gaussian", 50, 3, 4, replicate=1, shape=sigma)
+        assert Y.tobytes() == (_row_normals(4, 1, 50, 3) @ matrix_sqrt_psd(sigma)).tobytes()
+        assert np.all(Y[:, 1] == 0.0)
+
+    def test_indefinite_sigma_refused_at_first_draw(self):
+        model = PopulationModel(family="gaussian", n=5, p=2, shape=[[1.0, 2.0], [2.0, 1.0]])
+        with pytest.raises(ValueError, match="not PSD"):
+            sample_model(model, 0)
+
+    @pytest.mark.parametrize("shape", [None, np.eye(6)])
+    def test_identity_gamma_skips_gemm_exactly(self, shape):
+        model = PopulationModel(
+            family="sphere_elliptical", n=30, p=6, shape=shape, mixing=delta(1.5)
+        )
+        assert model._shape_root is None
+        expected = (1.5 * samplers._sphere_rows(3, 0, 30, 6)) @ np.eye(6).T
+        assert sample_model(model, 3).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("family", ["gaussian", "sphere_elliptical", "gaussian_copula"])
     def test_shape_read_only(self, family):
