@@ -218,7 +218,7 @@ def _correlation_experiment(spec: ExperimentSpec) -> ComparisonResult:
     for replicate in range(spec.replicates):
         Y = sample_model(norm_model, spec.seed, replicate)
         S = sample_covariance(Y)
-        C = sample_correlation(Y, S)
+        C = sample_correlation(Y)
         eig_sets.append(sym_eigenvalues(C))
         lemma5_stats.append(float(np.max(np.abs(np.sqrt(np.diag(S)) - 1.0))))
 

@@ -110,11 +110,10 @@ def _degenerate_columns(Y: NDArray[np.float64], variances: NDArray[np.float64]) 
     return variances <= (1e-12 * col_scale) ** 2
 
 
-def sample_correlation(Y, S=None) -> NDArray[np.float64]:
-    """Sample correlation matrix; unit diagonal exactly, entries in [-1, 1].
-    A given S must be Y's sample_covariance; it is not formed again."""
+def sample_correlation(Y) -> NDArray[np.float64]:
+    """Sample correlation matrix; unit diagonal exactly, entries in [-1, 1]."""
     A = _as_data_matrix(Y, min_rows=2)
-    S = sample_covariance(A) if S is None else S
+    S = sample_covariance(A)
     bad = np.nonzero(_degenerate_columns(A, np.diag(S)))[0]
     if bad.size:
         raise ValueError(f"degenerate column (zero variance) at index {bad[0]}")

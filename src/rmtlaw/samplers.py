@@ -182,20 +182,21 @@ class PopulationModel:
         return self.shape.shape[0] if self.family == "sphere_elliptical" else self.p
 
     @cached_property
-    def _shape_root(self) -> Optional[NDArray[np.float64]]:
-        """R for rows X @ R, taken on the first draw: Gamma^T for
-        sphere_elliptical, else L^T for shape = L L^T by Cholesky, or the PSD
-        root when shape is singular. Any R^T R = shape gives the same limit
-        law (Silverstein & Bai, J. Multivariate Anal. 54, 1995).
+    def _identity_shape(self) -> bool:
+        """shape is exactly the identity, so X @ shape equals X and draws skip the GEMM."""
+        return np.array_equal(self.shape, np.eye(self.p))
 
-        None when shape is exactly the identity: X @ I equals X exactly, so
-        identity models skip the factorization and GEMM. shape is read-only,
-        so R cannot go stale; R is read-only too, as every draw shares it.
+    @cached_property
+    def _shape_root(self) -> Optional[NDArray[np.float64]]:
+        """R for gaussian and gaussian_copula rows X @ R, taken on the first
+        draw: L^T for shape = L L^T by Cholesky, or the PSD root when shape is
+        singular; any R^T R = shape gives the same limit law (Silverstein &
+        Bai, J. Multivariate Anal. 54, 1995). None for an identity shape.
+        shape is read-only, so R cannot go stale; R is read-only too, as every
+        draw shares it.
         """
-        if np.array_equal(self.shape, np.eye(self.p)):
+        if self._identity_shape:
             return None
-        if self.family == "sphere_elliptical":
-            return self.shape.T
         try:
             return _read_only(np.linalg.cholesky(self.shape).T)
         except np.linalg.LinAlgError:  # singular or indefinite: clamp or refuse
@@ -275,7 +276,8 @@ def _elliptical_draw(model: PopulationModel, seed: int, replicate: int) -> NDArr
     The mixing scalars come from a stream independent of every row stream.
     """
     lam = _mixing_values(model, seed, replicate)
-    return _times_shape_root(model, lam[:, None] * _sphere_rows(seed, replicate, model.n, model.p))
+    rows = lam[:, None] * _sphere_rows(seed, replicate, model.n, model.p)
+    return rows if model._identity_shape else rows @ model.shape.T
 
 
 def _copula_check(model: PopulationModel) -> dict:

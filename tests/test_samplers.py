@@ -230,6 +230,13 @@ class TestShortRows:
 _cholesky = np.linalg.cholesky
 
 
+class _NoMatmul(np.ndarray):
+    """Rows that refuse a GEMM, to show a draw skipped it."""
+
+    def __matmul__(self, other):
+        raise AssertionError("the draw multiplied by its shape")
+
+
 def gaussian_reference(n, sigma, seed, replicate):
     """Normal rows times the Cholesky factor of sigma taken here, apart from any model."""
     return _row_normals(seed, replicate, n, len(sigma)) @ _cholesky(sigma).T
@@ -279,12 +286,14 @@ class TestShapeRoot:
             sample_model(model, 0)
 
     @pytest.mark.parametrize("shape", [None, np.eye(6)])
-    def test_identity_gamma_skips_gemm_exactly(self, shape):
+    def test_identity_gamma_skips_gemm_exactly(self, monkeypatch, shape):
         model = PopulationModel(
             family="sphere_elliptical", n=30, p=6, shape=shape, mixing=delta(1.5)
         )
-        assert model._shape_root is None
+        assert model._identity_shape
         expected = (1.5 * samplers._sphere_rows(3, 0, 30, 6)) @ np.eye(6).T
+        sphere_rows = samplers._sphere_rows
+        monkeypatch.setattr(samplers, "_sphere_rows", lambda *a: sphere_rows(*a).view(_NoMatmul))
         assert sample_model(model, 3).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("family", ["gaussian", "sphere_elliptical", "gaussian_copula"])
