@@ -13,8 +13,10 @@ elliptical mixing scalars come from kind 1. Each family has one record in
 one table: the model-JSON keys it reads, its checks, its draw and its row
 scatter, which the row covariance and the limit laws are read from.
 sample_model adds the model's location to its family's draw. gaussian and
-gaussian_copula models take their shape's Cholesky factor, or the PSD root
-when the shape is singular, once, on their first draw.
+gaussian_copula rows are X @ L^T, L the Cholesky factor of the shape. For
+an AR(1) shape, exactly toeplitz_corr(p, r), that map runs as the AR(1)
+recurrence in place over X's columns. Any other shape is factored by
+Cholesky, or by the PSD root when it is singular, once, on the first draw.
 Uniforms are mapped through inverse CDFs (normal via ndtri, gamma
 magnitudes via _gamma_quantile, a quintic Hermite table of log x built from
 gammaincinv knots) rather than rejection methods, keeping every draw
@@ -59,6 +61,9 @@ _KIND_MIXING = 1
 # The range of uniform_open.
 _U_MIN = 2.0**-54
 _U_MAX = 1.0 - 2.0**-53
+# Entries uniform_open converts at once in a block of rows, so that each
+# chunk's three passes run while it is in cache.
+_UNIFORM_CHUNK = 1 << 16
 
 def rng_stream(seed: int, *path: int) -> np.random.Generator:
     """Independent counter-based stream for (seed, *path)."""
@@ -72,12 +77,22 @@ def uniform_open(rng: np.random.Generator | _RowStreams, size) -> NDArray[np.flo
     Above 1/2, k + 1/2 rounds to even, so the values lie on a 2^-52 lattice
     there, and k = 2^53 - 1 would round to 1: the result is clamped at
     1 - 2^-53. The values span [2^-54, 1 - 2^-53]. rng is a Generator, or a
-    _RowStreams block of rows.
+    _RowStreams block of rows. A block of rows is converted in the words' own
+    buffer, _UNIFORM_CHUNK entries at a time, so it holds no second copy.
     """
     k = rng.integers(0, 1 << 53, size=size, dtype=np.uint64)
-    u = (k.astype(np.float64) + 0.5) * 2.0**-53
-    # In place, as u may be a whole block of rows; a scalar u has no buffer.
-    return np.minimum(u, _U_MAX, out=u if np.ndim(u) else None)
+    if np.ndim(k) != 2:
+        u = (k.astype(np.float64) + 0.5) * 2.0**-53
+        # A scalar u has no buffer.
+        return np.minimum(u, _U_MAX, out=u if np.ndim(u) else None)
+    u = k.view(np.float64)
+    rows = max(1, _UNIFORM_CHUNK // max(1, k.shape[1]))
+    for start in range(0, len(k), rows):
+        chunk = u[start : start + rows]
+        np.add(k[start : start + rows], 0.5, out=chunk)
+        chunk *= 2.0**-53
+        np.minimum(chunk, _U_MAX, out=chunk)
+    return u
 
 
 def standard_normal(rng: np.random.Generator | _RowStreams, size) -> NDArray[np.float64]:
@@ -187,13 +202,28 @@ class PopulationModel:
         return np.array_equal(self.shape, np.eye(self.p))
 
     @cached_property
+    def _ar1_coefficient(self) -> Optional[float]:
+        """r when shape is exactly toeplitz_corr(p, r) with 0 < |r| < 1, the
+        covariance of a stationary AR(1) process, drawn by the recurrence of
+        _times_shape_root; else None. The matrix decides, not the model JSON's
+        kind, so a dense copy of a Toeplitz shape draws the same bytes.
+        """
+        if self.p < 2:
+            return None
+        r = float(self.shape[0, 1])
+        # The first row alone turns away most other shapes without a p x p build.
+        if not 0.0 < abs(r) < 1.0 or not np.array_equal(self.shape[0], r ** np.arange(self.p)):
+            return None
+        return r if np.array_equal(self.shape, toeplitz_corr(self.p, r)) else None
+
+    @cached_property
     def _shape_root(self) -> Optional[NDArray[np.float64]]:
-        """R for gaussian and gaussian_copula rows X @ R, taken on the first
-        draw: L^T for shape = L L^T by Cholesky, or the PSD root when shape is
-        singular; any R^T R = shape gives the same limit law (Silverstein &
-        Bai, J. Multivariate Anal. 54, 1995). None for an identity shape.
-        shape is read-only, so R cannot go stale; R is read-only too, as every
-        draw shares it.
+        """R for gaussian and gaussian_copula rows X @ R whose shape is not
+        AR(1), taken on the first draw: L^T for shape = L L^T by Cholesky, or
+        the PSD root when shape is singular; any R^T R = shape gives the same
+        limit law (Silverstein & Bai, J. Multivariate Anal. 54, 1995). None
+        for an identity shape. shape is read-only, so R cannot go stale; R is
+        read-only too, as every draw shares it.
         """
         if self._identity_shape:
             return None
@@ -218,8 +248,17 @@ def _gaussian_check(model: PopulationModel) -> dict:
 
 
 def _times_shape_root(model: PopulationModel, X: NDArray[np.float64]) -> NDArray[np.float64]:
-    root = model._shape_root
-    return X if root is None else X @ root
+    """X @ R, R^T R = shape, for a fresh block X, which an AR(1) shape overwrites."""
+    r = model._ar1_coefficient
+    if r is None:
+        root = model._shape_root
+        return X if root is None else X @ root
+    # L^T's inverse is bidiagonal, so X @ L^T is the recurrence y_0 = x_0,
+    # y_j = r y_{j-1} + sqrt((1 - r)(1 + r)) x_j along each row: O(np), no BLAS.
+    X[:, 1:] *= np.sqrt((1.0 - r) * (1.0 + r))
+    for j in range(1, model.p):
+        X[:, j] += r * X[:, j - 1]
+    return X
 
 
 def _gaussian_draw(model: PopulationModel, seed: int, replicate: int) -> NDArray[np.float64]:

@@ -1,6 +1,8 @@
 """Sampling families: determinism, geometry contracts, and moment oracles."""
 
+from fractions import Fraction
 import json
+import tracemalloc
 
 from hypothesis import given, settings, strategies as st
 import numpy as np
@@ -83,6 +85,23 @@ class TestStreams:
 
         u = uniform_open(Stub(), 3)
         assert u.tolist() == [2.0**-54, 1.0 - 2.0**-52, 1.0 - 2.0**-53]
+
+    def test_block_converted_in_place(self):
+        # A 2000 x 2001 block's uniforms live in its words' own buffer of
+        # 2000 x 2004 words (30.5 MiB). Beside it the conversion holds at most
+        # the copy numpy makes of a chunk whose input shares memory with its
+        # output, not a second block.
+        words = 2000 * 2004 * 8
+        _row_uniforms(0, 0, 2, 3)
+        tracemalloc.start()
+        try:
+            U = _row_uniforms(0, 0, 2000, 2001)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert U.shape == (2000, 2001)
+        assert words <= peak <= words + 2 * 8 * samplers._UNIFORM_CHUNK
+        assert U[1999].tobytes() == _row_uniform(0, 0, 1999, 2001).tobytes()
 
 
 def _stream_words(seed, replicate, kind, i, cols):
@@ -228,6 +247,12 @@ class TestShortRows:
 
 
 _cholesky = np.linalg.cholesky
+# A unit-diagonal SPD shape that is not r^|i-j|, so that its draws factor it.
+NOT_AR1 = 0.5 * (toeplitz_corr(30, 0.3) + toeplitz_corr(30, 0.6))
+
+
+def _no_factor(M):
+    raise AssertionError("the draw factored an AR(1) shape")
 
 
 class _NoMatmul(np.ndarray):
@@ -252,7 +277,7 @@ class TestShapeRoot:
     def test_root_taken_once(self, monkeypatch, family, public):
         calls = []
         monkeypatch.setattr(np.linalg, "cholesky", lambda M: calls.append(1) or _cholesky(M))
-        R = toeplitz_corr(30, 0.4)
+        R = NOT_AR1
         model = PopulationModel(family=family, n=40, p=30, shape=R)
         draws = [sample_model(model, 7, replicate) for replicate in range(3)]
         assert len(calls) == 1
@@ -304,6 +329,91 @@ class TestShapeRoot:
             model.shape[0, 1] = 0.5
         given[0, 1] = 0.5  # the caller's array is left writable and unshared
         assert model.shape[0, 1] == 0.0
+
+
+def _gamma(k):
+    """Higham's gamma_k = k u / (1 - k u), u the unit roundoff."""
+    u = np.finfo(float).eps / 2
+    return k * u / (1 - k * u)
+
+
+def _ar1_bound(X, Y, L, r):
+    """An entrywise bound on |Y - X @ L^T|, Y the recurrence's rows and L
+    numpy's Cholesky factor of toeplitz_corr(p, r), from rounding alone.
+
+    Both are within rounding of X @ F^T, F the exact factor of the exact
+    r^|i-j| (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.):
+    - each recurrence step adds at most g2 |r y_{j-1}| + g5 s |x_j|, the
+      rounded s = sqrt((1 - r)(1 + r)) being within g3 of s, and an error
+      decays by |r| a step;
+    - the computed X @ L^T is within g_p |X||L^T| of the exact product
+      (eq. 3.13), and X @ (L - F)^T within |x|_2 ||L - F||_F;
+    - L L^T = Sigma + dA, dA the rounding of r^k in toeplitz_corr (measured
+      here against exact fractions) plus Cholesky's backward error, at most
+      g_{p+1} |L||L^T| (Thm 10.3). Sun's bound (Thm 10.8) then gives
+      ||L - F||_F <= ||S||^(1/2) ||S^-1|| ||dA||_F / (sqrt 2 (1 - ||S^-1|| ||dA||_F)),
+      and both 2-norms are at most c = (1 + |r|)/(1 - |r|), the extremes of
+      the AR(1) spectral density.
+    The bound's own rounding is far below its last two terms.
+    """
+    p = X.shape[1]
+    s = np.sqrt((1 - r) * (1 + r))
+    rec = np.zeros_like(Y)
+    for j in range(1, p):
+        rec[:, j] = abs(r) * rec[:, j - 1] + _gamma(2) * np.abs(r * Y[:, j - 1])
+        rec[:, j] += _gamma(5) * s * np.abs(X[:, j])
+    powers = toeplitz_corr(p, r)[0]
+    err = [abs(float(Fraction(v) - Fraction(r) ** k)) for k, v in enumerate(powers)]
+    # r^k fills at most 2(p - k) entries of Sigma.
+    rounding = np.sqrt(sum(2 * (p - k) * e**2 for k, e in enumerate(err)))
+    dA = rounding + _gamma(p + 1) * np.linalg.norm(np.abs(L) @ np.abs(L).T)
+    c = (1 + abs(r)) / (1 - abs(r))
+    assert c * dA < 1
+    dL = c**1.5 * dA / (np.sqrt(2) * (1 - c * dA))
+    gemm = _gamma(p) * (np.abs(X) @ np.abs(L).T)
+    return rec + gemm + np.linalg.norm(X, axis=1, keepdims=True) * dL
+
+
+class TestAr1Recurrence:
+    """A shape exactly r^|i-j| draws X @ L^T by the AR(1) recurrence and forms no factor."""
+
+    @pytest.mark.parametrize("r", [0.45, -0.6, 0.95])
+    @pytest.mark.parametrize("p", [30, 200])
+    def test_matches_cholesky_product(self, monkeypatch, r, p):
+        sigma = toeplitz_corr(p, r)
+        model = PopulationModel(family="gaussian", n=50, p=p, shape=sigma)
+        assert model._ar1_coefficient == r
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "cholesky", _no_factor)
+            m.setattr(samplers, "matrix_sqrt_psd", _no_factor)
+            Y = sample_model(model, 8)
+        X = _row_normals(8, 0, 50, p)
+        L = np.linalg.cholesky(sigma)
+        assert np.all(np.abs(Y - X @ L.T) <= _ar1_bound(X, Y, L, r))
+        assert Y[:, 0].tobytes() == X[:, 0].tobytes()
+
+    @pytest.mark.parametrize("family", ["gaussian", "gaussian_copula"])
+    def test_dense_twin_draws_same_bytes(self, monkeypatch, family):
+        toeplitz = {"family": family, "n": 40, "p": 25, "shape": {"kind": "toeplitz", "r": -0.6}}
+        entries = toeplitz_corr(25, -0.6).tolist()
+        dense = {**toeplitz, "shape": {"kind": "dense", "entries": entries}}
+        a, b = (model_from_json_dict(json.loads(json.dumps(m))) for m in (toeplitz, dense))
+        monkeypatch.setattr(np.linalg, "cholesky", _no_factor)
+        assert a._ar1_coefficient == b._ar1_coefficient == -0.6
+        assert sample_model(a, 2, 1).tobytes() == sample_model(b, 2, 1).tobytes()
+
+    @pytest.mark.parametrize("i, j", [(3, 7), (0, 5)])
+    def test_perturbed_entry_takes_cholesky(self, monkeypatch, i, j):
+        # One symmetric pair one ulp off r^|i-j|: inside the first row, which
+        # the first test reads, or past it.
+        sigma = toeplitz_corr(30, 0.45)
+        sigma[i, j] = sigma[j, i] = np.nextafter(sigma[i, j], 1.0)
+        calls = []
+        monkeypatch.setattr(np.linalg, "cholesky", lambda M: calls.append(1) or _cholesky(M))
+        model = PopulationModel(family="gaussian", n=40, p=30, shape=sigma)
+        Y = sample_model(model, 6)
+        assert model._ar1_coefficient is None and len(calls) == 1
+        assert Y.tobytes() == gaussian_reference(40, sigma, 6, 0).tobytes()
 
 
 class TestRowBlocks:
