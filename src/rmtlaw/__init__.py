@@ -56,8 +56,6 @@ from .mp_solver import (
     TransformResult,
     default_v_eps,
     density_grid,
-    edge_c0_solve,
-    edge_mu,
     estimate_support,
     mp_companion_solve,
     solve_edge,

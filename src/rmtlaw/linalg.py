@@ -127,8 +127,8 @@ def corr_from_cov(S) -> NDArray[np.float64]:
     if np.any(d <= 0):
         raise ValueError("covariance matrix has a nonpositive diagonal entry")
     root = np.sqrt(d)
-    C = A / np.outer(root, root)
-    C = np.clip((C + C.T) / 2.0, -1.0, 1.0)
+    # A and the outer product are exactly symmetric, so C is as well.
+    C = np.clip(A / np.outer(root, root), -1.0, 1.0)
     np.fill_diagonal(C, 1.0)
     return C
 

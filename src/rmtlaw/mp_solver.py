@@ -4,7 +4,7 @@ Solves the self-consistent equation for the companion Stieltjes transform
 w(z) of the limiting spectral law with population spectrum H and aspect
 ratio rho = p/n, recovers densities on real grids by Stieltjes inversion
 and CDFs from the law's log-potential, and computes the almost-sure
-limit of the largest eigenvalue.
+limit of the largest eigenvalue, with its scale c0, from H and n/p alone.
 
 Both this law and the elliptical one are fixed points w = T(w) of maps
 with a closed-form derivative. One array-valued safeguarded-Newton
@@ -36,8 +36,6 @@ __all__ = [
     "density_grid_detailed",
     "estimate_support",
     "support_hull",
-    "edge_c0_solve",
-    "edge_mu",
     "solve_edge",
 ]
 
@@ -337,10 +335,10 @@ def mp_companion_solve(
     z, w and m, the largest residual and the summed evaluation count. The
     default w0 is the exact w for H = delta_s, s = mean(H).
     """
-    z, scalar = _as_points(z)
     _check_ratio(rho, "rho")
     if H.support_min < 0:
         raise ValueError("H must be supported on [0, inf)")
+    z, scalar = _as_points(z)
     cfg = cfg or SolverConfig()
     lam = H.values
     p1 = H.weights * lam
@@ -509,12 +507,6 @@ def estimate_support(
     return float(xs[idx[0]]), float(xs[idx[-1]])
 
 
-def _check_edge_population(H: DiscreteMeasure) -> None:
-    # Atoms at 0 add nothing to the edge equation or the edge formula.
-    if H.support_min < 0 or H.support_max <= 0:
-        raise ValueError("H must be supported on [0, inf) with mass on (0, inf)")
-
-
 def _edge_equation(H: DiscreteMeasure) -> Callable[[float], float]:
     """g(c) = int (lam*c/(1-lam*c))^2 dH, whose roots c give the law's edges."""
     return lambda c: float(H.integrate(lambda lam: (lam * c / (1.0 - lam * c)) ** 2))
@@ -539,14 +531,18 @@ def _edge_x(H: DiscreteMeasure, p_over_n: float, c: float) -> float:
     return (1.0 / c) * (1.0 + p_over_n * integral)
 
 
-def edge_c0_solve(H: DiscreteMeasure, n_over_p: float) -> float:
-    """Unique c0 in (0, 1/max(H)) with int (lam*c/(1-lam*c))^2 dH = n/p.
+def solve_edge(H: DiscreteMeasure, n_over_p: float) -> EdgeResult:
+    """Largest-eigenvalue limit mu for aspect n/p, and the c0 behind it.
 
-    The integrand is strictly increasing in c on the interval, so bisection
-    converges unconditionally; resolved to 1e-12 relative width.
+    c0 is the unique c in (0, 1/max(H)) with int (lam*c/(1-lam*c))^2 dH =
+    n/p, and mu = (1/c0)(1 + p/n * int lam*c0/(1-lam*c0) dH). The
+    integrand is strictly increasing in c on the interval, so bisection
+    converges unconditionally; resolved to 1e-12 relative width. Atoms at
+    0 add nothing to either integral, but H needs mass on (0, inf).
     """
     _check_ratio(n_over_p, "n_over_p")
-    _check_edge_population(H)
+    if H.support_min < 0 or H.support_max <= 0:
+        raise ValueError("H must be supported on [0, inf) with mass on (0, inf)")
     lam_max = H.support_max
     g = _edge_equation(H)
     hi = (1.0 - _POLE_GAP) / lam_max
@@ -555,23 +551,9 @@ def edge_c0_solve(H: DiscreteMeasure, n_over_p: float) -> float:
             f"no interior solution: the edge equation cannot reach n/p={n_over_p!r} "
             f"inside (0, 1/{lam_max!r})"
         )
-    return _bisect(g, n_over_p, 0.0, hi)
-
-
-def edge_mu(H: DiscreteMeasure, p_over_n: float, c0: float) -> float:
-    """Largest-eigenvalue limit (1/c0)(1 + p/n * int lam*c0/(1-lam*c0) dH)."""
-    _check_edge_population(H)
-    if not (0 < c0 < 1.0 / H.support_max):
-        raise ValueError("c0 must lie in (0, 1/max(H))")
-    _check_ratio(p_over_n, "p_over_n")
-    return _edge_x(H, p_over_n, c0)
-
-
-def solve_edge(H: DiscreteMeasure, n_over_p: float) -> EdgeResult:
-    """Edge scale c0 and largest-eigenvalue limit mu for aspect n/p."""
-    c0 = edge_c0_solve(H, n_over_p)
-    mu = edge_mu(H, 1.0 / n_over_p, c0)
-    return EdgeResult(c0=c0, mu=mu, rho=1.0 / n_over_p)
+    c0 = _bisect(g, n_over_p, 0.0, hi)
+    rho = 1.0 / n_over_p
+    return EdgeResult(c0=c0, mu=_edge_x(H, rho, c0), rho=rho)
 
 
 def support_hull(H: DiscreteMeasure, rho: float) -> tuple[float, float]:

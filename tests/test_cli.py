@@ -219,6 +219,17 @@ class TestSolveMp:
         assert code == 2
         assert json.loads(stderr)["message"] == "--rho must be positive and finite"
 
+    def test_negative_population_names_h_exit_2(self, tmp_path, capsys):
+        # max(H) = -5 makes default_v_eps negative; H is checked before the
+        # grid's points, so the message blames H, not z.
+        h = tmp_path / "h.json"
+        h.write_text(json.dumps({"atoms": [{"value": -5.0, "weight": 1.0}]}))
+        argv = ["solve-mp", "--h-file", str(h), "--rho", "0.5", "--grid", "0,1,10"]
+        code, _, stderr = run_cli([*argv, "--out", str(tmp_path / "x")], capsys)
+        assert code == 2
+        assert json.loads(stderr)["message"] == "H must be supported on [0, inf)"
+        assert not (tmp_path / "x.density.csv").exists()
+
     def test_overflow_exit_3(self, tmp_path, unit_h, capsys):
         # rho = 1e308 is finite, but the solve overflows: a numerical failure.
         argv = ["solve-mp", "--h-file", unit_h, "--rho", "1e308", "--grid", "0,3,10"]

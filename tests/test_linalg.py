@@ -151,6 +151,21 @@ class TestCorrFromCov:
         with pytest.raises(ValueError):
             corr_from_cov(np.array([[0.0, 0.0], [0.0, 1.0]]))
 
+    @given(
+        arrays(np.float64, (5, 5), elements=st.floats(-1e100, 1e100)),
+        arrays(np.float64, (5,), elements=st.floats(1e-100, 1e100)),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_exactly_symmetric_unit_diagonal_bounded(self, B, d):
+        # Any symmetric S with a positive diagonal, positive semidefinite or
+        # not; entries of C past +-1 are clipped.
+        S = (B + B.T) / 2
+        np.fill_diagonal(S, d)
+        C = corr_from_cov(S)
+        assert C.tobytes() == C.T.tobytes()
+        assert np.all(np.diag(C) == 1.0)
+        assert np.all(np.abs(C) <= 1.0)
+
 
 class TestToeplitzCorr:
     def test_entries(self):

@@ -12,8 +12,6 @@ from rmtlaw.mp_solver import (
     default_v_eps,
     density_grid,
     density_grid_detailed,
-    edge_c0_solve,
-    edge_mu,
     estimate_support,
     mp_companion_solve,
     solve_edge,
@@ -468,7 +466,7 @@ class TestEdge:
     def test_defining_equation_residual(self):
         H = DiscreteMeasure(np.array([1.0, 2.0]), np.array([0.5, 0.5]))
         n_over_p = 3.0
-        c0 = edge_c0_solve(H, n_over_p)
+        c0 = solve_edge(H, n_over_p).c0
         g = H.integrate(lambda t: (t * c0 / (1 - t * c0)) ** 2)
         assert abs(g - n_over_p) < 1e-10
         assert 0 < c0 < 1.0 / H.support_max
@@ -485,11 +483,11 @@ class TestEdge:
 
     def test_no_interior_solution(self):
         with pytest.raises(NumericalError, match="no interior solution"):
-            edge_c0_solve(UNIT, 1e30)
+            solve_edge(UNIT, 1e30)
 
     def test_rejects_atom_at_zero(self):
         with pytest.raises(ValueError, match=r"\(0, inf\)"):
-            edge_c0_solve(delta(0.0), 1.0)
+            solve_edge(delta(0.0), 1.0)
 
     def test_atoms_at_zero_add_nothing(self):
         # H = 0.3 delta_0 + 0.7 delta_1 has the edge equation 0.7 g_1(c) = n/p
@@ -507,16 +505,32 @@ class TestEdge:
 
     def test_rejects_nonpositive_ratio(self):
         with pytest.raises(ValueError, match="n_over_p"):
-            edge_c0_solve(UNIT, 0.0)
+            solve_edge(UNIT, 0.0)
 
     def test_mu_formula_hand_value(self):
-        # mu = (1/c0)(1 + (p/n) * int t c0/(1 - t c0) dH) at c0 = 2/3, H = d_1
-        val = edge_mu(UNIT, 0.25, 2.0 / 3.0)
-        assert val == pytest.approx(1.5 * (1 + 0.25 * 2.0), abs=1e-12)
+        # mu = (1/c0)(1 + (p/n) * int t c0/(1 - t c0) dH), written out for
+        # H = (delta_1 + delta_2)/2 at n/p = 3 and the c0 solve_edge returns.
+        H = DiscreteMeasure(np.array([1.0, 2.0]), np.array([0.5, 0.5]))
+        res = solve_edge(H, 3.0)
+        c0 = res.c0
+        integral = 0.5 * c0 / (1 - c0) + 0.5 * 2 * c0 / (1 - 2 * c0)
+        assert res.mu == pytest.approx((1 + integral / 3.0) / c0, rel=1e-14)
 
-    def test_mu_rejects_c0_out_of_range(self):
-        with pytest.raises(ValueError, match="c0"):
-            edge_mu(UNIT, 0.5, 1.5)
+    @pytest.mark.parametrize(
+        "atoms, n_over_p, c0_hex, mu_hex",
+        [
+            ([(1.0, 1.0)], 4.0, "0x1.555555555508cp-1", "0x1.2000000000001p+1"),
+            ([(1.0, 0.5), (2.0, 0.5)], 3.0, "0x1.68e3e192c5f34p-2", "0x1.0e59aac3c5561p+2"),
+            ([(0.0, 0.3), (1.0, 0.7)], 2.0, "0x1.41afefe0f11e6p-1", "0x1.44406ba3b1a78p+1"),
+        ],
+        ids=["delta1", "one-two", "atom-at-zero"],
+    )
+    def test_pinned_bits(self, atoms, n_over_p, c0_hex, mu_hex):
+        # The bits of c0 and mu, so that a change to the bisection or the
+        # edge formula's evaluation order shows.
+        values, weights = (np.array(col) for col in zip(*atoms))
+        res = solve_edge(DiscreteMeasure(values, weights), n_over_p)
+        assert (res.c0.hex(), res.mu.hex()) == (c0_hex, mu_hex)
 
     def test_edge_result_rho(self):
         res = solve_edge(UNIT, 4.0)
@@ -530,10 +544,9 @@ class TestEdge:
         (lambda r: mp_companion_solve(1.0j, UNIT, r), "rho"),
         (lambda r: density_grid_detailed(UNIT, r, [0.0, 1.0]), "rho"),
         (lambda r: support_hull(UNIT, r), "rho"),
-        (lambda r: edge_c0_solve(UNIT, r), "n_over_p"),
-        (lambda r: edge_mu(UNIT, r, 0.5), "p_over_n"),
+        (lambda r: solve_edge(UNIT, r), "n_over_p"),
     ],
-    ids=["mp_companion_solve", "density_grid_detailed", "support_hull", "edge_c0_solve", "edge_mu"],
+    ids=["mp_companion_solve", "density_grid_detailed", "support_hull", "solve_edge"],
 )
 def test_ratio_positive_and_finite(call, name, ratio):
     # An infinite ratio is an input error, not a numerical failure later on.
