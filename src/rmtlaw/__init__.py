@@ -12,7 +12,6 @@ from .concentration import (
     ConcentrationReport,
     angle_diagnostic,
     azuma_bound,
-    copula_cov,
     copula_norm_bound,
     empirical_stieltjes,
     norm_diagnostic,
@@ -27,7 +26,7 @@ from .concentration import (
 )
 from .elliptical_solver import (
     EllipticalParams,
-    elliptical_density_grid,
+    elliptical_density_grid_detailed,
     elliptical_solve,
     mixing_integral,
     scaled_gram,
@@ -41,6 +40,7 @@ from .experiments import (
 )
 from .linalg import (
     as_sym_matrix,
+    copula_cov,
     corr_from_cov,
     matrix_sqrt_psd,
     operator_norm,
@@ -55,7 +55,7 @@ from .mp_solver import (
     SolverConfig,
     TransformResult,
     default_v_eps,
-    density_grid,
+    density_grid_detailed,
     estimate_support,
     mp_companion_solve,
     solve_edge,

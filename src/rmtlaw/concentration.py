@@ -5,8 +5,7 @@ empirical Stieltjes transform and the qualitative decay of quadratic-form
 deviations; row-geometry diagnostics (norms close to a common sphere,
 pairwise angles close to orthogonal) summarize whether a data set looks
 like it came from a concentrated high-dimensional distribution. The
-Gaussian-copula covariance's operator-norm bound lives here as well; the
-covariance itself, copula_cov, lives in linalg and is re-exported here.
+operator-norm bound of the Gaussian-copula covariance lives here too.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ __all__ = [
     "quadratic_form_deviation",
     "norm_diagnostic",
     "angle_diagnostic",
-    "copula_cov",
     "copula_norm_bound",
     "tightness_check",
     "verify_lemma6",

@@ -41,7 +41,6 @@ __all__ = [
     "EllipticalParams",
     "mixing_integral",
     "elliptical_solve",
-    "elliptical_density_grid",
     "elliptical_density_grid_detailed",
     "scaled_gram",
     "params_from_json_dict",
@@ -180,11 +179,13 @@ def elliptical_density_grid_detailed(
     xs,
     cfg: SolverConfig | None = None,
 ) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64], dict]:
-    """elliptical_density_grid plus its stats, which solve-elliptical prints.
+    """Density, CDF and stats of the limiting law of B_n on a real grid.
 
-    stats: {theta, rho, xi, atom0_mass, max_residual,
-    max_consistency_residual, v_eps, support_estimate}; the consistency
-    residual is |1 + z*m - w*b| at each grid point.
+    B_n is d x d with rank at most min(n * nu(lam != 0), d * H((0, inf))),
+    so the CDF has a point mass max(1 - (1 - nu({0}))/(theta*rho), H({0}))
+    at 0. stats, which solve-elliptical prints: {theta, rho, xi, atom0_mass,
+    max_residual, max_consistency_residual, v_eps, support_estimate}, the
+    consistency residual being |1 + z*m - w*b| at each grid point.
     """
     cfg = cfg or SolverConfig()
     v = cfg.v_eps if cfg.v_eps is not None else default_v_eps(params.H, params.rho)
@@ -202,20 +203,6 @@ def elliptical_density_grid_detailed(
     nu0 = float(params.nu.weights[params.nu.values == 0].sum())
     atom0 = max(1.0 - (1.0 - nu0) / (params.theta * params.rho), params.H.cdf(0.0))
     return _density_on_grid(solve_at, xs, v, atom0)
-
-
-def elliptical_density_grid(
-    params: EllipticalParams,
-    xs,
-    cfg: SolverConfig | None = None,
-) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
-    """Density and CDF of the limiting law of B_n on a real grid.
-
-    Returns (xs, density, cdf). B_n is d x d with rank at most
-    min(n * nu(lam != 0), d * H((0, inf))), so the CDF includes a point
-    mass max(1 - (1 - nu({0}))/(theta*rho), H({0})) at 0.
-    """
-    return elliptical_density_grid_detailed(params, xs, cfg)[:3]
 
 
 def scaled_gram(X, p: int) -> NDArray[np.float64]:

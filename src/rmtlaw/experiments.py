@@ -36,7 +36,6 @@ __all__ = [
     "ComparisonResult",
     "ks_distance",
     "run_experiment",
-    "comparison_to_json_dict",
 ]
 
 
@@ -85,21 +84,6 @@ class ComparisonResult:
     def __post_init__(self) -> None:
         if not (0.0 <= self.ks_distance <= 1.0):
             raise ValueError("ks_distance must lie in [0, 1]")
-
-
-def comparison_to_json_dict(result: ComparisonResult) -> dict:
-    return {
-        "ks_distance": result.ks_distance,
-        "sample_count": result.sample_count,
-        "support_empirical": list(result.support_empirical),
-        "support_theoretical": (
-            list(result.support_theoretical) if result.support_theoretical else None
-        ),
-        "largest_eigenvalue": result.largest_eigenvalue,
-        "mu_prediction": result.mu_prediction,
-        "lemma5_stat": result.lemma5_stat,
-        "details": result.details,
-    }
 
 
 def ks_distance(eigs, xs, cdf) -> float:

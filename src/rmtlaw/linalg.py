@@ -96,11 +96,10 @@ def _as_data_matrix(Y, min_rows: int = 1) -> NDArray[np.float64]:
 
 
 def sample_covariance(Y) -> NDArray[np.float64]:
-    """Column-centered cross-product scaled by 1/(n-1)."""
+    """Column-centered X'X scaled by 1/(n-1); numpy makes X'X exactly symmetric."""
     A = _as_data_matrix(Y, min_rows=2)
     centered = A - A.mean(axis=0)
-    S = centered.T @ centered / (A.shape[0] - 1)
-    return (S + S.T) / 2.0
+    return centered.T @ centered / (A.shape[0] - 1)
 
 
 def _degenerate_columns(Y: NDArray[np.float64], variances: NDArray[np.float64]) -> NDArray[np.bool_]:
@@ -140,9 +139,9 @@ def toeplitz_corr(p: int, r: float) -> NDArray[np.float64]:
     r = float(r)
     if not np.isfinite(r) or abs(r) >= 1:
         raise ValueError("r must satisfy |r| < 1")
-    from scipy.linalg import toeplitz
-
-    return toeplitz(r ** np.arange(p))
+    # Row i of the reversed windows of r^|k|, k = 1-p..p-1, is r^|j-i|.
+    c = r ** np.abs(np.arange(1 - p, p))
+    return np.lib.stride_tricks.sliding_window_view(c, p)[::-1].copy()
 
 
 def matrix_sqrt_psd(M) -> NDArray[np.float64]:

@@ -31,8 +31,6 @@ __all__ = [
     "EdgeResult",
     "default_v_eps",
     "mp_companion_solve",
-    "mp_m_from_w",
-    "density_grid",
     "density_grid_detailed",
     "estimate_support",
     "support_hull",
@@ -315,11 +313,6 @@ def _check_upper_half_plane(z, w, m) -> None:
         )
 
 
-def mp_m_from_w(z, w, rho: float):
-    """Stieltjes transform of the spectral law from its companion transform."""
-    return (w + (1.0 - rho) / z) / rho
-
-
 def mp_companion_solve(
     z,
     H: DiscreteMeasure,
@@ -354,7 +347,7 @@ def mp_companion_solve(
     s = H.mean
     w0 = _start(w0, z, s * z, z + s * (1.0 - rho), 1.0)
     w, residual, evals = _newton_fixed_point(step, w0, cfg)
-    m = mp_m_from_w(z, w, rho)
+    m = (w + (1.0 - rho) / z) / rho
     _check_upper_half_plane(z, w, m)
     return _transform_result(z, w, m, residual, evals, scalar)
 
@@ -464,9 +457,11 @@ def density_grid_detailed(
     xs,
     cfg: SolverConfig | None = None,
 ) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64], dict]:
-    """density_grid plus its stats, which solve-mp prints as its summary.
+    """Density, CDF and stats of the limiting spectral law on a real grid.
 
-    stats: {rho, atom0_mass, max_residual, v_eps, support_estimate}.
+    The CDF includes the point mass max(1 - 1/rho, H({0})) at 0 that appears
+    when p > n or H has an atom at 0. stats, which solve-mp prints as its
+    summary: {rho, atom0_mass, max_residual, v_eps, support_estimate}.
     """
     _check_ratio(rho, "rho")
     cfg = cfg or SolverConfig()
@@ -479,21 +474,6 @@ def density_grid_detailed(
     # rank S = min(n, p * H((0, inf))): the rest of the p eigenvalues are 0.
     atom0 = max(1.0 - 1.0 / rho, H.cdf(0.0))
     return _density_on_grid(solve_at, xs, v, atom0)
-
-
-def density_grid(
-    H: DiscreteMeasure,
-    rho: float,
-    xs,
-    cfg: SolverConfig | None = None,
-) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
-    """Density and CDF of the limiting spectral law on a real grid.
-
-    Returns (xs, density, cdf). The CDF includes the point mass
-    max(1 - 1/rho, H({0})) at 0 that appears when p > n or H has an
-    atom at 0.
-    """
-    return density_grid_detailed(H, rho, xs, cfg)[:3]
 
 
 def estimate_support(
@@ -570,6 +550,8 @@ def support_hull(H: DiscreteMeasure, rho: float) -> tuple[float, float]:
     gives [0, 0].
     """
     _check_ratio(rho, "rho")
+    if H.support_min < 0:
+        raise ValueError("H must be supported on [0, inf)")
     if H.support_max == 0:
         return 0.0, 0.0
     n_over_p = 1.0 / rho

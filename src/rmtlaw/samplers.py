@@ -193,8 +193,8 @@ class PopulationModel:
 
     @property
     def d(self) -> int:
-        """Row dimension of the data: Gamma's row count for sphere_elliptical, else p."""
-        return self.shape.shape[0] if self.family == "sphere_elliptical" else self.p
+        """Row dimension of the data: shape's row count (Gamma is d x p), else p."""
+        return self.p if self.shape is None else self.shape.shape[0]
 
     @cached_property
     def _identity_shape(self) -> bool:

@@ -47,7 +47,6 @@ from rmtlaw.measures import DiscreteMeasure, delta, measure_from_eigenvalues
 from rmtlaw.mp_solver import (
     SolverConfig,
     default_v_eps,
-    density_grid,
     density_grid_detailed,
     mp_companion_solve,
     solve_edge,
@@ -82,7 +81,7 @@ def _toeplitz_h() -> DiscreteMeasure:
 
 @functools.lru_cache(maxsize=None)
 def _copula_h() -> DiscreteMeasure:
-    from rmtlaw.concentration import copula_cov
+    from rmtlaw.linalg import copula_cov
 
     T = copula_cov(toeplitz_corr(200, 0.3))
     return measure_from_eigenvalues(np.maximum(sym_eigenvalues(T), 0.0))
@@ -180,7 +179,7 @@ def test_criterion_05_null_density_oracle():
         width = b - a
         interior = np.linspace(a + 0.05 * width, b - 0.05 * width, 50)
         v = default_v_eps(UNIT, rho)
-        _, density, _ = density_grid(UNIT, rho, interior, SolverConfig())
+        _, density, _, _ = density_grid_detailed(UNIT, rho, interior, SolverConfig())
         err = float(np.max(np.abs(density - _null_mp_density(interior, rho))))
 
         full = np.linspace(max(0.0, a - 0.5), b + 0.5, 400)

@@ -230,6 +230,18 @@ class TestSolveMp:
         assert json.loads(stderr)["message"] == "H must be supported on [0, inf)"
         assert not (tmp_path / "x.density.csv").exists()
 
+    @pytest.mark.parametrize("grid", [[], ["--grid", "0,1,10"]], ids=["default", "explicit"])
+    def test_population_below_zero_exit_2(self, tmp_path, grid, capsys):
+        # H = {-1, 2} has mass on (0, inf); the default grid's hull checks
+        # H's support first, so both grids blame it in the same words.
+        h = tmp_path / "h.json"
+        atoms = [{"value": -1.0, "weight": 0.5}, {"value": 2.0, "weight": 0.5}]
+        h.write_text(json.dumps({"atoms": atoms}))
+        argv = ["solve-mp", "--h-file", str(h), "--rho", "0.5", *grid]
+        code, _, stderr = run_cli([*argv, "--out", str(tmp_path / "x")], capsys)
+        assert code == 2
+        assert json.loads(stderr)["message"] == "H must be supported on [0, inf)"
+
     def test_overflow_exit_3(self, tmp_path, unit_h, capsys):
         # rho = 1e308 is finite, but the solve overflows: a numerical failure.
         argv = ["solve-mp", "--h-file", unit_h, "--rho", "1e308", "--grid", "0,3,10"]
@@ -1090,6 +1102,17 @@ class TestProcessLevel:
         assert (tmp_path / "fresh.eigs.csv").read_bytes() == (
             tmp_path / "warm.eigs.csv"
         ).read_bytes()
+
+    @pytest.mark.parametrize("family", ["gaussian", "gaussian_copula"])
+    def test_toeplitz_simulate_loads_no_scipy_linalg(self, tmp_path, family):
+        model = tmp_path / "model.json"
+        shape = {"kind": "toeplitz", "r": 0.4}
+        model.write_text(json.dumps({"family": family, "n": 60, "p": 20, "shape": shape}))
+        argv = ["simulate", "--model", str(model), "--quiet", "--out", str(tmp_path / "t")]
+        code = "from rmtlaw.cli import main\nassert main(json.loads(sys.argv[2])) == 0\n"
+        modules = self._scipy_modules(code, json.dumps(argv))
+        assert "scipy.special" in modules
+        assert "scipy.linalg" not in modules
 
     def test_console_script_thread_invariance(self, tmp_path):
         # Two runs in fresh processes write the same bytes.

@@ -8,7 +8,6 @@ from rmtlaw.concentration import (
     ConcentrationReport,
     angle_diagnostic,
     azuma_bound,
-    copula_cov,
     copula_norm_bound,
     empirical_stieltjes,
     norm_diagnostic,
@@ -23,7 +22,7 @@ from rmtlaw.concentration import (
     verify_quadform,
     verify_tightness,
 )
-from rmtlaw.linalg import operator_norm, toeplitz_corr
+from rmtlaw.linalg import copula_cov, operator_norm, toeplitz_corr
 from rmtlaw.measures import DiscreteMeasure, delta
 from rmtlaw.samplers import FAMILIES, PopulationModel, sample_model
 

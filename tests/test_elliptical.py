@@ -13,14 +13,12 @@ from rmtlaw.mp_solver import (
     DEFAULT_GRID_COUNT,
     GRID_PAD,
     SolverConfig,
-    density_grid,
     density_grid_detailed,
     mp_companion_solve,
     support_hull,
 )
 from rmtlaw.elliptical_solver import (
     EllipticalParams,
-    elliptical_density_grid,
     elliptical_density_grid_detailed,
     elliptical_solve,
     load_params_json,
@@ -173,8 +171,8 @@ class TestReduction:
         rho = 0.5
         params = unit_params(rho)
         xs = np.linspace(0.0, (1 + np.sqrt(rho)) ** 2 + 0.5, 200)
-        _, fe, Fe = elliptical_density_grid(params, xs)
-        _, fc, Fc = density_grid(UNIT, rho, xs)
+        _, fe, Fe, _ = elliptical_density_grid_detailed(params, xs)
+        _, fc, Fc, _ = density_grid_detailed(UNIT, rho, xs)
         assert np.max(np.abs(fe - fc)) < 1e-6
         assert np.max(np.abs(Fe - Fc)) < 1e-6
 
@@ -376,7 +374,7 @@ class TestEllipticalDensity:
         nu = DiscreteMeasure(np.array([0.5, 2.0]), np.array([0.5, 0.5]))
         params = EllipticalParams(H=TWO_ATOM, nu=nu, theta=1.0, rho=1.5)
         xs = np.linspace(0.0, 25.0, 400)
-        _, f, F = elliptical_density_grid(params, xs)
+        _, f, F, _ = elliptical_density_grid_detailed(params, xs)
         assert np.all(f >= 0)
         assert np.all(np.diff(F) >= -1e-15)
 

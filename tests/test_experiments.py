@@ -1,13 +1,16 @@
 """Simulate-solve-compare pipelines and the KS distance they report."""
 
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
+from rmtlaw._serialize import json_dumps
 from rmtlaw.experiments import (
     _ks_against_law,
     ComparisonResult,
     ExperimentSpec,
-    comparison_to_json_dict,
     ks_distance,
     run_experiment,
 )
@@ -336,6 +339,7 @@ class TestEllipticalExperiment:
 
 class TestComparisonJson:
     def test_keys_and_values(self):
+        # json_dumps writes each support pair as an array.
         result = ComparisonResult(
             ks_distance=0.1,
             sample_count=5,
@@ -346,17 +350,25 @@ class TestComparisonJson:
             lemma5_stat=0.05,
             details={"rho": 0.5},
         )
-        out = comparison_to_json_dict(result)
-        assert out["ks_distance"] == 0.1
-        assert out["support_empirical"] == [0.2, 2.0]
-        assert out["support_theoretical"] == [0.1, 2.2]
-        assert out["details"]["rho"] == 0.5
+        assert json.loads(json_dumps(asdict(result))) == {
+            "ks_distance": 0.1,
+            "sample_count": 5,
+            "support_empirical": [0.2, 2.0],
+            "support_theoretical": [0.1, 2.2],
+            "largest_eigenvalue": 2.0,
+            "mu_prediction": 2.1,
+            "lemma5_stat": 0.05,
+            "details": {"rho": 0.5},
+        }
 
     def test_none_support(self):
+        # A missing theoretical support is written as null.
         result = ComparisonResult(
             ks_distance=0.1,
             sample_count=5,
             support_empirical=(0.0, 1.0),
             support_theoretical=None,
         )
-        assert comparison_to_json_dict(result)["support_theoretical"] is None
+        out = json.loads(json_dumps(asdict(result)))
+        assert out["support_theoretical"] is None
+        assert out["support_empirical"] == [0.0, 1.0]

@@ -65,17 +65,14 @@ quadform, from the report that carries only what each suite measured.
 
 import hashlib
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from rmtlaw import cli
 from rmtlaw._serialize import json_dumps
-from rmtlaw.experiments import (
-    ExperimentSpec,
-    comparison_to_json_dict,
-    run_experiment,
-)
+from rmtlaw.experiments import ExperimentSpec, run_experiment
 from rmtlaw.linalg import toeplitz_corr
 from rmtlaw.measures import DiscreteMeasure
 from rmtlaw.samplers import PopulationModel, model_from_json_dict, sample_model
@@ -146,7 +143,7 @@ def test_correlation_experiment_pinned():
         seed=3,
         check_edge=True,
     )
-    assert comparison_to_json_dict(run_experiment(spec)) == {
+    assert asdict(run_experiment(spec)) == {
         "details": {
             "ks_values": [0.05893529807170794, 0.04434077368522038],
             "largest_eigenvalues": [3.3353622366750444, 3.201878756484903],
@@ -159,8 +156,8 @@ def test_correlation_experiment_pinned():
         "lemma5_stat": 0.18367598234774396,
         "mu_prediction": 3.5721108000117745,
         "sample_count": 30,
-        "support_empirical": [0.09271205107234103, 3.3353622366750444],
-        "support_theoretical": [0.06138860502530313, 3.4786876181005106],
+        "support_empirical": (0.09271205107234103, 3.3353622366750444),
+        "support_theoretical": (0.06138860502530313, 3.4786876181005106),
     }
 
 
@@ -172,7 +169,7 @@ def test_elliptical_experiment_pinned():
         replicates=2,
         seed=4,
     )
-    assert comparison_to_json_dict(run_experiment(spec)) == {
+    assert asdict(run_experiment(spec)) == {
         "details": {
             "ks_values": [0.06899434198704324, 0.044239531765244755],
             "rho": 0.6666666666666666,
@@ -185,8 +182,8 @@ def test_elliptical_experiment_pinned():
         "lemma5_stat": None,
         "mu_prediction": None,
         "sample_count": 40,
-        "support_empirical": [0.02746161953405679, 4.608539338573374],
-        "support_theoretical": [0.0, 5.155272433104764],
+        "support_empirical": (0.02746161953405679, 4.608539338573374),
+        "support_theoretical": (0.0, 5.155272433104764),
     }
 
 

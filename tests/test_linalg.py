@@ -106,6 +106,26 @@ class TestSampleCovariance:
         with pytest.raises(ValueError):
             sample_covariance(np.ones((1, 3)))
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        Y=arrays(
+            np.float64,
+            st.tuples(st.integers(2, 40), st.integers(1, 40)),
+            elements=st.floats(-1e3, 1e3),
+        ),
+        layout=st.sampled_from(["C", "F", "reversed", "strided"]),
+    )
+    def test_exactly_symmetric(self, Y, layout):
+        # numpy runs X'X as one symmetric rank-k update, whatever the layout.
+        views = {
+            "C": Y,
+            "F": np.asfortranarray(Y),
+            "reversed": Y[:, ::-1],
+            "strided": np.repeat(Y, 2, axis=1)[:, ::2],
+        }
+        S = sample_covariance(views[layout])
+        assert np.array_equal(S, S.T)
+
 
 class TestSampleCorrelation:
     def test_unit_diagonal(self):
@@ -169,9 +189,12 @@ class TestCorrFromCov:
 
 class TestToeplitzCorr:
     def test_entries(self):
-        G = toeplitz_corr(4, 0.5)
-        i, j = np.meshgrid(np.arange(4), np.arange(4), indexing="ij")
-        assert np.allclose(G, 0.5 ** np.abs(i - j))
+        for p in (1, 2, 4, 9):
+            for r in (0.5, -0.7, 0.999):
+                G = toeplitz_corr(p, r)
+                i, j = np.meshgrid(np.arange(p), np.arange(p), indexing="ij")
+                assert np.array_equal(G, r ** np.abs(i - j))
+                assert G.flags.c_contiguous and G.flags.writeable
 
     def test_identity_at_zero(self):
         assert np.array_equal(toeplitz_corr(3, 0.0), np.eye(3))

@@ -10,7 +10,6 @@ from rmtlaw.mp_solver import (
     SolverConfig,
     _hyperbolic_residual,
     default_v_eps,
-    density_grid,
     density_grid_detailed,
     estimate_support,
     mp_companion_solve,
@@ -359,7 +358,7 @@ class TestDensityGrid:
     def test_total_mass(self, rho):
         b = (1 + np.sqrt(rho)) ** 2
         xs = np.linspace(0.0, b + 0.5, 400)
-        _, _, F = density_grid(UNIT, rho, xs)
+        _, _, F, _ = density_grid_detailed(UNIT, rho, xs)
         assert abs(F[-1] - 1.0) < 0.02
 
     def test_atom_at_zero(self):
@@ -384,31 +383,31 @@ class TestDensityGrid:
 
     def test_cdf_monotone(self):
         xs = np.linspace(0.0, 4.0, 200)
-        _, _, F = density_grid(UNIT, 1.0, xs)
+        _, _, F, _ = density_grid_detailed(UNIT, 1.0, xs)
         assert np.all(np.diff(F) >= -1e-15)
         assert np.all(F <= 1.0 + 1e-12)
 
     def test_density_nonnegative(self):
         xs = np.linspace(0.0, 5.0, 200)
-        _, f, _ = density_grid(UNIT, 2.0, xs)
+        _, f, _, _ = density_grid_detailed(UNIT, 2.0, xs)
         assert np.all(f >= 0.0)
 
     def test_grid_must_ascend(self):
         with pytest.raises(ValueError, match="ascending"):
-            density_grid(UNIT, 1.0, np.array([1.0, 0.5]))
+            density_grid_detailed(UNIT, 1.0, np.array([1.0, 0.5]))
 
     def test_grid_must_be_finite(self):
         with pytest.raises(ValueError, match="finite"):
-            density_grid(UNIT, 1.0, np.array([0.0, np.inf]))
+            density_grid_detailed(UNIT, 1.0, np.array([0.0, np.inf]))
 
     def test_grid_needs_two_points(self):
         with pytest.raises(ValueError, match="at least two"):
-            density_grid(UNIT, 1.0, np.array([1.0]))
+            density_grid_detailed(UNIT, 1.0, np.array([1.0]))
 
     def test_failure_names_grid_point(self):
         cfg = SolverConfig(max_iters=1)
         with pytest.raises(NumericalError, match="density grid failed at x="):
-            density_grid(TWO, 1.0, np.linspace(0.5, 2.0, 10), cfg=cfg)
+            density_grid_detailed(TWO, 1.0, np.linspace(0.5, 2.0, 10), cfg=cfg)
 
     def test_failure_names_worst_grid_point(self):
         # The grid solve at height v_eps fails after one evaluation at
@@ -421,7 +420,7 @@ class TestDensityGrid:
         worst = int(np.argmax(residuals))
         assert worst == 4
         with pytest.raises(ConvergenceError) as excinfo:
-            density_grid(TWO, 0.5, xs, cfg=SolverConfig(max_iters=1))
+            density_grid_detailed(TWO, 0.5, xs, cfg=SolverConfig(max_iters=1))
         assert str(excinfo.value) == (
             "density grid failed at x=0.6: fixed-point iteration did not converge "
             "(residual=7.284e-01 after 1 iterations)"
@@ -582,6 +581,13 @@ class TestSupportHull:
 
     def test_point_mass_at_zero(self):
         assert support_hull(delta(0.0), 0.5) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("values", [[-1.0, 0.0], [-1.0, 2.0]], ids=["no-mass", "mass"])
+    def test_rejects_negative_support(self, values):
+        # Checked before the delta_0 shortcut, with mp_companion_solve's message.
+        H = DiscreteMeasure(np.array(values), np.array([0.5, 0.5]))
+        with pytest.raises(ValueError, match=r"^H must be supported on \[0, inf\)$"):
+            support_hull(H, 0.5)
 
     def test_rejects_nonpositive_rho(self):
         with pytest.raises(ValueError, match="rho"):

@@ -717,6 +717,21 @@ class TestModelValidation:
         for family in FAMILIES:
             PopulationModel(family=family, n=4, p=3, **kwargs[family])
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_d_is_the_row_dimension(self, family):
+        # Gamma's row count for sphere_elliptical; p for every other family.
+        kwargs = {
+            "gaussian": {"shape": toeplitz_corr(3, 0.5)},
+            "sphere_elliptical": {"shape": np.ones((5, 3))},
+            "gaussian_copula": {"shape": toeplitz_corr(3, 0.5)},
+            "lb_ball": {"b_exponent": 1.5},
+            "bounded_iid": {"bound": 1.0},
+        }
+        model = PopulationModel(family=family, n=4, p=3, **kwargs[family])
+        d = 5 if family == "sphere_elliptical" else 3
+        assert model.d == d
+        assert sample_model(model, 0, 0).shape == (4, d)
+
     def test_sigma_shape_checked(self):
         with pytest.raises(ValueError, match="Sigma"):
             PopulationModel(family="gaussian", n=5, p=3, shape=np.eye(2))
