@@ -115,9 +115,9 @@ def elliptical_solve(
 
     m = int dH / (tau*b(w) - z); the identity 1 + z*m = w*b(w) is checked
     after convergence, to 100*max(1, |b|) times the residual bound
-    max(tol, 16*eps*|w|). z (and w0) may be a scalar or a 1-d array, as
-    in mp_companion_solve. The default w0 is the exact w for one-atom H
-    and nu with the mean of H and the second moment of nu.
+    max(tol, 16*eps*|w|). z (and w0, finite and in C+) may be a scalar or
+    a 1-d array, as in mp_companion_solve. The default w0 is the exact w
+    for one-atom H and nu with the mean of H and the second moment of nu.
     """
     z, scalar = _as_points(z)
     cfg = cfg or SolverConfig()
@@ -190,19 +190,21 @@ def elliptical_density_grid_detailed(
     cfg = cfg or SolverConfig()
     v = cfg.v_eps if cfg.v_eps is not None else default_v_eps(params.H, params.rho)
 
-    def solve_at(z):
-        result = elliptical_solve(z, params, cfg)
+    def solve(z, w0):
+        return elliptical_solve(z, params, cfg, w0)
+
+    def smooth(z, result):
         b = mixing_integral(result.w, params.nu, params.theta, params.xi)
         consistency = np.abs(1.0 + z * result.m - result.w * b)
         stats = {"max_consistency_residual": float(consistency.max())}
         stats.update(theta=params.theta, rho=params.rho, xi=params.xi)
-        return result, _elliptical_smoothed_cdf(z, result.w, b, params), stats
+        return _elliptical_smoothed_cdf(z, result.w, b, params), stats
 
     # rank B = min(n * nu(lam != 0), d * H((0, inf))) with d/n = theta*rho:
     # the rest of the d eigenvalues are 0.
     nu0 = float(params.nu.weights[params.nu.values == 0].sum())
     atom0 = max(1.0 - (1.0 - nu0) / (params.theta * params.rho), params.H.cdf(0.0))
-    return _density_on_grid(solve_at, xs, v, atom0)
+    return _density_on_grid(solve, smooth, xs, v, atom0)
 
 
 def scaled_gram(X, p: int) -> NDArray[np.float64]:

@@ -8,9 +8,10 @@ limit of the largest eigenvalue, with its scale c0, from H and n/p alone.
 
 Both this law and the elliptical one are fixed points w = T(w) of maps
 with a closed-form derivative. One array-valued safeguarded-Newton
-kernel solves every point of a grid at once, directly at the grid's
-height, and one pipeline turns the grid solve into a density, a CDF and
-a summary.
+kernel solves a grid directly at its height in two passes, coarse to
+fine: every _COARSE_STRIDE-th point from the law's own start, the rest
+from the interpolation of their solved neighbours. One pipeline turns
+the grid solve into a density, a CDF and a summary.
 """
 
 from __future__ import annotations
@@ -49,6 +50,10 @@ _BLOCK_ENTRIES = 1 << 15
 # brackets keep from a pole c = 1/lam of the edge equation.
 _BISECT_RTOL = 1e-12
 _POLE_GAP = 1e-12
+
+# The coarse pass of a grid solve takes every _COARSE_STRIDE-th point and
+# the last.
+_COARSE_STRIDE = 8
 
 # Density threshold, in units of v_eps, for support detection; the
 # comparisons also cut the atom at 0 off there.
@@ -121,6 +126,9 @@ _Step = Callable[
     tuple[NDArray[np.complex128], NDArray[np.complex128]],
 ]
 
+# solve(z, w0) -> the law's transforms at z, from w0 or, if None, its own start.
+_Solve = Callable[[NDArray[np.complex128], Optional[NDArray[np.complex128]]], TransformResult]
+
 
 def _check_ratio(x: float, name: str) -> None:
     """Raise ValueError unless x is positive and finite: an aspect ratio, a
@@ -142,19 +150,20 @@ def _pole_sums(
 
     a is a scalar or matches c; the sums are matrix-vector products over
     a (points x atoms) block of at most _BLOCK_ENTRIES entries, taken
-    chunk by chunk over the points. A pole gives a non-finite sum. The
-    products run in numpy's own single-threaded loop (einsum), not BLAS:
-    each point's sum is then the same bytes whatever the BLAS library,
-    its thread count or the chunking, and no BLAS threads wait on a busy
-    core for blocks this small.
+    chunk by chunk over the points into one buffer. A pole gives a
+    non-finite sum. The products run in numpy's own single-threaded loop
+    (einsum), not BLAS: each point's sum is then the same bytes whatever
+    the BLAS library, its thread count or the chunking, and no BLAS
+    threads wait on a busy core for blocks this small.
     """
     a = np.broadcast_to(a, c.shape)
     s1 = np.empty(c.shape, dtype=np.complex128)
     s2 = None if p2 is None else np.empty(c.shape, dtype=np.complex128)
-    rows = max(1, _BLOCK_ENTRIES // x.size)
+    rows = max(1, min(c.size, _BLOCK_ENTRIES // x.size))
+    buf = np.empty((rows, x.size), dtype=np.complex128)
     for lo in range(0, c.size, rows):
         sl = slice(lo, lo + rows)
-        block = np.multiply.outer(c[sl], x)
+        block = np.multiply.outer(c[sl], x, out=buf[: c[sl].size])
         block += a[sl, None]
         np.reciprocal(block, out=block)
         s1[sl] = np.einsum("ij,j->i", block, p1)
@@ -267,16 +276,27 @@ def _as_points(z) -> tuple[NDArray[np.complex128], bool]:
 def _start(w0, z: NDArray[np.complex128], a, b, c) -> NDArray[np.complex128]:
     """w0 broadcast to z or, when w0 is None, the one-atom start.
 
-    That start is the C+ root of a*w^2 + b*w + c = 0, the law's fixed-point
-    equation for a one-atom population, and so exact there; elsewhere it
-    is close in scale. The root comes from the cancellation-free quadratic
+    A given w0 must be finite, in C+ and broadcast to z: a start off C+
+    can converge to a fixed point off C+. The one-atom start is the C+
+    root of a*w^2 + b*w + c = 0, the law's fixed-point equation for a
+    one-atom population, and so exact there; elsewhere it is close in
+    scale. The root comes from the cancellation-free quadratic
     formula: q = -(b + d)/2 with d = +-sqrt(b^2 - 4ac) signed so that
     Re(conj(b) d) >= 0, and the roots q/a and c/q (at a = 0, c/q = -c/b is
     the only root). Where no root is finite and strictly in C+, the start
     is the large-z value -c/z.
     """
     if w0 is not None:
-        return np.broadcast_to(np.asarray(w0, dtype=np.complex128), z.shape).copy()
+        w0 = np.asarray(w0, dtype=np.complex128)
+        try:
+            w0 = np.broadcast_to(w0, z.shape)
+        except ValueError:
+            raise ValueError(
+                f"w0 of shape {w0.shape} does not broadcast to z of shape {z.shape}"
+            ) from None
+        if not np.all(np.isfinite(w0) & (w0.imag > 0)):
+            raise ValueError("w0 must be finite with positive imaginary part")
+        return w0.copy()
     with np.errstate(all="ignore"):
         d = np.sqrt(b * b - 4.0 * a * c)
         d = np.where((np.conj(b) * d).real < 0, -d, d)
@@ -323,8 +343,8 @@ def mp_companion_solve(
     """Solve -1/w = z - rho * int lam dH(lam)/(1 + lam*w) for w in C+.
 
     H is the population spectral law (support in [0, inf)), rho = p/n.
-    The returned m satisfies w = -(1 - rho)/z + rho*m. z (and w0) may be
-    a scalar or a 1-d array; an array is solved at once and gives array
+    The returned m satisfies w = -(1 - rho)/z + rho*m. z (and w0, which
+    must be finite and in C+) may be a scalar or a 1-d array; an array is solved at once and gives array
     z, w and m, the largest residual and the summed evaluation count. The
     default w0 is the exact w for H = delta_s, s = mean(H).
     """
@@ -396,9 +416,60 @@ def _mp_smoothed_cdf(
     return (companion - (1.0 - rho) * _cauchy_cdf(z)) / rho
 
 
+def _solve_grid(solve: _Solve, z: NDArray[np.complex128]) -> TransformResult:
+    """Transforms at every point of a grid z = xs + iv, coarse to fine.
+
+    solve is the law's transform solve. The coarse pass solves every
+    _COARSE_STRIDE-th point and the last from the law's own start. w is
+    analytic in z (Silverstein and Choi, J. Multivariate Anal. 54, 1995),
+    so the fine pass starts each other point from the linear
+    interpolation in x of the coarse w, a convex combination of points of
+    C+ and so in C+. Where every coarse point converged on its first
+    evaluation the law's own start is exact (one-atom laws), and the fine
+    pass keeps it. A NumericalError from either pass names its grid index
+    and x.
+    """
+    xs = z.real
+    coarse = np.zeros(z.size, dtype=bool)
+    coarse[::_COARSE_STRIDE] = True
+    coarse[-1] = True
+    w = np.empty(z.shape, dtype=np.complex128)
+    m = np.empty(z.shape, dtype=np.complex128)
+
+    def solve_pass(mask, w0) -> TransformResult:
+        try:
+            result = solve(z[mask], w0)
+        except NumericalError as exc:
+            # The same exception, class and fields kept, naming its grid point.
+            exc.index = int(np.flatnonzero(mask)[exc.index or 0])
+            exc.x = float(xs[exc.index])
+            exc.args = (f"density grid failed at x={exc.x!r}: {exc}",)
+            raise
+        w[mask], m[mask] = result.w, result.m
+        return result
+
+    first = solve_pass(coarse, None)
+    fine = ~coarse
+    if not fine.any():
+        return first
+    w0 = None
+    if first.iterations > first.w.size:
+        at, known = xs[fine], xs[coarse]
+        w0 = np.interp(at, known, first.w.real) + 1j * np.interp(at, known, first.w.imag)
+    second = solve_pass(fine, w0)
+    return TransformResult(
+        z=z,
+        w=w,
+        m=m,
+        residual=max(first.residual, second.residual),
+        iterations=first.iterations + second.iterations,
+    )
+
+
 def _density_on_grid(
-    solve_at: Callable[
-        [NDArray[np.complex128]], tuple[TransformResult, NDArray[np.float64], dict]
+    solve: _Solve,
+    smooth: Callable[
+        [NDArray[np.complex128], TransformResult], tuple[NDArray[np.float64], dict]
     ],
     xs,
     v: float,
@@ -406,15 +477,15 @@ def _density_on_grid(
 ) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64], dict]:
     """Grid solve, density, CDF and summary shared by both laws.
 
-    One array solve at xs + iv from the law's own start: the fixed point
-    of a self-map of C+ is unique and attracting, so no continuation
-    from greater heights is needed. A failure names the grid point it
-    happened at. solve_at(z) returns (result, F, law_stats): the solve,
-    the law convolved with the Cauchy kernel of width v (F' = Im(m)/pi)
-    and the law's own summary entries. The atom at 0, smoothed by that
-    kernel in both m and F, is taken out of the density and enters the
-    CDF as an exact step. Rounding can leave the CDF a few ulps outside
-    [0, 1] or below its left neighbour, so it is clamped to a
+    _solve_grid solves the grid at xs + iv with the law's transform
+    solve(z, w0), coarse to fine: the fixed point of a self-map of C+ is
+    unique and attracting, so no continuation from greater heights is
+    needed. smooth(z, result) then returns (F, law_stats) on the whole
+    grid: the law convolved with the Cauchy kernel of width v (F' =
+    Im(m)/pi) and the law's own summary entries. The atom at 0, smoothed
+    by that kernel in both m and F, is taken out of the density and
+    enters the CDF as an exact step. Rounding can leave the CDF a few ulps
+    outside [0, 1] or below its left neighbour, so it is clamped to a
     nondecreasing function in [0, 1]. Returns (xs, density, cdf, stats),
     stats being law_stats with {atom0_mass, max_residual, v_eps,
     support_estimate}; the support is the span of density above
@@ -428,15 +499,9 @@ def _density_on_grid(
     if np.any(np.diff(xs) <= 0):
         raise ValueError("xs must be strictly ascending")
     z = xs + 1j * v
-    try:
-        result, smoothed, stats = solve_at(z)
-    except NumericalError as exc:
-        # The same exception, class and fields kept, naming its grid point.
-        exc.x = float(xs[exc.index or 0])
-        exc.args = (f"density grid failed at x={exc.x!r}: {exc}",)
-        raise
+    result = _solve_grid(solve, z)
+    cdf, stats = smooth(z, result)
     density = np.imag(result.m) / np.pi
-    cdf = smoothed
     if atom0 > 0:
         density = density - atom0 * (v / np.pi) / (xs**2 + v**2)
         cdf = cdf - atom0 * _cauchy_cdf(z) + atom0 * (xs >= 0)
@@ -467,13 +532,15 @@ def density_grid_detailed(
     cfg = cfg or SolverConfig()
     v = cfg.v_eps if cfg.v_eps is not None else default_v_eps(H, rho)
 
-    def solve_at(z):
-        result = mp_companion_solve(z, H, rho, cfg)
-        return result, _mp_smoothed_cdf(z, result.w, H, rho), {"rho": rho}
+    def solve(z, w0):
+        return mp_companion_solve(z, H, rho, cfg, w0)
+
+    def smooth(z, result):
+        return _mp_smoothed_cdf(z, result.w, H, rho), {"rho": rho}
 
     # rank S = min(n, p * H((0, inf))): the rest of the p eigenvalues are 0.
     atom0 = max(1.0 - 1.0 / rho, H.cdf(0.0))
-    return _density_on_grid(solve_at, xs, v, atom0)
+    return _density_on_grid(solve, smooth, xs, v, atom0)
 
 
 def estimate_support(

@@ -337,7 +337,8 @@ class TestSolveMp:
 
     def test_convergence_failure_exit_3_with_fields(self, tmp_path, two_atom_h, capsys):
         # Two evaluations per point do not reach tol (one-atom laws start
-        # exact, so H has two); the error keeps its class and says where the
+        # exact, so H has two). The coarse pass (every 8th point and the
+        # last) fails first; the error keeps its class and says where its
         # worst grid point is and how close it got.
         code, _, stderr = run_cli(
             ["solve-mp", "--h-file", two_atom_h, "--rho", "0.5", "--grid", "0,3,50",
@@ -348,13 +349,13 @@ class TestSolveMp:
         err = json.loads(stderr)
         assert err["error"] == "ConvergenceError"
         assert err["message"] == (
-            "density grid failed at x=0.24489795918367346: fixed-point iteration "
-            "did not converge (residual=6.025e+00 after 2 iterations)"
+            "density grid failed at x=0.4897959183673469: fixed-point iteration "
+            "did not converge (residual=9.177e-01 after 2 iterations)"
         )
-        assert err["index"] == 4
-        assert err["x"] == np.linspace(0.0, 3.0, 50)[4]
+        assert err["index"] == 8
+        assert err["x"] == np.linspace(0.0, 3.0, 50)[8]
         assert err["iterations"] == 2
-        assert f"{err['residual']:.3e}" == "6.025e+00"
+        assert f"{err['residual']:.3e}" == "9.177e-01"
         assert not (tmp_path / "x.density.csv").exists()
 
     def test_rerun_byte_identical(self, tmp_path, unit_h, capsys):

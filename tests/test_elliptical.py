@@ -293,6 +293,20 @@ class TestSolverInvariants:
         with pytest.raises(ValueError, match="imaginary"):
             elliptical_solve(1.0, unit_params(1.0))
 
+    @pytest.mark.parametrize(
+        "w0, message",
+        [
+            (-0.5 - 0.1j, "w0 must be finite with positive imaginary part"),
+            (complex(np.nan, 1.0), "w0 must be finite with positive imaginary part"),
+            ([1j, 2j, 3j], r"w0 of shape \(3,\) does not broadcast to z of shape \(2,\)"),
+        ],
+        ids=["lower", "nan", "wrong_length"],
+    )
+    def test_invalid_w0_rejected(self, w0, message):
+        params = EllipticalParams(H=TWO_ATOM, nu=delta(1.0), theta=1.0, rho=0.5)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            elliptical_solve(np.array([1.5, 2.0]) + 0.01j, params, w0=w0)
+
 
 class TestArrayInput:
     @settings(max_examples=25, deadline=None)

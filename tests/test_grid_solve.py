@@ -1,6 +1,7 @@
-"""The grid solve of both laws: one kernel call per grid at height v_eps,
-its evaluation budget, its one-atom start, and convergence over random
-laws at small heights."""
+"""The grid solve of both laws: two kernel calls per grid at height v_eps,
+coarse to fine, their evaluation budget, the one-atom start, agreement
+with one array solve of the whole grid, and convergence over random laws
+at small heights."""
 
 from contextlib import contextmanager
 
@@ -16,6 +17,7 @@ from rmtlaw.elliptical_solver import (
     elliptical_density_grid_detailed,
     elliptical_solve,
 )
+from rmtlaw.errors import NumericalError
 from rmtlaw.linalg import toeplitz_corr
 from rmtlaw.measures import DiscreteMeasure, delta
 from rmtlaw.mp_solver import SolverConfig, density_grid_detailed, mp_companion_solve
@@ -30,18 +32,19 @@ FIVE_ATOM = DiscreteMeasure(
 )
 
 
-def spy_calls(monkeypatch, module, name):
-    """Record (points, evaluations) of every call of module.name."""
-    calls = []
+@contextmanager
+def spy_results(module, name):
+    """Record the result of every call of module.name."""
+    results = []
     solve = getattr(module, name)
 
-    def wrapper(z, *args, **kwargs):
-        result = solve(z, *args, **kwargs)
-        calls.append((np.size(z), result.iterations))
-        return result
+    def wrapper(*args, **kwargs):
+        results.append(solve(*args, **kwargs))
+        return results[-1]
 
-    monkeypatch.setattr(module, name, wrapper)
-    return calls
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, name, wrapper)
+        yield results
 
 
 @contextmanager
@@ -67,52 +70,70 @@ def wide_span(scale: float, ratio: float, count: int):
     return np.linspace(0.0, scale * (1.0 + np.sqrt(ratio)) ** 2 * 1.5 + 1.0, count)
 
 
+# A 400-point grid: 51 coarse points (every 8th and the last), 349 fine.
+GRID_PASSES = [51, 349]
+
+
+def coarse_and_fine(count: int) -> tuple[list[int], list[int]]:
+    """Grid indices of the coarse pass (every 8th and the last) and the fine one."""
+    coarse = sorted(set(range(0, count, 8)) | {count - 1})
+    return coarse, sorted(set(range(count)) - set(coarse))
+
+
+def solve_counts(results) -> list[tuple[int, int]]:
+    """(points, evaluations) of each recorded solve."""
+    return [(result.z.size, result.iterations) for result in results]
+
+
 class TestEvaluationBudget:
-    def test_toeplitz_covariance_law(self, monkeypatch):
+    def test_toeplitz_covariance_law(self):
         lam = np.linalg.eigvalsh(toeplitz_corr(200, 0.5))
         H = DiscreteMeasure(lam, np.full(lam.size, 1.0 / lam.size))
         xs = wide_span(H.support_max, 0.5, cli.DEFAULT_GRID_COUNT)
-        calls = spy_calls(monkeypatch, mp_solver, "mp_companion_solve")
-        density_grid_detailed(H, 0.5, xs)
-        assert len(calls) == 1
-        points, evals = calls[0]
-        assert points == 400
-        assert evals / points <= 5.0
+        with spy_results(mp_solver, "mp_companion_solve") as results:
+            density_grid_detailed(H, 0.5, xs)
+        points, evals = zip(*solve_counts(results))
+        assert list(points) == GRID_PASSES
+        assert sum(evals) / 400 <= 4.0
 
-    def test_unit_population_elliptical_law(self, monkeypatch):
+    def test_unit_population_elliptical_law(self):
         params = EllipticalParams(H=delta(1.0), nu=TWO_MIXING, theta=1.0, rho=0.5)
-        calls = spy_calls(monkeypatch, elliptical_solver, "elliptical_solve")
-        elliptical_density_grid_detailed(params, np.linspace(0.0, 8.0, 400))
-        assert len(calls) == 1
-        points, evals = calls[0]
-        assert points == 400
-        assert evals / points <= 7.0
+        with spy_results(elliptical_solver, "elliptical_solve") as results:
+            elliptical_density_grid_detailed(params, np.linspace(0.0, 8.0, 400))
+        points, evals = zip(*solve_counts(results))
+        assert list(points) == GRID_PASSES
+        assert sum(evals) / 400 <= 4.5
 
-    def test_default_grid_command_solves_each_grid_once(self, monkeypatch, tmp_path):
-        # The grid comes from the law's exact support hull: one grid, one
-        # kernel call.
+    def test_default_grid_command_solves_each_grid_once(self, tmp_path):
+        # The grid comes from the law's exact support hull: one grid, in
+        # its two passes. The one-atom start is exact, so the fine pass
+        # keeps it and every point takes one evaluation.
         source = tmp_path / "h.json"
         source.write_text('{"atoms": [{"value": 1.0, "weight": 1.0}]}')
-        calls = spy_calls(monkeypatch, mp_solver, "mp_companion_solve")
         argv = ["solve-mp", "--h-file", str(source), "--rho", "0.5"]
-        assert cli.main([*argv, "--out", str(tmp_path / "law"), "--quiet"]) == 0
-        assert [points for points, _ in calls] == [cli.DEFAULT_GRID_COUNT]
+        with spy_results(mp_solver, "mp_companion_solve") as results:
+            assert cli.main([*argv, "--out", str(tmp_path / "law"), "--quiet"]) == 0
+        assert solve_counts(results) == [(points, points) for points in GRID_PASSES]
 
-    def test_default_grid_elliptical_command_solves_once(self, monkeypatch, tmp_path):
+    def test_default_grid_elliptical_command_solves_once(self, tmp_path):
         # The grid comes from the covariance law's hull, scaled by theta and
-        # the mixing atoms: one grid, one kernel call.
+        # the mixing atoms: one grid, in its two passes, one evaluation a
+        # point from the exact one-atom start.
         source = tmp_path / "params.json"
         unit = '{"atoms": [{"value": 1.0, "weight": 1.0}]}'
         source.write_text(f'{{"H": {unit}, "nu": {unit}, "theta": 1.0, "rho": 0.5}}')
-        calls = spy_calls(monkeypatch, elliptical_solver, "elliptical_solve")
         argv = ["solve-elliptical", "--params", str(source)]
-        assert cli.main([*argv, "--out", str(tmp_path / "law"), "--quiet"]) == 0
-        assert [points for points, _ in calls] == [cli.DEFAULT_GRID_COUNT]
+        with spy_results(elliptical_solver, "elliptical_solve") as results:
+            assert cli.main([*argv, "--out", str(tmp_path / "law"), "--quiet"]) == 0
+        assert solve_counts(results) == [(points, points) for points in GRID_PASSES]
 
 
 TWO_ATOM = DiscreteMeasure(np.array([1.0, 10.0]), np.array([0.5, 0.5]))
 POINTS = st.lists(st.floats(-1.0, 40.0), min_size=1, max_size=12)
 HEIGHTS = st.sampled_from([1e-4, 1e-3, 1e-2, 1.0])
+# rho just below 1 (a large w at x = 0) and rho above 1 (an atom at 0).
+RHOS = st.one_of(st.floats(0.05, 4.0), st.floats(0.8, 0.999))
+V_EPS = st.sampled_from([1e-4, 1e-5])
 
 
 def assert_same_w(a, b) -> None:
@@ -177,14 +198,88 @@ class TestDefaultStart:
         assert_same_w(res.w, elliptical_solve(zs, params, w0=-1.0 / zs).w)
 
 
-def assert_converged(solves, tol: float) -> None:
-    (w, residual), = solves
-    assert np.all(residual <= np.maximum(tol, 16.0 * EPS * np.abs(w)))
+def grid_w(results, xs):
+    """w on the grid xs from the results of its passes, the coarse one first."""
+    passes = [idx for idx in coarse_and_fine(xs.size) if idx]
+    assert len(results) == len(passes)
+    w = np.empty(xs.size, dtype=np.complex128)
+    for result, idx in zip(results, passes):
+        assert np.array_equal(result.z.real, xs[idx])
+        w[idx] = result.w
+    return w
 
 
-# rho just below 1 (a large w at x = 0) and rho above 1 (an atom at 0).
-RHOS = st.one_of(st.floats(0.05, 4.0), st.floats(0.8, 0.999))
-V_EPS = st.sampled_from([1e-4, 1e-5])
+GRID_COUNTS = st.integers(2, 120)
+GRID_HEIGHTS = st.one_of(HEIGHTS, V_EPS)
+
+
+class TestCoarseToFine:
+    """The two passes give the w of one array solve of the whole grid from
+    the law's own start, and a failure in either names its grid point."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(H=populations(), rho=RHOS, v=GRID_HEIGHTS, count=GRID_COUNTS)
+    def test_covariance_law_matches_one_array_solve(self, H, rho, v, count):
+        xs = wide_span(H.support_max, rho, count)
+        with spy_results(mp_solver, "mp_companion_solve") as results:
+            density_grid_detailed(H, rho, xs, SolverConfig(v_eps=v))
+        assert_same_w(grid_w(results, xs), mp_companion_solve(xs + 1j * v, H, rho).w)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        H=populations(),
+        nu=populations(max_atoms=3),
+        theta=st.floats(0.25, 2.0),
+        rho=RHOS,
+        v=GRID_HEIGHTS,
+        count=GRID_COUNTS,
+    )
+    def test_elliptical_law_matches_one_array_solve(self, H, nu, theta, rho, v, count):
+        params = EllipticalParams(H=H, nu=nu, theta=theta, rho=rho)
+        scale = theta * float(np.max(nu.values**2)) * H.support_max
+        xs = wide_span(scale, theta * rho, count)
+        with spy_results(elliptical_solver, "elliptical_solve") as results:
+            elliptical_density_grid_detailed(params, xs, SolverConfig(v_eps=v))
+        assert_same_w(grid_w(results, xs), elliptical_solve(xs + 1j * v, params).w)
+
+    @settings(max_examples=30, deadline=None)
+    @given(count=st.integers(2, 60), data=st.data())
+    @pytest.mark.parametrize("law", ["mp", "elliptical"])
+    def test_failure_names_grid_index_and_x(self, law, count, data):
+        passes = [idx for idx in coarse_and_fine(count) if idx]
+        failing = data.draw(st.integers(0, len(passes) - 1), label="failing pass")
+        point = passes[failing][data.draw(st.integers(0, len(passes[failing]) - 1))]
+        xs = np.linspace(-1.0, 20.0, count)
+        if law == "mp":
+            module, name = mp_solver, "mp_companion_solve"
+            run = lambda: density_grid_detailed(TWO_ATOM, 0.5, xs)
+        else:
+            module, name = elliptical_solver, "elliptical_solve"
+            params = EllipticalParams(H=TWO_ATOM, nu=TWO_MIXING, theta=1.0, rho=0.5)
+            run = lambda: elliptical_density_grid_detailed(params, xs)
+        solve, calls = getattr(module, name), []
+
+        def wrapper(z, *args, **kwargs):
+            # Fail in the chosen pass at the chosen point's place in it.
+            calls.append(z)
+            if len(calls) - 1 == failing:
+                raise NumericalError("stub failure", index=passes[failing].index(point))
+            return solve(z, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp, pytest.raises(NumericalError) as excinfo:
+            mp.setattr(module, name, wrapper)
+            run()
+        x = float(xs[point])
+        assert excinfo.value.index == point
+        assert excinfo.value.x == x
+        assert str(excinfo.value) == f"density grid failed at x={x!r}: stub failure"
+
+
+def assert_converged(solves, tol: float, count: int) -> None:
+    """Every kernel call met the stopping bound, and the calls cover the grid."""
+    assert sum(w.size for w, _ in solves) == count
+    for w, residual in solves:
+        assert np.all(residual <= np.maximum(tol, 16.0 * EPS * np.abs(w)))
 
 
 class TestConvergence:
@@ -196,7 +291,7 @@ class TestConvergence:
         cfg = SolverConfig(v_eps=v_eps)
         with spy_kernel() as solves:
             density_grid_detailed(H, rho, wide_span(H.support_max, rho, 64), cfg)
-        assert_converged(solves, cfg.tol)
+        assert_converged(solves, cfg.tol, 64)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -226,4 +321,4 @@ class TestConvergence:
             elliptical_density_grid_detailed(
                 params, wide_span(scale, theta * rho, 64), cfg
             )
-        assert_converged(solves, cfg.tol)
+        assert_converged(solves, cfg.tol, 64)

@@ -187,6 +187,25 @@ class TestArrayInput:
         assert np.max(np.abs(warm.w - cold.w)) < 1e-12
         assert warm.iterations == 3
 
+    # -0.5 - 0.1j converges to a fixed point below the real axis, and a
+    # NaN start diverges: both are refused as inputs before the solve.
+    @pytest.mark.parametrize(
+        "w0",
+        [-0.5 - 0.1j, 2.0, complex(np.nan, 1.0), complex(1.0, np.inf), [1j, -1j]],
+        ids=["lower", "real", "nan", "inf", "one_lower"],
+    )
+    def test_w0_outside_upper_half_plane_rejected(self, w0):
+        zs = np.array([1.5, 2.0]) + 0.01j
+        with pytest.raises(ValueError, match="^w0 must be finite with positive imaginary part$"):
+            mp_companion_solve(zs, TWO, 0.5, w0=w0)
+
+    def test_w0_not_broadcasting_to_z_rejected(self):
+        zs = np.array([0.5, 1.0, 2.0]) + 1e-3j
+        with pytest.raises(
+            ValueError, match=r"^w0 of shape \(2,\) does not broadcast to z of shape \(3,\)$"
+        ):
+            mp_companion_solve(zs, TWO, 0.5, w0=[1j, 2j])
+
     @settings(max_examples=25, deadline=None)
     @given(
         H=populations(),
