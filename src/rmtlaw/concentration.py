@@ -191,7 +191,8 @@ def quadratic_form_deviation(
     mean_row = np.asarray(model.location, dtype=np.float64)
 
     def deviation(replicate: int) -> float:
-        Y = sample_model(model, seed, replicate) - mean_row
+        Y = sample_model(model, seed, replicate)
+        Y -= mean_row
         quad = np.einsum("ij,ij->i", Y @ M, Y) / dim
         return np.max(np.abs(quad - target))
 
@@ -236,7 +237,8 @@ def angle_diagnostic(Y) -> tuple[float, NDArray[np.int64]]:
     if Y.ndim != 2 or Y.shape[0] < 2:
         raise ValueError("Y must have at least two rows")
     p = Y.shape[1]
-    gram = (Y @ Y.T) / p
+    gram = Y @ Y.T
+    gram /= p
     off = np.abs(gram[np.triu_indices(Y.shape[0], k=1)])
     counts, _ = np.histogram(np.minimum(off, 1.0), bins=ANGLE_BINS, range=(0.0, 1.0))
     return float(off.max()), counts.astype(np.int64)

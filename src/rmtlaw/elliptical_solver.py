@@ -19,7 +19,7 @@ from numpy.typing import NDArray
 
 from ._serialize import _json_typed, check_keys, load_json
 from .errors import NumericalError
-from .linalg import as_sym_matrix
+from .linalg import _symmetric
 from .measures import DiscreteMeasure, measure_from_json_dict
 from .mp_solver import (
     SolverConfig,
@@ -217,8 +217,10 @@ def scaled_gram(X, p: int) -> NDArray[np.float64]:
         raise ValueError("X must be finite")
     if p < 1:
         raise ValueError("p must be >= 1")
-    B = (d / p) * (X.T @ X) / n
-    return as_sym_matrix(B, "B")
+    B = X.T @ X
+    B *= d / p
+    B /= n
+    return _symmetric(B, "B")
 
 
 def params_from_json_dict(obj) -> EllipticalParams:

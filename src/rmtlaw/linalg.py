@@ -3,7 +3,9 @@
 Eigendecomposition, operator norm, sample covariance/correlation, and the
 structured population matrices used by the experiments. Matrices are plain
 float64 numpy arrays; validation helpers enforce the symmetric-input
-contract before anything reaches LAPACK.
+contract before anything reaches LAPACK. Symmetry is first checked on the
+bit patterns, so an exactly symmetric matrix (every X'X numpy builds, every
+correlation and Toeplitz matrix) is validated without a copy.
 """
 
 from __future__ import annotations
@@ -44,20 +46,32 @@ def _as_matrix(M, name: str = "matrix") -> NDArray[np.float64]:
     return A
 
 
-def as_sym_matrix(M, name: str = "matrix") -> NDArray[np.float64]:
-    """Validate a symmetric matrix and return its exactly symmetric form.
-
-    Asymmetry up to SYM_RTOL relative to the entry scale is removed by
-    averaging with the transpose; larger asymmetry raises.
-    """
+def _symmetric(M, name: str) -> NDArray[np.float64]:
+    """M as a float64 matrix, checked symmetric: M's own buffer when it is
+    bit for bit equal to its transpose, else a new array averaged with it."""
     A = _as_matrix(M, name)
     if A.shape[0] != A.shape[1]:
         raise ValueError(f"{name} must be square, got shape {A.shape}")
-    scale = max(1.0, float(np.max(np.abs(A))) if A.size else 0.0)
-    asym = float(np.max(np.abs(A - A.T))) if A.size else 0.0
+    bits = A.view(np.uint64)
+    if np.array_equal(bits, bits.T):
+        return A
+    scale = max(1.0, float(np.max(np.abs(A))))
+    asym = float(np.max(np.abs(A - A.T)))
     if asym > SYM_RTOL * scale:
         raise ValueError(f"{name} is not symmetric (max asymmetry {asym:.3e})")
-    return (A + A.T) / 2.0
+    # Halves first, so entries near the float64 maximum do not overflow;
+    # the same bytes as (A + A.T)/2 wherever neither half is subnormal.
+    return 0.5 * A + 0.5 * A.T
+
+
+def as_sym_matrix(M, name: str = "matrix") -> NDArray[np.float64]:
+    """Validate a symmetric matrix and return its exactly symmetric form, in
+    memory of its own. An exactly symmetric M is validated without a copy and
+    copied once; asymmetry up to SYM_RTOL relative to the entry scale is
+    removed by averaging with the transpose; larger asymmetry raises.
+    """
+    A = _symmetric(M, name)
+    return A.copy() if np.may_share_memory(A, M) else A
 
 
 def as_corr_matrix(M, name: str = "R") -> NDArray[np.float64]:
@@ -74,11 +88,16 @@ def sym_eigenvalues(M) -> NDArray[np.float64]:
     Nonzero entries below eps^2 * max|A| are zeroed first, which moves each
     eigenvalue by at most p * eps^2 * max|A|: eigvalsh loses accuracy when
     entries' squares are subnormal (+-2.50035 for +-2.5 with 1e-160
-    entries). Exact zeros are left alone, so -0.0 keeps its sign.
+    entries). Exact zeros are left alone, so -0.0 keeps its sign. An exactly
+    symmetric M with no such entry goes to eigvalsh as it is, with no copy;
+    M itself is never changed.
     """
-    A = as_sym_matrix(M)
-    mag = np.abs(A)
-    A[(mag < _TINY_RTOL * mag.max(initial=0.0)) & (A != 0.0)] = 0.0
+    A = _symmetric(M, "matrix")
+    t = _TINY_RTOL * max(A.max(initial=0.0), -A.min(initial=0.0))
+    tiny = (-t < A) & (A < t) & (A != 0.0)
+    if tiny.any():
+        A = np.where(tiny, 0.0, A)
+    del tiny
     return np.linalg.eigvalsh(A)
 
 
@@ -99,13 +118,15 @@ def sample_covariance(Y) -> NDArray[np.float64]:
     """Column-centered X'X scaled by 1/(n-1); numpy makes X'X exactly symmetric."""
     A = _as_data_matrix(Y, min_rows=2)
     centered = A - A.mean(axis=0)
-    return centered.T @ centered / (A.shape[0] - 1)
+    S = centered.T @ centered
+    S /= A.shape[0] - 1
+    return S
 
 
 def _degenerate_columns(Y: NDArray[np.float64], variances: NDArray[np.float64]) -> NDArray[np.bool_]:
     # A constant column can leave O(eps)-sized centering residue, so compare
     # the variance against the squared rounding scale of the column.
-    col_scale = np.maximum(1.0, np.max(np.abs(Y), axis=0))
+    col_scale = np.maximum(1.0, np.maximum(Y.max(axis=0), -Y.min(axis=0)))
     return variances <= (1e-12 * col_scale) ** 2
 
 
@@ -121,13 +142,15 @@ def sample_correlation(Y) -> NDArray[np.float64]:
 
 def corr_from_cov(S) -> NDArray[np.float64]:
     """Correlation matrix of a covariance matrix: D^{-1/2} S D^{-1/2}."""
-    A = as_sym_matrix(S, "covariance matrix")
+    A = _symmetric(S, "covariance matrix")
     d = np.diag(A).copy()
     if np.any(d <= 0):
         raise ValueError("covariance matrix has a nonpositive diagonal entry")
     root = np.sqrt(d)
     # A and the outer product are exactly symmetric, so C is as well.
-    C = np.clip(A / np.outer(root, root), -1.0, 1.0)
+    C = np.outer(root, root)
+    np.divide(A, C, out=C)
+    np.clip(C, -1.0, 1.0, out=C)
     np.fill_diagonal(C, 1.0)
     return C
 
@@ -146,7 +169,7 @@ def toeplitz_corr(p: int, r: float) -> NDArray[np.float64]:
 
 def matrix_sqrt_psd(M) -> NDArray[np.float64]:
     """Symmetric PSD square root; eigenvalues in [-1e-10*||M||, 0) are clamped."""
-    A = as_sym_matrix(M)
+    A = _symmetric(M, "matrix")
     eigvals, eigvecs = np.linalg.eigh(A)
     scale = float(np.max(np.abs(eigvals))) if eigvals.size else 0.0
     if eigvals.size and eigvals[0] < -PSD_TOL * max(scale, 1e-300):

@@ -111,22 +111,25 @@ class _RowStreams:
     of n·4B words, reshaped to (n, 4B) and cut to cols. Lemire's map with a
     power-of-two range never rejects and reduces to a shift, so the raw
     words >> 11 are what Generator.integers returns. uniform_open and
-    standard_normal then map the whole block in one call.
+    standard_normal then map the whole block in one call. Each later call
+    draws the next rows at the same cols, from where the last one ended.
     """
 
     def __init__(self, seed: int, replicate: int, kind: int = _KIND_ROW, start: int = 0) -> None:
         self.seed = seed
         self.path = (int(replicate), int(kind))
         self.start = int(start)
+        self._philox = None
 
     def integers(self, low, high, size, dtype) -> NDArray[np.uint64]:
         if (low, high, dtype) != (0, 1 << 53, np.uint64):
             raise ValueError("row streams draw only 53-bit integers")
         n, cols = size
         blocks = -(-cols // 4)
-        philox = rng_stream(self.seed, *self.path).bit_generator
-        philox.advance(self.start * blocks)
-        words = philox.random_raw(4 * blocks * n).reshape(n, 4 * blocks)
+        if self._philox is None:
+            self._philox = rng_stream(self.seed, *self.path).bit_generator
+            self._philox.advance(self.start * blocks)
+        words = self._philox.random_raw(4 * blocks * n).reshape(n, 4 * blocks)
         words >>= np.uint64(11)
         return words[:, :cols]
 
@@ -138,6 +141,15 @@ def _row_normals(seed: int, replicate: int, n: int, p: int, start: int = 0) -> N
 
 def _row_uniforms(seed: int, replicate: int, n: int, cols: int) -> NDArray[np.float64]:
     return uniform_open(_RowStreams(seed, replicate), (n, cols))
+
+
+def _uniform_entries(seed: int, replicate: int, n: int, p: int, c: float) -> NDArray[np.float64]:
+    """Entries uniform on [-c, c]: c * (2u - 1) over row uniforms u, in u's own buffer."""
+    U = _row_uniforms(seed, replicate, n, p)
+    U *= 2.0
+    U -= 1.0
+    U *= c
+    return U
 
 
 @dataclass(frozen=True)
@@ -268,7 +280,7 @@ def _gaussian_draw(model: PopulationModel, seed: int, replicate: int) -> NDArray
     if model.entry_family == "gaussian":
         X = _row_normals(seed, replicate, model.n, model.p)
     else:
-        X = np.sqrt(3.0) * (2.0 * _row_uniforms(seed, replicate, model.n, model.p) - 1.0)
+        X = _uniform_entries(seed, replicate, model.n, model.p, np.sqrt(3.0))
     return _times_shape_root(model, X)
 
 
@@ -283,8 +295,9 @@ def _elliptical_check(model: PopulationModel) -> dict:
 
 def _sphere_rows(seed: int, replicate: int, n: int, p: int, start: int = 0) -> NDArray[np.float64]:
     G = _row_normals(seed, replicate, n, p, start)
-    norms = np.linalg.norm(G, axis=1, keepdims=True)
-    return np.sqrt(p) * (G / norms)
+    G /= np.linalg.norm(G, axis=1, keepdims=True)
+    G *= np.sqrt(p)
+    return G
 
 
 def sample_sphere(p: int, seed: int, replicate: int = 0, row: int = 0) -> NDArray[np.float64]:
@@ -314,8 +327,8 @@ def _elliptical_draw(model: PopulationModel, seed: int, replicate: int) -> NDArr
 
     The mixing scalars come from a stream independent of every row stream.
     """
-    lam = _mixing_values(model, seed, replicate)
-    rows = lam[:, None] * _sphere_rows(seed, replicate, model.n, model.p)
+    rows = _sphere_rows(seed, replicate, model.n, model.p)
+    rows *= _mixing_values(model, seed, replicate)[:, None]
     return rows if model._identity_shape else rows @ model.shape.T
 
 
@@ -348,6 +361,8 @@ _QUANTILE_KNOTS = 2048
 # Entries a quantile call maps at once, so that its temporaries (t, j, s, y_s)
 # hold one chunk rather than the whole n x p block.
 _QUANTILE_CHUNK = 1 << 12
+# Uniforms an lb_ball draw holds at once, rather than all n x (2p + 1).
+_LB_BALL_BLOCK = 1 << 18
 
 
 def _logit(u: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -426,19 +441,28 @@ def _lb_ball_draw(model: PopulationModel, seed: int, replicate: int) -> NDArray[
     Construction: entries g_i with density ~ exp(-|t|^b) (magnitudes are
     Gamma(1/b)^(1/b), the Gamma draws by _gamma_quantile), an independent
     Exp(1) variable W, and row = g / (sum |g_i|^b + W)^(1/b), which is
-    uniform in the unit ball; the row is then scaled by p^(1/b). After the
-    row sums, the Gamma draws become the rows in place, in that order, so
-    the draw holds one n x p array besides the uniforms.
+    uniform in the unit ball; the row is then scaled by p^(1/b). Rows are
+    drawn in blocks of about _LB_BALL_BLOCK uniforms, one after another from
+    one row stream, so the bytes do not depend on the blocking. After a
+    block's row sums, its Gamma draws become its rows in place, in that
+    order, so the draw holds one n x p array and one block of uniforms.
     """
     n, p, b = model.n, model.p, float(model.b_exponent)
-    U = _row_uniforms(seed, replicate, n, 2 * p + 1)
-    out = _gamma_quantile(1.0 / b)(U[:, :p], out=np.empty((n, p)))
-    w_exp = -np.log1p(-U[:, 2 * p])
-    denom = np.power(np.sum(out, axis=1) + w_exp, 1.0 / b)
-    np.power(out, 1.0 / b, out=out)
-    np.negative(out, out=out, where=U[:, p : 2 * p] < 0.5)
-    out /= denom[:, None]
-    out *= p ** (1.0 / b)
+    quantile = _gamma_quantile(1.0 / b)
+    out = np.empty((n, p))
+    streams = _RowStreams(seed, replicate)
+    step = max(1, _LB_BALL_BLOCK // (2 * p + 1))
+    for start in range(0, n, step):
+        rows = min(step, n - start)
+        U = uniform_open(streams, (rows, 2 * p + 1))
+        block = quantile(U[:, :p], out=out[start : start + rows])
+        w_exp = -np.log1p(-U[:, 2 * p])
+        denom = np.power(np.sum(block, axis=1) + w_exp, 1.0 / b)
+        np.power(block, 1.0 / b, out=block)
+        np.negative(block, out=block, where=U[:, p : 2 * p] < 0.5)
+        block /= denom[:, None]
+        block *= p ** (1.0 / b)
+        del U  # before the next block's uniforms are drawn
     return out
 
 
@@ -461,12 +485,13 @@ def _bounded_iid_check(model: PopulationModel) -> None:
 
 def _bounded_iid_draw(model: PopulationModel, seed: int, replicate: int) -> NDArray[np.float64]:
     """i.i.d. entries uniform on [-bound, bound]."""
-    return float(model.bound) * (2.0 * _row_uniforms(seed, replicate, model.n, model.p) - 1.0)
+    return _uniform_entries(seed, replicate, model.n, model.p, float(model.bound))
 
 
 # One record per family: the model-JSON keys it reads beside family, n, p, d and mu;
 # check, which validates a model and returns any fields it normalizes; draw, a checked
-# model's rows before its location; scatter, (T, nu) with row covariance int l^2 dnu T.
+# model's rows before its location, in a fresh array that sample_model adds it to;
+# scatter, (T, nu) with row covariance int l^2 dnu T.
 _Family = namedtuple("_Family", "keys check draw scatter")
 _FAMILIES = {
     "gaussian": _Family(
@@ -493,7 +518,9 @@ _FIELD_OF_KEY = {"b": "b_exponent"}
 
 def sample_model(model: PopulationModel, seed: int, replicate: int = 0) -> NDArray[np.float64]:
     """Draw the model's n x d data matrix: its family's draw plus its location."""
-    return _FAMILIES[model.family].draw(model, seed, replicate) + model.location
+    Y = _FAMILIES[model.family].draw(model, seed, replicate)
+    Y += model.location
+    return Y
 
 
 def sample_gaussian_copula(n: int, R, seed: int, replicate: int = 0) -> NDArray[np.float64]:

@@ -1,5 +1,7 @@
 """Dense symmetric kernels against independent oracles and matrix identities."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from rmtlaw._serialize import write_matrix_csv, write_spectrum_csv
+from rmtlaw.elliptical_solver import scaled_gram
 from rmtlaw.linalg import (
+    SYM_RTOL,
+    as_corr_matrix,
     as_sym_matrix,
     corr_from_cov,
     load_matrix_csv,
@@ -74,6 +79,20 @@ class TestSymEigenvalues:
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):
             sym_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_exactly_symmetric_input_is_not_copied(self):
+        # X'X goes to eigvalsh as it is: beside it, only boolean masks.
+        p = 300
+        X = np.random.Generator(np.random.Philox(8)).normal(size=(400, p))
+        A = X.T @ X
+        sym_eigenvalues(A)
+        tracemalloc.start()
+        try:
+            sym_eigenvalues(A)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * p * p
 
 
 class TestOperatorNorm:
@@ -244,6 +263,60 @@ class TestAsSymMatrix:
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
             as_sym_matrix(np.ones((2, 3)))
+
+    @pytest.mark.parametrize(
+        "A",
+        [
+            [[1.5e308, 1.0], [1.0, 1.0]],  # exactly symmetric
+            [[1.0, 1.5e308], [np.nextafter(1.5e308, 0.0), 1.0]],  # within SYM_RTOL
+        ],
+    )
+    def test_entries_near_float_max_stay_finite(self, A):
+        A = np.array(A)
+        assert np.max(np.abs(A - A.T)) <= SYM_RTOL * np.max(np.abs(A))
+        with np.errstate(over="raise"):
+            S = as_sym_matrix(A)
+        assert S[0, 1] == S[1, 0] and np.all(np.isfinite(S))
+        assert np.all(np.isfinite(sym_eigenvalues(A)))
+
+
+class TestInputsUntouched:
+    """Results are built in arrays of their own: the caller's are never
+    shared, changed or made read-only."""
+
+    @pytest.mark.parametrize("check", [as_sym_matrix, as_corr_matrix])
+    @pytest.mark.parametrize("nudge", [0.0, 1e-14])
+    def test_validated_matrix_shares_no_memory(self, check, nudge):
+        A = toeplitz_corr(5, 0.5)
+        A[0, 1] += nudge
+        for M in (A, A.T, np.asfortranarray(A)):
+            before = M.tobytes()
+            S = check(M)
+            assert not np.shares_memory(S, M)
+            assert S.flags.writeable and M.flags.writeable and M.tobytes() == before
+
+    def test_sym_eigenvalues_leaves_input(self):
+        tiny = np.full((4, 4), 1e-160)  # entries below eps^2 max|A| are zeroed
+        tiny[0, 1] = tiny[1, 0] = 2.5
+        for M in (tiny, toeplitz_corr(6, 0.3), np.asfortranarray(tiny)):
+            before = M.tobytes()
+            sym_eigenvalues(M)
+            assert M.tobytes() == before
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            sample_covariance,
+            sample_correlation,
+            lambda Y: scaled_gram(Y, 3),
+            lambda Y: corr_from_cov(Y.T @ Y),
+        ],
+    )
+    def test_data_matrix_unchanged(self, build):
+        Y = np.random.Generator(np.random.Philox(3)).normal(size=(20, 5)) + 2.0
+        before = Y.tobytes()
+        M = build(Y)
+        assert Y.tobytes() == before and not np.shares_memory(M, Y)
 
 
 class TestCsvRoundTrips:

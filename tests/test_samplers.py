@@ -196,10 +196,33 @@ class TestRowStreams:
 
     @pytest.mark.parametrize("b", [1.0, 1.3, 2.0])
     @pytest.mark.parametrize("seed", [0, 2**70 + 11])
-    def test_lb_ball_equals_per_row_reference(self, b, seed):
+    def test_lb_ball_equals_per_row_reference(self, b, seed, monkeypatch):
         for p in (1, 7, 120):
             got = draw("lb_ball", 40, p, seed, replicate=3, b_exponent=b)
             assert got.tobytes() == _lb_ball_reference(40, p, b, seed, 3).tobytes()
+        # Blocks of 1000 uniforms hold 4 rows of 241: 42 rows are 10 whole
+        # blocks and a partial one, drawn one after another.
+        monkeypatch.setattr(samplers, "_LB_BALL_BLOCK", 1000)
+        got = draw("lb_ball", 42, 120, seed, replicate=3, b_exponent=b)
+        assert got.tobytes() == _lb_ball_reference(42, 120, b, seed, 3).tobytes()
+
+    def test_lb_ball_holds_one_block_of_uniforms(self, monkeypatch):
+        # 5000 x 241 uniforms are 4.6 blocks. The draw holds its n x p rows
+        # and one block, never all n x (2p + 1) uniforms, and its bytes equal
+        # those of the draw in one block.
+        n, p = 5000, 120
+        model = PopulationModel(family="lb_ball", n=n, p=p, b_exponent=1.5)
+        assert n * (2 * p + 1) > 4 * samplers._LB_BALL_BLOCK
+        sample_model(model, 2)
+        tracemalloc.start()
+        try:
+            Y = sample_model(model, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * (2 * p + 1)
+        monkeypatch.setattr(samplers, "_LB_BALL_BLOCK", n * (2 * p + 1))
+        assert sample_model(model, 2).tobytes() == Y.tobytes()
 
     @pytest.mark.parametrize("seed", [0, 2**32 + 3])
     def test_bounded_iid_equals_per_row_reference(self, seed):
@@ -223,8 +246,8 @@ class TestRowStreams:
 class TestShortRows:
     """A row of cols < 4k columns still takes k whole Philox blocks; the
     unused words at its end are skipped, not handed to the next row. A
-    block drawn in cuts + 1 chunks, each from its own start, equals the
-    block drawn at once."""
+    block drawn in cuts + 1 chunks, each from its own start or each after
+    the last on one _RowStreams, equals the block drawn at once."""
 
     @pytest.mark.parametrize("cols", [1, 4, 31, 32])
     @pytest.mark.parametrize("seed, replicate", [(0, 0), (2**70 + 11, 2**33)])
@@ -238,6 +261,9 @@ class TestShortRows:
             standard_normal(_RowStreams(seed, replicate, start=a), (b - a, cols))
             for a, b in zip(starts, starts[1:])
         ]
+        assert np.vstack(chunks).tobytes() == G.tobytes()
+        streams = _RowStreams(seed, replicate)  # chunks drawn one after another
+        chunks = [standard_normal(streams, (b - a, cols)) for a, b in zip(starts, starts[1:])]
         assert np.vstack(chunks).tobytes() == G.tobytes()
         for a, b in zip(starts, starts[1:]):  # the first and last row of each chunk
             for i in (a, b - 1):
@@ -323,12 +349,16 @@ class TestShapeRoot:
 
     @pytest.mark.parametrize("family", ["gaussian", "sphere_elliptical", "gaussian_copula"])
     def test_shape_read_only(self, family):
-        given = np.eye(3)
-        model = PopulationModel(family=family, n=5, p=3, shape=given)
-        with pytest.raises(ValueError, match="read-only"):
-            model.shape[0, 1] = 0.5
-        given[0, 1] = 0.5  # the caller's array is left writable and unshared
-        assert model.shape[0, 1] == 0.0
+        # An exactly symmetric shape passes its check without a copy; the
+        # model still keeps a copy of its own.
+        for r in (0.0, 0.5):
+            given = toeplitz_corr(3, r)
+            model = PopulationModel(family=family, n=5, p=3, shape=given)
+            with pytest.raises(ValueError, match="read-only"):
+                model.shape[0, 1] = 0.75
+            assert given.flags.writeable and not np.shares_memory(given, model.shape)
+            given[0, 1] = 0.75  # the caller's array is left writable and unshared
+            assert model.shape[0, 1] == r
 
 
 def _gamma(k):
