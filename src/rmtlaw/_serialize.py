@@ -3,8 +3,8 @@
 All CLI-visible numeric output flows through these helpers so reruns are
 byte-identical. JSON objects are emitted with sorted keys and floats printed
 with %.17g (json.dumps would use shortest-repr floats, which is also
-deterministic but not 17 significant digits). Float arrays are formatted
-in bulk, each distinct value once, with the same bytes as one by one.
+deterministic but not 17 significant digits). CSV tables are printed a row
+at a time with the same %.17g.
 """
 
 from __future__ import annotations
@@ -26,31 +26,6 @@ __all__ = [
 def fmt(x: float) -> str:
     """Format a finite float with 17 significant digits."""
     return "%.17g" % float(x)
-
-
-def _format_floats(a, target: str) -> np.ndarray:
-    """``fmt`` of every entry, as an object array of str with a's shape.
-
-    Each distinct bit pattern is formatted once. Distinctness is decided
-    on the uint64 view, not the float values, so -0.0 ("-0") stays apart
-    from 0.0 ("0"). A non-finite entry raises, naming the first one in C
-    order.
-    """
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    finite = np.isfinite(a)
-    if not finite.all():
-        x = float(a.flat[np.argmin(finite)])
-        raise ValueError(f"non-finite value {x!r} cannot be serialized to {target}")
-    bits, inv = np.unique(a.view(np.uint64).ravel(), return_inverse=True)
-    strs = np.array(list(map("%.17g".__mod__, bits.view(np.float64).tolist())), dtype=object)
-    return strs[inv].reshape(a.shape)
-
-
-def _nest(rows: list, ndim: int) -> str:
-    """JSON text of the nested lists of formatted numbers that tolist() gives."""
-    if ndim == 1:
-        return "[" + ", ".join(rows) + "]"
-    return "[" + ", ".join(_nest(r, ndim - 1) for r in rows) + "]"
 
 
 def _escape(s: str) -> str:
@@ -90,8 +65,6 @@ def _dump(obj) -> str:
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(_dump(v) for v in obj) + "]"
     if isinstance(obj, np.ndarray):
-        if obj.dtype.kind == "f" and obj.ndim >= 1:
-            return _nest(_format_floats(obj, "JSON").tolist(), obj.ndim)
         return _dump(obj.tolist())
     raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
 
@@ -165,9 +138,23 @@ def _write_lines(path, lines) -> None:
         fh.writelines(line + "\n" for line in lines)
 
 
+def _table_lines(table) -> list[str]:
+    """CSV lines of a 1-d array, one value a line, or of a 2-d array, one row
+    a line, each value as fmt writes it; a non-finite entry raises, naming
+    the first one in C order."""
+    table = np.asarray(table, dtype=np.float64)
+    finite = np.isfinite(table)
+    if not finite.all():
+        x = float(table.flat[np.argmin(finite)])
+        raise ValueError(f"non-finite value {x!r} cannot be serialized to CSV")
+    if table.ndim == 1:
+        return list(map("%.17g".__mod__, table.tolist()))
+    row = ",".join(["%.17g"] * table.shape[1])
+    return list(map(row.__mod__, map(tuple, table.tolist())))
+
+
 def write_density_csv(path, xs, density, cdf) -> None:
-    table = _format_floats(np.column_stack([xs, density, cdf]), "CSV").tolist()
-    _write_lines(path, ["x,density,cdf", *map(",".join, table)])
+    _write_lines(path, ["x,density,cdf", *_table_lines(np.column_stack([xs, density, cdf]))])
 
 
 def write_spectrum_csv(path, eigs) -> None:
@@ -176,11 +163,11 @@ def write_spectrum_csv(path, eigs) -> None:
         raise ValueError("spectrum must be 1-d")
     if eigs.size and np.any(np.diff(eigs) < 0):
         raise ValueError("spectrum must be sorted ascending")
-    _write_lines(path, _format_floats(eigs, "CSV").tolist())
+    _write_lines(path, _table_lines(eigs))
 
 
 def write_matrix_csv(path, M) -> None:
     M = np.asarray(M, dtype=np.float64)
     if M.ndim != 2:
         raise ValueError("matrix must be 2-d")
-    _write_lines(path, map(",".join, _format_floats(M, "CSV").tolist()))
+    _write_lines(path, _table_lines(M))

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 from typing import Optional
 
 import numpy as np
@@ -31,7 +32,6 @@ from .concentration import (
     angle_diagnostic,
     norm_diagnostic,
     population_covariance,
-    report_to_json_dict,
     verify_copula,
     verify_lemma6,
     verify_quadform,
@@ -263,7 +263,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         report, ok = verify_copula(seed=args.seed)
     else:
         report, ok = verify_tightness(seed=args.seed)
-    _print_json(args, report_to_json_dict(report, ok), args.out)
+    _print_json(args, {**asdict(report), "ok": ok}, args.out)
     return 0 if ok else 4
 
 

@@ -10,7 +10,7 @@ operator-norm bound of the Gaussian-copula covariance lives here too.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable, Sequence, TypeVar
 
 import numpy as np
@@ -44,7 +44,6 @@ __all__ = [
     "verify_quadform",
     "verify_copula",
     "verify_tightness",
-    "report_to_json_dict",
 ]
 
 # Tail thresholds are placed at these multiples of sqrt(n)/(p*v), the
@@ -88,10 +87,6 @@ class ConcentrationReport:
     def __post_init__(self) -> None:
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
-
-
-def report_to_json_dict(report: ConcentrationReport, ok: bool) -> dict:
-    return {**asdict(report), "ok": ok}
 
 
 def empirical_stieltjes(eigs, z: complex) -> complex:
@@ -239,9 +234,14 @@ def angle_diagnostic(Y) -> tuple[float, NDArray[np.int64]]:
     p = Y.shape[1]
     gram = Y @ Y.T
     gram /= p
-    off = np.abs(gram[np.triu_indices(Y.shape[0], k=1)])
-    counts, _ = np.histogram(np.minimum(off, 1.0), bins=ANGLE_BINS, range=(0.0, 1.0))
-    return float(off.max()), counts.astype(np.int64)
+    # A boolean mask takes n^2 bytes where np.triu_indices takes n^2 int64s.
+    off = gram[np.triu(np.ones(gram.shape, dtype=bool), k=1)]
+    del gram
+    np.abs(off, out=off)
+    angle_max = float(off.max())
+    np.minimum(off, 1.0, out=off)
+    counts, _ = np.histogram(off, bins=ANGLE_BINS, range=(0.0, 1.0))
+    return angle_max, counts.astype(np.int64)
 
 
 def copula_norm_bound(R) -> float:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from rmtlaw import cli
 from rmtlaw.concentration import (
     _EXACT_ZERO,
     ConcentrationReport,
@@ -14,7 +15,6 @@ from rmtlaw.concentration import (
     parallel_map,
     population_covariance,
     quadratic_form_deviation,
-    report_to_json_dict,
     stieltjes_concentration_mc,
     tightness_check,
     verify_copula,
@@ -105,11 +105,14 @@ class TestParallelMap:
 
 
 class TestReport:
-    def test_json_dict(self):
+    def test_json_dict(self, monkeypatch, capsys):
+        # verify prints a report as its fields and the suite's verdict.
         report = ConcentrationReport(statistic="x", dims=[5], reps=2, seed=3)
-        out = report_to_json_dict(report, ok=True)
-        assert out["ok"] is True
-        assert out["dims"] == [5]
+        monkeypatch.setattr(cli, "verify_tightness", lambda seed: (report, True))
+        assert cli.main(["verify", "--suite", "tightness"]) == 0
+        assert capsys.readouterr().out == (
+            '{"details": {}, "dims": [5], "ok": true, "reps": 2, "seed": 3, "statistic": "x"}\n'
+        )
 
 
 class TestStieltjesMc:

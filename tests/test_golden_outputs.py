@@ -72,7 +72,10 @@ experiment's second KS value and ks_distance, in their 15th and 16th
 digits. Over the three solve cases the density moved by at most
 5.1e-12 and the CDF by at most 3.4e-15. mp_atom_at_zero, a one-atom law
 whose start is exact, and the elliptical experiment's values did not
-move.
+move. The JSON `diagnose --model` prints at seed 5 is pinned by its sha256
+for a Toeplitz gaussian with --center, a two-atom sphere_elliptical and an
+lb_ball; they were pinned on unchanged code, before JSON float arrays
+began to go through the per-element writer.
 """
 
 import hashlib
@@ -315,4 +318,45 @@ VERIFY_CASES = {
 def test_verify_pinned(capsys, suite):
     extra, sha = VERIFY_CASES[suite]
     assert cli.main(["verify", "--suite", suite, "--seed", "0", *extra]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha
+
+
+# name -> (model JSON, extra flags, sha256 of the JSON diagnose prints at
+# seed 5). Its bin edges are the only float arrays any command writes to JSON.
+DIAGNOSE_CASES = {
+    "gaussian_toeplitz_center": (
+        {
+            "family": "gaussian",
+            "n": 120,
+            "p": 60,
+            "shape": {"kind": "toeplitz", "r": 0.4},
+            "mu": [j / 10.0 for j in range(60)],
+        },
+        ["--center"],
+        "8f3609a9b47cb85282d2237711fe7827ecb3437e007c2f529ba3c9cbdc93c478",
+    ),
+    "sphere_two_atom": (
+        {
+            "family": "sphere_elliptical",
+            "n": 100,
+            "p": 50,
+            "mixing": _atoms([0.5, 1.5], [0.5, 0.5]),
+        },
+        [],
+        "17204fee179aa6ca71fb50db7040c6d2a2aff5a7dbeea5aa872a6038fedd2a5c",
+    ),
+    "lb_ball": (
+        {"family": "lb_ball", "n": 100, "p": 50, "b": 1.5},
+        [],
+        "bcd9f771c273262d29ec9b7a906f7115da82fb64819ec6820e167b8450c3ca96",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIAGNOSE_CASES))
+def test_diagnose_pinned(tmp_path, capsys, name):
+    model, extra, sha = DIAGNOSE_CASES[name]
+    source = tmp_path / "model.json"
+    source.write_text(json.dumps(model))
+    assert cli.main(["diagnose", "--model", str(source), "--seed", "5", *extra]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha

@@ -106,7 +106,7 @@ class TestJsonDumps:
 
 
 def _reference_dump(obj) -> str:
-    """The per-element JSON writer that bulk formatting must reproduce."""
+    """The per-element JSON writer that json_dumps must reproduce."""
     if isinstance(obj, list):
         return "[" + ", ".join(_reference_dump(v) for v in obj) + "]"
     if isinstance(obj, dict):
