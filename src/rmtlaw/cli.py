@@ -227,8 +227,8 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     if hi - lo < 50 * np.spacing(max(abs(lo), abs(hi), 1.0)):
         lo, hi = lo - 0.5, hi + 0.5
     norm_hist, norm_edges = np.histogram(norm_values, bins=50, range=(lo, hi))
-    S = sample_covariance(Y)
-    lemma5_stat = float(np.max(np.abs(np.sqrt(np.maximum(np.diag(S), 0.0)) - 1.0)))
+    # Only the column variances, diag(S), enter: no p x p covariance is built.
+    lemma5_stat = float(np.max(np.abs(np.sqrt(np.var(Y, axis=0, ddof=1)) - 1.0)))
     concentrated = norm_max <= args.norm_threshold and angle_max <= args.angle_threshold
     out = {
         "norm": {

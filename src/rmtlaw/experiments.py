@@ -109,8 +109,8 @@ def ks_distance(eigs, xs, cdf) -> float:
         raise ValueError("cdf must be nondecreasing")
     if eigs[0] < xs[0] or eigs[-1] > xs[-1]:
         raise ValueError(
-            f"grid [{xs[0]!r}, {xs[-1]!r}] does not cover the spectrum "
-            f"[{eigs[0]!r}, {eigs[-1]!r}]"
+            f"grid [{float(xs[0])!r}, {float(xs[-1])!r}] does not cover the spectrum "
+            f"[{float(eigs[0])!r}, {float(eigs[-1])!r}]"
         )
     count = eigs.size
     F_at = np.interp(eigs, xs, F)

@@ -1,15 +1,16 @@
 """Seed-deterministic samplers for every data family used in the experiments.
 
 All randomness flows through counter-based Philox streams, one per (seed,
-replicate, kind) (rng_stream; Salmon, Moraes, Dror & Shaw, SC 2011). Rows
-draw from kind 0: in an n x cols block, row i takes the B = ceil(cols/4)
-four-word Philox blocks from block i*B on, so the whole block is one
-advance and one random_raw call, reshaped to (n, 4B) and cut to cols. A
-row is a pure function of (seed, replicate, kind, i, cols): any run of
-rows, or one row alone (sample_sphere's row argument), is drawn on its own
-from its first row's block, shrinking n keeps a prefix of the rows, and a
-row's words change with cols, since cols sets where the row starts. The
-elliptical mixing scalars come from kind 1. Each family has one record in
+replicate, kind) (rng_stream; Salmon, Moraes, Dror & Shaw, SC 2011), and
+every draw reads its stream as a block of rows (_RowStreams): in an n x cols
+block, row i takes the B = ceil(cols/4) four-word Philox blocks from block
+i*B on, so the whole block is one advance and one random_raw call, reshaped
+to (n, 4B) and cut to cols. A row is a pure function of (seed, replicate,
+kind, i, cols): any run of rows, or one row alone (sample_sphere's row
+argument), is drawn on its own from its first row's block, shrinking n keeps
+a prefix of the rows, and a row's words change with cols, since cols sets
+where the row starts. Data rows draw from kind 0; the elliptical mixing
+scalars are row 0 of kind 1, n columns wide. Each family has one record in
 one table: the model-JSON keys it reads, its checks, its draw and its row
 scatter, which the row covariance and the limit laws are read from.
 sample_model adds the model's location to its family's draw. gaussian and
@@ -71,22 +72,19 @@ def rng_stream(seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def uniform_open(rng: np.random.Generator | _RowStreams, size) -> NDArray[np.float64]:
-    """Uniforms strictly inside (0, 1): (k + 1/2)/2^53 over 53-bit integers.
+def uniform_open(streams: _RowStreams, size: tuple[int, int]) -> NDArray[np.float64]:
+    """An (n, cols) block of uniforms strictly inside (0, 1): (k + 1/2)/2^53
+    over the next n rows' 53-bit words k of streams.
 
     Above 1/2, k + 1/2 rounds to even, so the values lie on a 2^-52 lattice
     there, and k = 2^53 - 1 would round to 1: the result is clamped at
-    1 - 2^-53. The values span [2^-54, 1 - 2^-53]. rng is a Generator, or a
-    _RowStreams block of rows. A block of rows is converted in the words' own
-    buffer, _UNIFORM_CHUNK entries at a time, so it holds no second copy.
+    1 - 2^-53. The values span [2^-54, 1 - 2^-53]. The block is converted in
+    the words' own buffer, _UNIFORM_CHUNK entries at a time, so it holds no
+    second copy.
     """
-    k = rng.integers(0, 1 << 53, size=size, dtype=np.uint64)
-    if np.ndim(k) != 2:
-        u = (k.astype(np.float64) + 0.5) * 2.0**-53
-        # A scalar u has no buffer.
-        return np.minimum(u, _U_MAX, out=u if np.ndim(u) else None)
+    k = streams.words(*size)
     u = k.view(np.float64)
-    rows = max(1, _UNIFORM_CHUNK // max(1, k.shape[1]))
+    rows = max(1, _UNIFORM_CHUNK // k.shape[1])
     for start in range(0, len(k), rows):
         chunk = u[start : start + rows]
         np.add(k[start : start + rows], 0.5, out=chunk)
@@ -95,24 +93,23 @@ def uniform_open(rng: np.random.Generator | _RowStreams, size) -> NDArray[np.flo
     return u
 
 
-def standard_normal(rng: np.random.Generator | _RowStreams, size) -> NDArray[np.float64]:
-    """Standard normals by inverse CDF of open-interval uniforms."""
+def standard_normal(streams: _RowStreams, size: tuple[int, int]) -> NDArray[np.float64]:
+    """An (n, cols) block of standard normals: ndtri of uniform_open's block, in its buffer."""
     from scipy.special import ndtri  # here, not at import: the law commands never sample
 
-    u = uniform_open(rng, size)
-    return ndtri(u, out=u if np.ndim(u) else None)
+    u = uniform_open(streams, size)
+    return ndtri(u, out=u)
 
 
 class _RowStreams:
-    """Rows start, start + 1, ... of the stream rng_stream(seed, replicate, kind).
+    """Rows start, start + 1, ... of the stream rng_stream(seed, replicate, kind),
+    the only reader of a stream.
 
-    integers(0, 2**53, (n, cols), uint64) gives row i the B = ceil(cols/4)
-    Philox blocks from block (start + i)·B on: one advance and one random_raw
-    of n·4B words, reshaped to (n, 4B) and cut to cols. Lemire's map with a
-    power-of-two range never rejects and reduces to a shift, so the raw
-    words >> 11 are what Generator.integers returns. uniform_open and
-    standard_normal then map the whole block in one call. Each later call
-    draws the next rows at the same cols, from where the last one ended.
+    words(n, cols) gives row i the B = ceil(cols/4) Philox blocks from block
+    (start + i)·B on: one advance and one random_raw of n·4B words, reshaped
+    to (n, 4B), cut to cols and shifted right by 11 to 53 bits. uniform_open
+    and standard_normal then map the whole block in one call. Each later
+    call draws the next rows at the same cols, from where the last one ended.
     """
 
     def __init__(self, seed: int, replicate: int, kind: int = _KIND_ROW, start: int = 0) -> None:
@@ -121,10 +118,7 @@ class _RowStreams:
         self.start = int(start)
         self._philox = None
 
-    def integers(self, low, high, size, dtype) -> NDArray[np.uint64]:
-        if (low, high, dtype) != (0, 1 << 53, np.uint64):
-            raise ValueError("row streams draw only 53-bit integers")
-        n, cols = size
+    def words(self, n: int, cols: int) -> NDArray[np.uint64]:
         blocks = -(-cols // 4)
         if self._philox is None:
             self._philox = rng_stream(self.seed, *self.path).bit_generator
@@ -315,8 +309,7 @@ def _mixing_values(model: PopulationModel, seed: int, replicate: int) -> NDArray
     if model.mixing_schedule:
         probs = (np.arange(model.n) + 0.5) / model.n
     else:
-        rng = rng_stream(seed, replicate, _KIND_MIXING)
-        probs = uniform_open(rng, model.n)
+        probs = uniform_open(_RowStreams(seed, replicate, _KIND_MIXING), (1, model.n))[0]
     cum = np.cumsum(nu.weights)
     idx = np.searchsorted(cum, probs, side="left")
     return nu.values[np.minimum(idx, nu.n_atoms - 1)]
@@ -358,11 +351,10 @@ def _lb_ball_check(model: PopulationModel) -> None:
 
 
 _QUANTILE_KNOTS = 2048
-# Entries a quantile call maps at once, so that its temporaries (t, j, s, y_s)
-# hold one chunk rather than the whole n x p block.
-_QUANTILE_CHUNK = 1 << 12
-# Uniforms an lb_ball draw holds at once, rather than all n x (2p + 1).
-_LB_BALL_BLOCK = 1 << 18
+# Uniforms an lb_ball draw holds at once, rather than all n x (2p + 1): about
+# 2^12 Gamma entries, so that the quantile's temporaries (t, j, s, y_s) stay
+# in cache.
+_LB_BALL_BLOCK = 1 << 13
 
 
 def _logit(u: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -383,7 +375,7 @@ def _gamma_quantile(a: float) -> Callable[..., NDArray[np.float64]]:
     interval's own spacing, so no special function runs per entry. It is
     within about 4e-14 relative of scipy's inverse for a in [1/2, 1], and
     nondecreasing in u. Each entry is the same elementwise computation
-    whatever chunk holds it.
+    whatever block holds it.
     """
     # here, not at import: the law commands never sample
     from scipy.special import expit, gammainccinv, gammaincinv, gammaln
@@ -415,22 +407,19 @@ def _gamma_quantile(a: float) -> Callable[..., NDArray[np.float64]]:
     last = _QUANTILE_KNOTS - 2
 
     def quantile(u: NDArray[np.float64], out: NDArray[np.float64]) -> NDArray[np.float64]:
-        rows = max(1, _QUANTILE_CHUNK * len(u) // u.size)
-        for start in range(0, len(u), rows):
-            t = _logit(u[start : start + rows])
-            # The interval from t's offset in steps, corrected by one against
-            # the knots themselves: knots[j] <= t < knots[j + 1].
-            j = np.clip(((t - knots[0]) / step).astype(np.intp), 0, last)
-            j -= t < knots[j]
-            j += t >= knots[j + 1]
-            np.minimum(j, last, out=j)
-            s = (t - knots[j]) / h[j]
-            y_s = coef[5].take(j)
-            for c in coef[4::-1]:
-                y_s *= s
-                y_s += c.take(j)
-            np.exp(y_s, out=out[start : start + rows])
-        return out
+        t = _logit(u)
+        # The interval from t's offset in steps, corrected by one against
+        # the knots themselves: knots[j] <= t < knots[j + 1].
+        j = np.clip(((t - knots[0]) / step).astype(np.intp), 0, last)
+        j -= t < knots[j]
+        j += t >= knots[j + 1]
+        np.minimum(j, last, out=j)
+        s = (t - knots[j]) / h[j]
+        y_s = coef[5].take(j)
+        for c in coef[4::-1]:
+            y_s *= s
+            y_s += c.take(j)
+        return np.exp(y_s, out=out)
 
     return quantile
 

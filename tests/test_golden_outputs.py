@@ -333,7 +333,7 @@ DIAGNOSE_CASES = {
             "mu": [j / 10.0 for j in range(60)],
         },
         ["--center"],
-        "8f3609a9b47cb85282d2237711fe7827ecb3437e007c2f529ba3c9cbdc93c478",
+        "d768b11a6a829c62866bf8056f487394b237033046074b7b654f5f4e065f8489",
     ),
     "sphere_two_atom": (
         {
@@ -348,7 +348,7 @@ DIAGNOSE_CASES = {
     "lb_ball": (
         {"family": "lb_ball", "n": 100, "p": 50, "b": 1.5},
         [],
-        "bcd9f771c273262d29ec9b7a906f7115da82fb64819ec6820e167b8450c3ca96",
+        "bcbedf1a5e51e06e3f3821cd09e55f5a902f77628018a33c74894801df24382b",
     ),
 }
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import json
 import tracemalloc
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 import numpy as np
 import pytest
 from scipy.special import erfcinv, erfinv, expit, gammainccinv, gammaincinv, ndtr, ndtri
@@ -57,34 +57,27 @@ class TestStreams:
         assert np.array_equal(big[:3], small)
 
     def test_uniform_open_strictly_inside(self):
-        u = uniform_open(rng_stream(0, 0), 200000)
+        u = uniform_open(_RowStreams(0, 0), (200, 1000))
         assert np.all(u > 0.0)
         assert np.all(u < 1.0)
         assert abs(u.mean() - 0.5) < 5 * np.sqrt(1.0 / 12 / u.size)
 
     def test_standard_normal_moments(self):
-        g = standard_normal(rng_stream(1, 0), 200000)
+        g = standard_normal(_RowStreams(1, 0), (200, 1000))
         n = g.size
         assert abs(g.mean()) < 5 / np.sqrt(n)
         assert abs(g.var() - 1.0) < 5 * np.sqrt(2.0 / n)
         # fourth moment 3 for a Gaussian; se of the estimate is sqrt(96/n)
         assert abs(np.mean(g**4) - 3.0) < 5 * np.sqrt(96.0 / n)
 
-    @pytest.mark.parametrize("size", [None, ()])
-    def test_standard_normal_scalar(self, size):
-        # size None (or ()) draws one value and returns a scalar, as numpy does.
-        z = standard_normal(rng_stream(0, 0), size)
-        assert np.ndim(z) == 0
-        assert z == ndtri(uniform_open(rng_stream(0, 0), size)) == 0.5864003712044271
-
     def test_uniform_open_ends(self):
         # k + 1/2 rounds to 2^53 at the top integer, so that one is clamped.
         class Stub:
-            def integers(self, low, high, size, dtype):
-                return np.array([0, 2**53 - 2, 2**53 - 1], dtype=dtype)
+            def words(self, n, cols):
+                return np.array([[0, 2**53 - 2, 2**53 - 1]], dtype=np.uint64)
 
-        u = uniform_open(Stub(), 3)
-        assert u.tolist() == [2.0**-54, 1.0 - 2.0**-52, 1.0 - 2.0**-53]
+        u = uniform_open(Stub(), (1, 3))
+        assert u.tolist() == [[2.0**-54, 1.0 - 2.0**-52, 1.0 - 2.0**-53]]
 
     def test_block_converted_in_place(self):
         # A 2000 x 2001 block's uniforms live in its words' own buffer of
@@ -189,10 +182,6 @@ class TestRowStreams:
             np.random.SeedSequence(seed, spawn_key=(replicate, kind))
         with pytest.raises(ValueError, match=str(expected.value)):
             _row_uniforms(seed, replicate, 2, 3)
-
-    def test_only_53_bit_integers(self):
-        with pytest.raises(ValueError, match="53-bit"):
-            _RowStreams(0, 0).integers(0, 10, (2, 2), np.uint64)
 
     @pytest.mark.parametrize("b", [1.0, 1.3, 2.0])
     @pytest.mark.parametrize("seed", [0, 2**70 + 11])
@@ -457,9 +446,11 @@ class TestRowBlocks:
         assert Y.tobytes() == _lb_ball_reference(self.N, self.P, 1.5, 11, 2).tobytes()
 
     def test_lb_ball_across_quantile_chunks(self):
-        # 301 x 1000 entries span several of the quantile's chunks.
+        # 301 x 2001 uniforms span 76 of the draw's row blocks, each mapped
+        # through the quantile in one pass: 75 of 4 rows and a last of 1.
         n, p = 301, 1000
-        assert n * p > 2 * samplers._QUANTILE_CHUNK
+        step = samplers._LB_BALL_BLOCK // (2 * p + 1)
+        assert n // step > 2 and n % step
         expected = _lb_ball_reference(n, p, 1.25, 4, 1).tobytes()
         assert draw("lb_ball", n, p, 4, replicate=1, b_exponent=1.25).tobytes() == expected
 
@@ -539,6 +530,26 @@ class TestEllipticalMixing:
         norms = np.linalg.norm(Y, axis=1) / np.sqrt(2)
         frac3 = np.mean(norms > 2.0)
         assert abs(frac3 - 0.75) < 5 * np.sqrt(0.25 * 0.75 / 4000)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 2**70),
+        replicate=st.integers(0, 2**40),
+        n=st.one_of(st.integers(1, 2**16 - 1), st.integers(2**16 + 1, 2**16 + 5000)),
+    )
+    @example(seed=7, replicate=2**33, n=2**16 - 1)
+    @example(seed=2**40 + 5, replicate=3, n=2**16 + 1)
+    def test_mixing_values_are_the_kind_1_words(self, seed, replicate, n):
+        # The i.i.d. scalars read the first n words of rng_stream(seed,
+        # replicate, 1), cut to 53 bits, through uniform_open's lattice and
+        # nu's quantile; 64 equal atoms read each uniform to within 1/64.
+        nu = DiscreteMeasure(np.arange(1.0, 65.0), np.full(64, 1.0 / 64))
+        model = PopulationModel(family="sphere_elliptical", n=n, p=1, mixing=nu)
+        k = rng_stream(seed, replicate, 1).bit_generator.random_raw(n) >> np.uint64(11)
+        u = np.minimum((k.astype(np.float64) + 0.5) * 2.0**-53, 1.0 - 2.0**-53)
+        idx = np.minimum(np.searchsorted(np.cumsum(nu.weights), u, side="left"), 63)
+        expected = nu.values[idx]
+        assert samplers._mixing_values(model, seed, replicate).tobytes() == expected.tobytes()
 
     def test_mixing_independent_of_rows(self):
         # Same row-direction draws under different mixing laws.
@@ -634,10 +645,12 @@ class TestGammaQuantile:
         starts = [0, 1 << 30, 1 << 45, (1 << 52) - run // 2, 1 << 52, 3 << 51, (1 << 53) - run]
 
         class Runs:
-            def integers(self, low, high, size, dtype):
-                return np.concatenate([np.arange(k, k + run, dtype=dtype) for k in starts])
+            def words(self, n, cols):
+                runs = [np.arange(k, k + run, dtype=np.uint64) for k in starts]
+                return np.concatenate(runs)[None]
 
-        u = np.sort(np.concatenate([uniform_open(Runs(), None), _knot_neighbours()]))
+        u = uniform_open(Runs(), (1, run * len(starts)))[0]
+        u = np.sort(np.concatenate([u, _knot_neighbours()]))
         assert np.all(np.diff(self.quantile(a, u)) >= 0.0)
 
     def test_exponential_closed_form(self):
