@@ -193,18 +193,18 @@ def elliptical_density_grid_detailed(
     def solve(z, w0):
         return elliptical_solve(z, params, cfg, w0)
 
-    def smooth(z, result):
-        b = mixing_integral(result.w, params.nu, params.theta, params.xi)
-        consistency = np.abs(1.0 + z * result.m - result.w * b)
+    def cdf_of(z, w, m):
+        b = mixing_integral(w, params.nu, params.theta, params.xi)
+        consistency = np.abs(1.0 + z * m - w * b)
         stats = {"max_consistency_residual": float(consistency.max())}
         stats.update(theta=params.theta, rho=params.rho, xi=params.xi)
-        return _elliptical_smoothed_cdf(z, result.w, b, params), stats
+        return _elliptical_smoothed_cdf(z, w, b, params), stats
 
     # rank B = min(n * nu(lam != 0), d * H((0, inf))) with d/n = theta*rho:
     # the rest of the d eigenvalues are 0.
     nu0 = float(params.nu.weights[params.nu.values == 0].sum())
     atom0 = max(1.0 - (1.0 - nu0) / (params.theta * params.rho), params.H.cdf(0.0))
-    return _density_on_grid(solve, smooth, xs, v, atom0)
+    return _density_on_grid(solve, cdf_of, xs, v, atom0)
 
 
 def scaled_gram(X, p: int) -> NDArray[np.float64]:

@@ -48,7 +48,9 @@ class ExperimentSpec:
     gaussian_copula with the elliptical scaled-Gram law. h_override
     replaces the population-matrix spectrum as the solver's H when a
     specific limit law is wanted; by default H is the empirical spectrum
-    of the finite population matrix.
+    of the finite population matrix. check_edge adds the covariance law's
+    largest-eigenvalue limit (solve_edge, which refuses an H with no mass
+    on (0, inf)); the elliptical law has none, and its families refuse it.
     """
 
     model: PopulationModel
@@ -62,6 +64,8 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if self.model.family not in _EXPERIMENTS:
             raise ValueError(f"no limit law for family {self.model.family!r}")
+        if self.check_edge and self.model.family != "gaussian":
+            raise ValueError(f"family {self.model.family!r} does not read check_edge")
         if self.grid_count < 2:
             raise ValueError("grid_count must be >= 2")
         if self.replicates < 1:
@@ -205,9 +209,7 @@ def _correlation_experiment(spec: ExperimentSpec) -> ComparisonResult:
         eig_sets.append(sym_eigenvalues(corr_from_cov(S)))
         lemma5_stats.append(float(np.max(np.abs(np.sqrt(np.diag(S)) - 1.0))))
 
-    edge = None
-    if spec.check_edge and H.support_min > 0:
-        edge = solve_edge(H, model.n / model.p)
+    edge = solve_edge(H, model.n / model.p) if spec.check_edge else None
     top = max(float(e[-1]) for e in eig_sets)
     if edge is not None:
         top = max(top, edge.mu)

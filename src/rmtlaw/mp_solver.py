@@ -7,11 +7,13 @@ and CDFs from the law's log-potential, and computes the almost-sure
 limit of the largest eigenvalue, with its scale c0, from H and n/p alone.
 
 Both this law and the elliptical one are fixed points w = T(w) of maps
-with a closed-form derivative. One array-valued safeguarded-Newton
-kernel solves a grid directly at its height in two passes, coarse to
-fine: every _COARSE_STRIDE-th point from the law's own start, the rest
-from the interpolation of their solved neighbours. One pipeline turns
-the grid solve into a density, a CDF and a summary.
+with a closed-form derivative, solved by one array-valued
+safeguarded-Newton kernel. One function, _density_on_grid, solves a
+law's grid directly at its height in two passes, coarse to fine: every
+_COARSE_STRIDE-th point from the law's own start, the rest from the
+interpolation of their solved neighbours. It hands the grid's w and m
+to the law's cdf_of for the CDF, and returns the density, the CDF and
+a summary.
 """
 
 from __future__ import annotations
@@ -416,60 +418,11 @@ def _mp_smoothed_cdf(
     return (companion - (1.0 - rho) * _cauchy_cdf(z)) / rho
 
 
-def _solve_grid(solve: _Solve, z: NDArray[np.complex128]) -> TransformResult:
-    """Transforms at every point of a grid z = xs + iv, coarse to fine.
-
-    solve is the law's transform solve. The coarse pass solves every
-    _COARSE_STRIDE-th point and the last from the law's own start. w is
-    analytic in z (Silverstein and Choi, J. Multivariate Anal. 54, 1995),
-    so the fine pass starts each other point from the linear
-    interpolation in x of the coarse w, a convex combination of points of
-    C+ and so in C+. Where every coarse point converged on its first
-    evaluation the law's own start is exact (one-atom laws), and the fine
-    pass keeps it. A NumericalError from either pass names its grid index
-    and x.
-    """
-    xs = z.real
-    coarse = np.zeros(z.size, dtype=bool)
-    coarse[::_COARSE_STRIDE] = True
-    coarse[-1] = True
-    w = np.empty(z.shape, dtype=np.complex128)
-    m = np.empty(z.shape, dtype=np.complex128)
-
-    def solve_pass(mask, w0) -> TransformResult:
-        try:
-            result = solve(z[mask], w0)
-        except NumericalError as exc:
-            # The same exception, class and fields kept, naming its grid point.
-            exc.index = int(np.flatnonzero(mask)[exc.index or 0])
-            exc.x = float(xs[exc.index])
-            exc.args = (f"density grid failed at x={exc.x!r}: {exc}",)
-            raise
-        w[mask], m[mask] = result.w, result.m
-        return result
-
-    first = solve_pass(coarse, None)
-    fine = ~coarse
-    if not fine.any():
-        return first
-    w0 = None
-    if first.iterations > first.w.size:
-        at, known = xs[fine], xs[coarse]
-        w0 = np.interp(at, known, first.w.real) + 1j * np.interp(at, known, first.w.imag)
-    second = solve_pass(fine, w0)
-    return TransformResult(
-        z=z,
-        w=w,
-        m=m,
-        residual=max(first.residual, second.residual),
-        iterations=first.iterations + second.iterations,
-    )
-
-
 def _density_on_grid(
     solve: _Solve,
-    smooth: Callable[
-        [NDArray[np.complex128], TransformResult], tuple[NDArray[np.float64], dict]
+    cdf_of: Callable[
+        [NDArray[np.complex128], NDArray[np.complex128], NDArray[np.complex128]],
+        tuple[NDArray[np.float64], dict],
     ],
     xs,
     v: float,
@@ -477,19 +430,27 @@ def _density_on_grid(
 ) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64], dict]:
     """Grid solve, density, CDF and summary shared by both laws.
 
-    _solve_grid solves the grid at xs + iv with the law's transform
-    solve(z, w0), coarse to fine: the fixed point of a self-map of C+ is
-    unique and attracting, so no continuation from greater heights is
-    needed. smooth(z, result) then returns (F, law_stats) on the whole
-    grid: the law convolved with the Cauchy kernel of width v (F' =
-    Im(m)/pi) and the law's own summary entries. The atom at 0, smoothed
-    by that kernel in both m and F, is taken out of the density and
-    enters the CDF as an exact step. Rounding can leave the CDF a few ulps
-    outside [0, 1] or below its left neighbour, so it is clamped to a
-    nondecreasing function in [0, 1]. Returns (xs, density, cdf, stats),
-    stats being law_stats with {atom0_mass, max_residual, v_eps,
-    support_estimate}; the support is the span of density above
-    SUPPORT_THRESHOLD_V_EPS * v.
+    The law's transform solve(z, w0) runs on z = xs + iv directly at
+    height v: the fixed point of a self-map of C+ is unique and
+    attracting, so no continuation from greater heights is needed. It
+    runs coarse to fine. The coarse pass solves every _COARSE_STRIDE-th
+    point and the last from the law's own start. w is analytic in z
+    (Silverstein and Choi, J. Multivariate Anal. 54, 1995), so the fine
+    pass starts each other point from the linear interpolation in x of
+    the coarse w, a convex combination of points of C+ and so in C+.
+    Where every coarse point converged on its first evaluation the law's
+    own start is exact (one-atom laws), and the fine pass keeps it. A
+    NumericalError from either pass names its grid index and x.
+    cdf_of(z, w, m) then returns (F, law_stats) on the whole grid: the law
+    convolved with the Cauchy kernel of width v (F' = Im(m)/pi) and the
+    law's own summary entries. The atom at 0, smoothed by that kernel in
+    both m and F, is taken out of the density and enters the CDF as an
+    exact step. Rounding can leave the CDF a few ulps outside [0, 1] or
+    below its left neighbour, so it is clamped to a nondecreasing
+    function in [0, 1]. Returns (xs, density, cdf, stats), stats being
+    law_stats with {atom0_mass, max_residual, v_eps, support_estimate}:
+    max_residual is the larger of the two passes' residuals, and the
+    support is the span of density above SUPPORT_THRESHOLD_V_EPS * v.
     """
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 1 or xs.size < 2:
@@ -499,9 +460,31 @@ def _density_on_grid(
     if np.any(np.diff(xs) <= 0):
         raise ValueError("xs must be strictly ascending")
     z = xs + 1j * v
-    result = _solve_grid(solve, z)
-    cdf, stats = smooth(z, result)
-    density = np.imag(result.m) / np.pi
+    w = np.empty(z.shape, dtype=np.complex128)
+    m = np.empty(z.shape, dtype=np.complex128)
+    coarse = np.zeros(z.size, dtype=bool)
+    coarse[::_COARSE_STRIDE] = True
+    coarse[-1] = True
+    fine = ~coarse
+    residual, w0 = 0.0, None
+    for mask in (coarse, fine):
+        if not mask.any():
+            break
+        try:
+            result = solve(z[mask], w0)
+        except NumericalError as exc:
+            # The same exception, class and fields kept, naming its grid point.
+            exc.index = int(np.flatnonzero(mask)[exc.index or 0])
+            exc.x = float(xs[exc.index])
+            exc.args = (f"density grid failed at x={exc.x!r}: {exc}",)
+            raise
+        w[mask], m[mask] = result.w, result.m
+        residual = max(residual, result.residual)
+        if mask is coarse and result.iterations > result.w.size:
+            at, known = xs[fine], xs[coarse]
+            w0 = np.interp(at, known, result.w.real) + 1j * np.interp(at, known, result.w.imag)
+    cdf, stats = cdf_of(z, w, m)
+    density = np.imag(m) / np.pi
     if atom0 > 0:
         density = density - atom0 * (v / np.pi) / (xs**2 + v**2)
         cdf = cdf - atom0 * _cauchy_cdf(z) + atom0 * (xs >= 0)
@@ -509,7 +492,7 @@ def _density_on_grid(
     cdf = np.clip(np.maximum.accumulate(cdf), 0.0, 1.0)
     stats.update(
         atom0_mass=atom0,
-        max_residual=result.residual,
+        max_residual=residual,
         v_eps=v,
         support_estimate=estimate_support(xs, density, SUPPORT_THRESHOLD_V_EPS * v),
     )
@@ -535,12 +518,12 @@ def density_grid_detailed(
     def solve(z, w0):
         return mp_companion_solve(z, H, rho, cfg, w0)
 
-    def smooth(z, result):
-        return _mp_smoothed_cdf(z, result.w, H, rho), {"rho": rho}
+    def cdf_of(z, w, m):
+        return _mp_smoothed_cdf(z, w, H, rho), {"rho": rho}
 
     # rank S = min(n, p * H((0, inf))): the rest of the p eigenvalues are 0.
     atom0 = max(1.0 - 1.0 / rho, H.cdf(0.0))
-    return _density_on_grid(solve, smooth, xs, v, atom0)
+    return _density_on_grid(solve, cdf_of, xs, v, atom0)
 
 
 def estimate_support(

@@ -118,6 +118,13 @@ class TestSpecValidation:
         with pytest.raises(TypeError, match="law"):
             ExperimentSpec(model=model, law="mp")
 
+    @pytest.mark.parametrize("family", ["sphere_elliptical", "gaussian_copula"])
+    def test_edge_needs_covariance_family(self, family):
+        # The elliptical law has no edge prediction: check_edge would be ignored.
+        model = PopulationModel(family=family, n=10, p=5)
+        with pytest.raises(ValueError, match=f"family '{family}' does not read check_edge"):
+            ExperimentSpec(model=model, check_edge=True)
+
     def test_grid_count_floor(self):
         model = PopulationModel(family="gaussian", n=10, p=5)
         with pytest.raises(ValueError, match="grid_count"):
@@ -215,6 +222,19 @@ class TestCorrelationExperiment:
         expected = solve_edge(delta(1.0), 2.0).mu
         assert result.mu_prediction == pytest.approx(expected, rel=1e-10)
         assert abs(result.largest_eigenvalue - expected) / expected < 0.15
+
+    def test_edge_prediction_with_atom_at_zero(self):
+        # solve_edge takes an atom at 0 when H has mass on (0, inf).
+        H = DiscreteMeasure(np.array([0.0, 2.0]), np.array([0.5, 0.5]))
+        model = PopulationModel(family="gaussian", n=400, p=200)
+        spec = ExperimentSpec(model=model, check_edge=True, h_override=H)
+        assert run_experiment(spec).mu_prediction == pytest.approx(4.5, rel=1e-10)
+
+    def test_edge_prediction_needs_mass_off_zero(self):
+        model = PopulationModel(family="gaussian", n=40, p=20)
+        spec = ExperimentSpec(model=model, check_edge=True, h_override=delta(0.0))
+        with pytest.raises(ValueError, match=r"mass on \(0, inf\)"):
+            run_experiment(spec)
 
     def test_replicates_average(self):
         model = PopulationModel(family="gaussian", n=100, p=50)

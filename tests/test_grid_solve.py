@@ -1,9 +1,11 @@
 """The grid solve of both laws: two kernel calls per grid at height v_eps,
 coarse to fine, their evaluation budget, the one-atom start, agreement
-with one array solve of the whole grid, and convergence over random laws
-at small heights."""
+with one array solve of the whole grid, convergence over random laws at
+small heights, and the larger of the two passes' residuals reported as
+max_residual."""
 
 from contextlib import contextmanager
+from functools import partial
 
 import numpy as np
 import pytest
@@ -322,3 +324,38 @@ class TestConvergence:
                 params, wide_span(scale, theta * rho, 64), cfg
             )
         assert_converged(solves, cfg.tol, 64)
+
+
+class TestMaxResidual:
+    """stats["max_residual"] is the larger of the two passes' residuals,
+    whichever pass it comes from: each law's pair of grids below has the
+    coarse pass larger on one and the fine pass larger on the other."""
+
+    def assert_max_of_passes(self, module, name, runs) -> None:
+        larger = set()
+        for run in runs:
+            with spy_results(module, name) as results:
+                _, _, _, stats = run()
+            residuals = [result.residual for result in results]
+            assert len(residuals) == 2 and residuals[0] != residuals[1]
+            assert stats["max_residual"] == max(residuals)
+            larger.add(int(np.argmax(residuals)))
+        assert larger == {0, 1}
+
+    def test_covariance_law(self):
+        runs = [
+            partial(density_grid_detailed, TWO_ATOM, rho, wide_span(10.0, rho, 400))
+            for rho in (0.5, 2.5)
+        ]
+        self.assert_max_of_passes(mp_solver, "mp_companion_solve", runs)
+
+    def test_elliptical_law(self):
+        xs = np.linspace(0.0, 30.0, 400)
+        runs = [
+            partial(elliptical_density_grid_detailed, params, xs)
+            for params in (
+                EllipticalParams(H=TWO_ATOM, nu=TWO_MIXING, theta=1.0, rho=0.5),
+                EllipticalParams(H=FIVE_ATOM, nu=TWO_MIXING, theta=0.5, rho=2.0),
+            )
+        ]
+        self.assert_max_of_passes(elliptical_solver, "elliptical_solve", runs)
