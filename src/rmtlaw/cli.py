@@ -45,6 +45,7 @@ from .elliptical_solver import (
 from .errors import NumericalError
 from .experiments import ks_distance
 from .linalg import (
+    _load_csv,
     load_matrix_csv,
     load_spectrum_csv,
     sample_correlation,
@@ -210,6 +211,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_diagnose(args: argparse.Namespace) -> int:
     if (args.data is None) == (args.model is None):
         raise ValueError("provide exactly one of --data or --model")
+    thresholds = {"norm": args.norm_threshold, "angle": args.angle_threshold}
+    for name, value in thresholds.items():
+        if not np.isfinite(value):
+            raise ValueError(f"--{name}-threshold must be finite, got {value!r}")
     trace = args.trace_sigma_over_p
     if args.data is not None:
         Y = load_matrix_csv(args.data)
@@ -218,8 +223,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
         model = load_model_json(args.model)
         Y = sample_model(model, args.seed, 0)
         if trace is None:
-            sigma = population_covariance(model)
-            trace = float(np.trace(sigma)) / sigma.shape[0]
+            trace = float(np.trace(population_covariance(model))) / model.d
     norm_values, norm_max = norm_diagnostic(Y, trace, center=args.center)
     angle_max, angle_hist = angle_diagnostic(Y)
     lo, hi = float(norm_values.min()), float(norm_values.max())
@@ -243,7 +247,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
             "max_offdiag": angle_max,
         },
         "lemma5_stat": lemma5_stat,
-        "thresholds": {"norm": args.norm_threshold, "angle": args.angle_threshold},
+        "thresholds": thresholds,
         "concentrated": bool(concentrated),
     }
     _print_json(args, out, args.out)
@@ -269,7 +273,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     eigs = load_spectrum_csv(args.eigs)
-    law = np.loadtxt(args.law, delimiter=",", skiprows=1, ndmin=2)
+    law = _load_csv(args.law, 2, delimiter=",", skiprows=1)
     if law.ndim != 2 or law.shape[1] != 3:
         raise ValueError("law file must be an x,density,cdf CSV")
     ks = ks_distance(eigs, law[:, 0], law[:, 2])

@@ -25,7 +25,6 @@ from .linalg import (
     sym_eigenvalues,
     toeplitz_corr,
 )
-from .measures import delta
 from .samplers import _FAMILIES, PopulationModel, sample_gaussian_copula, sample_model
 
 __all__ = [
@@ -167,29 +166,21 @@ def population_covariance(model: PopulationModel) -> NDArray[np.float64]:
     return float(nu.integrate(np.square)) * T
 
 
-def quadratic_form_deviation(
-    model: PopulationModel, M, reps: int, seed: int
-) -> ConcentrationReport:
-    """Max over rows of |r'Mr/p - trace(M Sigma)/p|, rows centered exactly.
+def quadratic_form_deviation(model: PopulationModel, reps: int, seed: int) -> ConcentrationReport:
+    """Max over rows of |r'r/p - trace(Sigma)/p|, the quadratic form at M = I.
 
-    Rows are centered by the model's known mean; Sigma is the known
-    population covariance, so the target trace(M Sigma)/p is exact.
+    Each replicate is the norm diagnostic of one draw, its rows centered by
+    the model's known mean; Sigma is the known population covariance, so the
+    target trace(Sigma)/p is exact.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    sigma = population_covariance(model)
-    dim = sigma.shape[0]
-    M = as_sym_matrix(M, "M")
-    if M.shape[0] != dim:
-        raise ValueError(f"M must be {dim}x{dim} to match the rows")
-    target = float(np.trace(M @ sigma)) / dim
-    mean_row = np.asarray(model.location, dtype=np.float64)
+    target = float(np.trace(population_covariance(model))) / model.d
 
     def deviation(replicate: int) -> float:
         Y = sample_model(model, seed, replicate)
-        Y -= mean_row
-        quad = np.einsum("ij,ij->i", Y @ M, Y) / dim
-        return np.max(np.abs(quad - target))
+        Y -= model.location
+        return norm_diagnostic(Y, target)[1]
 
     stats = np.array(parallel_map(deviation, range(reps)))
     details = {
@@ -197,11 +188,10 @@ def quadratic_form_deviation(
         "max_max_deviation": float(stats.max()),
         "per_replicate": stats.tolist(),
         "target": target,
-        "sigma_norm_over_log_p": float(operator_norm(sigma) / np.log(max(dim, 2))),
     }
     return ConcentrationReport(
         statistic="quadratic_form_max_row_deviation",
-        dims=[dim],
+        dims=[model.d],
         reps=reps,
         seed=seed,
         details=details,
@@ -215,6 +205,8 @@ def norm_diagnostic(
     Y = np.asarray(Y, dtype=np.float64)
     if Y.ndim != 2 or Y.size == 0:
         raise ValueError("Y must be a nonempty 2-d array")
+    if not (np.isfinite(trace_sigma_over_p) and trace_sigma_over_p >= 0):
+        raise ValueError("trace_sigma_over_p must be finite and >= 0")
     if center:
         Y = Y - Y.mean(axis=0)
     p = Y.shape[1]
@@ -304,7 +296,7 @@ def verify_lemma6(
 def _quadform_models(p: int) -> dict[str, PopulationModel]:
     return {
         "gaussian": PopulationModel(family="gaussian", n=p, p=p),
-        "sphere": PopulationModel(family="sphere_elliptical", n=p, p=p, mixing=delta(1.0)),
+        "sphere": PopulationModel(family="sphere_elliptical", n=p, p=p),
         "copula": PopulationModel(family="gaussian_copula", n=p, p=p),
     }
 
@@ -314,16 +306,16 @@ def verify_quadform(
 ) -> tuple[ConcentrationReport, bool]:
     """Mean max-row quadratic-form deviation decays along the dimension ladder.
 
-    M = Id for every family; passes when the mean statistic is
-    nonincreasing in p for gaussian, sphere, and copula rows and the
-    sphere statistic is exactly zero (norm rigidity).
+    The form is r'r/p (M = I) for every family; passes when the mean
+    statistic is nonincreasing in p for gaussian, sphere, and copula rows
+    and the sphere statistic is exactly zero (norm rigidity).
     """
     if not dims:
         raise ValueError("dims must be nonempty")
     means: dict[str, list[float]] = {}
     for p in dims:
         for name, model in _quadform_models(p).items():
-            report = quadratic_form_deviation(model, np.eye(p), reps, seed)
+            report = quadratic_form_deviation(model, reps, seed)
             means.setdefault(name, []).append(report.details["mean_max_deviation"])
     # Values at rounding-noise level count as zero for the decay check.
     nonincreasing = {

@@ -190,13 +190,23 @@ def copula_cov(R) -> NDArray[np.float64]:
     return C
 
 
+def _load_csv(path, ndmin: int, delimiter=None, skiprows: int = 0) -> NDArray[np.float64]:
+    """np.loadtxt of a text file, read once (a pipe works too) and refused before
+    numpy parses it when no data row (blank and '#' lines do not count) follows
+    its first skiprows lines."""
+    with open(path) as f:
+        lines = f.readlines()
+    if not any(line.split("#", 1)[0].strip() for line in lines[skiprows:]):
+        raise ValueError(f"{path} has no data rows")
+    return np.loadtxt(lines, delimiter=delimiter, skiprows=skiprows, ndmin=ndmin, dtype=np.float64)
+
+
 def load_matrix_csv(path) -> NDArray[np.float64]:
-    M = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
-    return _as_matrix(M)
+    return _as_matrix(_load_csv(path, 2, delimiter=","))
 
 
 def load_spectrum_csv(path) -> NDArray[np.float64]:
-    eigs = np.loadtxt(path, ndmin=1, dtype=np.float64)
+    eigs = _load_csv(path, 1)
     if eigs.ndim != 1:
         raise ValueError("spectrum CSV must contain one eigenvalue per line")
     if not np.all(np.isfinite(eigs)):

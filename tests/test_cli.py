@@ -1161,6 +1161,45 @@ class TestProcessLevel:
         assert "scipy.special" in modules
         assert "scipy.linalg" not in modules
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["compare", "--eigs", "empty.csv", "--law", "law.csv"], "empty.csv has no data rows"),
+            (["compare", "--eigs", "eigs.csv", "--law", "header.csv"], "header.csv has no data rows"),
+            (["diagnose", "--data", "empty.csv"], "empty.csv has no data rows"),
+            (["diagnose", "--model", "model.json", "--trace-sigma-over-p", "nan"],
+             "trace_sigma_over_p must be finite and >= 0"),
+            (["diagnose", "--data", "data.csv", "--trace-sigma-over-p", "-1"],
+             "trace_sigma_over_p must be finite and >= 0"),
+            (["diagnose", "--data", "data.csv", "--norm-threshold", "nan"], "--norm-threshold"),
+            (["diagnose", "--data", "data.csv", "--angle-threshold", "inf"], "--angle-threshold"),
+            (["diagnose", "--data", "empty.csv", "--norm-threshold=-inf"], "--norm-threshold"),
+        ],
+        ids=["empty-eigs", "header-only-law", "empty-data", "nan-target", "negative-target",
+             "nan-norm-threshold", "inf-angle-threshold", "threshold-before-input"],
+    )
+    def test_input_error_is_one_json_line_under_w_error(self, tmp_path, argv, message):
+        # An empty file is refused before numpy warns; a bad diagnose flag is
+        # refused, naming it, before anything is computed or written.
+        (tmp_path / "empty.csv").write_text("")
+        (tmp_path / "header.csv").write_text("x,density,cdf\n")
+        (tmp_path / "law.csv").write_text("x,density,cdf\n0,1,0\n1,1,1\n")
+        (tmp_path / "eigs.csv").write_text("0.5\n")
+        (tmp_path / "data.csv").write_text("1,2\n3,4\n5,7\n")
+        (tmp_path / "model.json").write_text(json.dumps({"family": "gaussian", "n": 20, "p": 10}))
+        argv = [str(tmp_path / a) if a.endswith((".csv", ".json")) else a for a in argv]
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "rmtlaw.cli", *argv,
+             "--out", str(tmp_path / "out.json")],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert message in json.loads(lines[0])["message"]
+        assert not (tmp_path / "out.json").exists()
+
     def test_console_script_thread_invariance(self, tmp_path):
         # Two runs in fresh processes write the same bytes.
         h = tmp_path / "h.json"

@@ -6,6 +6,7 @@ import pytest
 from rmtlaw import cli
 from rmtlaw.concentration import (
     _EXACT_ZERO,
+    _quadform_models,
     ConcentrationReport,
     angle_diagnostic,
     azuma_bound,
@@ -97,7 +98,7 @@ class TestParallelMap:
         runs = []
         for _ in range(2):
             mc = stieltjes_concentration_mc(gaussian, 1.0j, 50, seed=0)
-            quad = quadratic_form_deviation(copula, np.eye(10), reps=5, seed=0)
+            quad = quadratic_form_deviation(copula, reps=5, seed=0)
             runs.append(
                 (mc.details["frequencies"], mc.details["std"], quad.details["per_replicate"])
             )
@@ -197,52 +198,49 @@ class TestQuadraticForm:
         model = PopulationModel(
             family="sphere_elliptical", n=20, p=30, mixing=delta(1.0)
         )
-        report = quadratic_form_deviation(model, np.eye(30), reps=3, seed=0)
+        report = quadratic_form_deviation(model, reps=3, seed=0)
         assert report.details["max_max_deviation"] <= 1e-13
-
-    def test_zero_matrix(self):
-        model = PopulationModel(family="gaussian", n=10, p=5)
-        report = quadratic_form_deviation(model, np.zeros((5, 5)), reps=2, seed=0)
-        assert report.details["max_max_deviation"] == 0.0
 
     def test_gaussian_decays_with_p(self):
         means = []
         for p in (100, 400):
             model = PopulationModel(family="gaussian", n=p, p=p)
-            report = quadratic_form_deviation(model, np.eye(p), reps=5, seed=0)
+            report = quadratic_form_deviation(model, reps=5, seed=0)
             means.append(report.details["mean_max_deviation"])
         assert means[1] < means[0]
-
-    def test_shape_mismatch(self):
-        model = PopulationModel(family="gaussian", n=10, p=5)
-        with pytest.raises(ValueError, match="M must be"):
-            quadratic_form_deviation(model, np.eye(4), reps=1, seed=0)
-
-    def test_matches_three_operand_einsum(self):
-        # Y @ M runs through BLAS, so it agrees with the 3-operand einsum
-        # to rounding, not bit for bit.
-        p = 20
-        model = PopulationModel(family="gaussian", n=30, p=p, shape=toeplitz_corr(p, 0.4))
-        A = np.random.default_rng(5).standard_normal((p, p))
-        M = (A + A.T) / 2.0
-        report = quadratic_form_deviation(model, M, reps=3, seed=2)
-        target = np.trace(M @ model.shape) / p
-        expected = []
-        for replicate in range(3):
-            Y = sample_model(model, 2, replicate)
-            quad = np.einsum("ij,jk,ik->i", Y, M, Y) / p
-            expected.append(np.max(np.abs(quad - target)))
-        np.testing.assert_allclose(report.details["per_replicate"], expected, rtol=1e-12)
 
     def test_location_centering(self):
         # A known mean shift must not change the centered statistic.
         base = PopulationModel(family="gaussian", n=10, p=5)
         shifted = PopulationModel(family="gaussian", n=10, p=5, location=7.0)
-        r1 = quadratic_form_deviation(base, np.eye(5), reps=2, seed=0)
-        r2 = quadratic_form_deviation(shifted, np.eye(5), reps=2, seed=0)
+        r1 = quadratic_form_deviation(base, reps=2, seed=0)
+        r2 = quadratic_form_deviation(shifted, reps=2, seed=0)
         assert r1.details["per_replicate"] == pytest.approx(
             r2.details["per_replicate"], abs=1e-10
         )
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            *_quadform_models(12).values(),
+            PopulationModel(
+                family="gaussian", n=9, p=6, shape=toeplitz_corr(6, 0.4),
+                location=np.linspace(-2.0, 3.0, 6),
+            ),
+        ],
+        ids=["gaussian", "sphere", "copula", "shifted-toeplitz"],
+    )
+    def test_is_the_norm_diagnostic_of_each_centered_draw(self, model):
+        # Bit for bit: each replicate is norm_diagnostic(Y - location, tr(Sigma)/d).
+        report = quadratic_form_deviation(model, reps=3, seed=4)
+        target = float(np.trace(population_covariance(model))) / model.d
+        expected = [
+            norm_diagnostic(sample_model(model, 4, replicate) - model.location, target)[1]
+            for replicate in range(3)
+        ]
+        assert report.details["target"] == target
+        assert report.details["per_replicate"] == expected
+        assert report.dims == [model.d]
 
 
 class TestNormDiagnostic:
@@ -271,6 +269,11 @@ class TestNormDiagnostic:
     def test_validation(self):
         with pytest.raises(ValueError, match="2-d"):
             norm_diagnostic(np.zeros(3), 1.0)
+
+    @pytest.mark.parametrize("target", [np.nan, np.inf, -np.inf, -1.0])
+    def test_target_must_be_finite_and_nonnegative(self, target):
+        with pytest.raises(ValueError, match="trace_sigma_over_p must be finite and >= 0"):
+            norm_diagnostic(np.ones((3, 4)), target)
 
 
 class TestAngleDiagnostic:
@@ -368,7 +371,7 @@ class TestVerifySuites:
         assert max(report.details["mean_max_deviation"]["sphere"]) <= _EXACT_ZERO
 
     def test_quadform_small_ladder_pinned(self):
-        # Values of r'r computed as einsum("ij,ij->i", Y @ M, Y) with M = I.
+        # Values of r'r computed as einsum("ij,ij->i", Y, Y), the norm diagnostic.
         report, _ = verify_quadform(reps=5, seed=0, dims=(50, 100))
         assert report.details["mean_max_deviation"] == {
             "gaussian": [0.47839661203709677, 0.40277347065064867],

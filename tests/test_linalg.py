@@ -1,6 +1,8 @@
 """Dense symmetric kernels against independent oracles and matrix identities."""
 
+import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -337,6 +339,30 @@ class TestCsvRoundTrips:
         path.write_text("2.0\n1.0\n")
         with pytest.raises(ValueError):
             load_spectrum_csv(path)
+
+    def test_blank_and_comment_lines_skipped(self, tmp_path):
+        path = tmp_path / "e.csv"
+        path.write_text("# eigenvalues\n\n0.5\n1.5  # last\n")
+        assert np.array_equal(load_spectrum_csv(path), [0.5, 1.5])
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+    def test_spectrum_from_a_pipe(self):
+        # The file is read once: a pipe cannot be read a second time.
+        read_end, write_end = os.pipe()
+        with os.fdopen(write_end, "w") as w:
+            w.write("# eigenvalues\n0.5\n1.5\n")
+        with os.fdopen(read_end) as r:
+            assert np.array_equal(load_spectrum_csv(f"/dev/fd/{r.fileno()}"), [0.5, 1.5])
+
+    @pytest.mark.parametrize("text", ["", "\n\n", "# only a comment\n"])
+    @pytest.mark.parametrize("load", [load_matrix_csv, load_spectrum_csv])
+    def test_no_data_rows_refused(self, tmp_path, text, load):
+        path = tmp_path / "none.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="none.csv has no data rows"):
+                load(path)
 
 
 def _sym_strategy(n, scale=5.0):
